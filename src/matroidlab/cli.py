@@ -24,7 +24,7 @@ from .matroid import (
     find_isomorphism,
     has_minor,
 )
-from .suites import run_suite, suite_names
+from .suites import _fmt_map, _fmt_set, run_suite, suite_names, worker_count
 from .templates import CONTAINS_AG23E, classify_Y_template, verify_classification
 
 
@@ -65,14 +65,6 @@ def _load_matroid(ref: str) -> LinearMatroid:
             _fail(2, f"error: unknown field suffix {suffix}; use GF3 or GF5")
         field = _FIELD_SUFFIX[suffix.upper()]
     return _entry_or_die(id_, field).matroid()
-
-
-def _fmt_set(items) -> str:
-    return "{" + ",".join(str(x) for x in sorted(items)) + "}"
-
-
-def _fmt_map(mapping) -> str:
-    return ",".join(f"{k}>{v}" for k, v in sorted(mapping.items()))
 
 
 @click.group()
@@ -116,7 +108,9 @@ def minor_cmd(matroid_file: str, target_id: str, contract: str | None, expect: s
     """Search for a catalog minor inside a matrix file's matroid."""
     m = LinearMatroid(_read_matrix(matroid_file))
     entry = _entry_or_die(target_id, 3)
-    hint: tuple[int, ...] | None = entry.contract_hint
+    # a catalog entry's contract_hint labels its own payload matroid, never
+    # the host, so only --contract may seed the search
+    hint: tuple[int, ...] | None = None
     if contract is not None:
         try:
             hint = tuple(int(x) for x in contract.split(",") if x.strip())
@@ -143,6 +137,10 @@ def minor_cmd(matroid_file: str, target_id: str, contract: str | None, expect: s
               help="also write the machine-readable report to this file")
 def verify_cmd(suite: str, report: str | None) -> None:
     """Run a verification suite; exit 0 only if every check passes."""
+    try:
+        worker_count()
+    except ValueError as exc:
+        _fail(2, f"error: {exc}")
     rep = run_suite(suite)
     click.echo(rep.human_text())
     if report is not None:

@@ -155,12 +155,6 @@ class GFMatrix:
             ncols=self.ncols,
         )
 
-    def permute_rows(self, order: Sequence[int]) -> "GFMatrix":
-        order = list(order)
-        if sorted(order) != list(range(self.nrows)):
-            raise ValueError("row order is not a permutation")
-        return GFMatrix(self.p, [self.rows[i] for i in order], ncols=self.ncols)
-
     def permute_cols(self, order: Sequence[int]) -> "GFMatrix":
         order = list(order)
         if sorted(order) != list(range(self.ncols)):
@@ -196,13 +190,6 @@ class GFMatrix:
             raise ValueError("appended rows must match the column count")
         return GFMatrix(self.p, list(self.rows) + extra, ncols=self.ncols)
 
-    def append_cols(self, new_cols: Sequence[Sequence[int]]) -> "GFMatrix":
-        extra = [list(c) for c in new_cols]
-        if any(len(c) != self.nrows for c in extra):
-            raise ValueError("appended columns must match the row count")
-        rows = [list(row) + [c[i] for c in extra] for i, row in enumerate(self.rows)]
-        return GFMatrix(self.p, rows, ncols=self.ncols + len(extra))
-
     def add_row_to(self, src: int, dst: int, coeff: int = 1) -> "GFMatrix":
         """Row operation ``row[dst] += coeff * row[src]``."""
         if not (0 <= src < self.nrows and 0 <= dst < self.nrows):
@@ -213,9 +200,6 @@ class GFMatrix:
         rows = [list(r) for r in self.rows]
         rows[dst] = [(a + c * b) % self.p for a, b in zip(rows[dst], rows[src])]
         return GFMatrix(self.p, rows, ncols=self.ncols)
-
-    def neg(self) -> "GFMatrix":
-        return GFMatrix(self.p, [[(-x) % self.p for x in row] for row in self.rows], ncols=self.ncols)
 
 
 def reduce(entries: Iterable[Iterable[int]], p: int, ncols: int | None = None) -> GFMatrix:

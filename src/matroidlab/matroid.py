@@ -196,10 +196,6 @@ class LinearMatroid:
         return LinearMatroid(dual_matrix, self.labels)
 
 
-def vector_matroid(matrix: GFMatrix, labels: Sequence[int] | None = None) -> LinearMatroid:
-    return LinearMatroid(matrix, labels)
-
-
 # -- witnesses ---------------------------------------------------------------------
 
 
@@ -287,111 +283,73 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
     return True
 
 
-# -- line structure and search fingerprints -------------------------------------------
+# -- pair table for the rank-preserving search -----------------------------------------
 
 
-def _key2(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a <= b else (b, a)
+class _PairTable:
+    """Rank and closure of every pair of elements of one matroid.
 
-
-def _key3(a: int, b: int, c: int) -> tuple[int, int, int]:
-    if a > b:
-        a, b = b, a
-    if b > c:
-        b, c = c, b
-    if a > b:
-        a, b = b, a
-    return (a, b, c)
-
-
-def _small_rank_tables(m: LinearMatroid):
-    """Rank lookups for all pairs and triples of labels."""
-    labels = sorted(m.labels)
-    r2 = {}
-    r3 = {}
-    for pair in itertools.combinations(labels, 2):
-        r2[pair] = m.rank(pair)
-    for triple in itertools.combinations(labels, 3):
-        r3[triple] = m.rank(triple)
-    return r2, r3
-
-
-def _line_data(m: LinearMatroid):
-    """Rank-2 closures of simple matroids.
-
-    Returns (lines, through) where lines is the set of maximal rank-2 flats
-    with at least 3 points (as frozensets of labels) and through[x] is the
-    sorted tuple of sizes of such lines containing x.
+    For distinct labels a, b: rank2[a, b] = r({a, b}) and closure[a, b] is
+    cl({a, b}) = {c : r({a, b, c}) = r({a, b})} as an int bitmask, where
+    bit[x] marks label x and bits run in sorted label order.  Both key orders
+    are stored.  The search reads everything it prunes with from here.
     """
-    labels = sorted(m.labels)
-    closures: set[frozenset[int]] = set()
-    for a, b in itertools.combinations(labels, 2):
-        flat = frozenset(c for c in labels if m.rank({a, b, c}) <= 2)
-        if len(flat) >= 3:
-            closures.add(flat)
-    through: dict[int, tuple[int, ...]] = {
-        x: tuple(sorted((len(l) for l in closures if x in l), reverse=True)) for x in labels
-    }
-    return closures, through
+
+    def __init__(self, m: LinearMatroid):
+        self.labels = sorted(m.labels)
+        self.bit = {x: 1 << i for i, x in enumerate(self.labels)}
+        self._label_of = {b: x for x, b in self.bit.items()}
+        rank2: dict[tuple[int, int], int] = {}
+        closure: dict[tuple[int, int], int] = {}
+        for a, b in itertools.combinations(self.labels, 2):
+            rank2[a, b] = m.rank((a, b))
+            closure[a, b] = self.bit[a] | self.bit[b]
+        for a, b, c in itertools.combinations(self.labels, 3):
+            r = m.rank((a, b, c))
+            for pair, third in (((a, b), c), ((a, c), b), ((b, c), a)):
+                if r == rank2[pair]:
+                    closure[pair] |= self.bit[third]
+        for a, b in list(rank2):
+            rank2[b, a] = rank2[a, b]
+            closure[b, a] = closure[a, b]
+        self.rank2 = rank2
+        self.closure = closure
+
+    def members(self, mask: int) -> list[int]:
+        """Labels whose bits are set in mask, in sorted order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self._label_of[low])
+            mask ^= low
+        return out
+
+    def through(self) -> dict[int, tuple[int, ...]]:
+        """x -> sizes, descending, of the pair closures of >= 3 points holding
+        x; in a simple matroid these are the lines through x."""
+        lines = {c for c in self.closure.values() if c.bit_count() >= 3}
+        return {
+            x: tuple(sorted((l.bit_count() for l in lines if l & self.bit[x]), reverse=True))
+            for x in self.labels
+        }
+
+    def anchor(self, placed: Sequence[int], x: int) -> tuple[int, int] | None:
+        """First pair of placed labels whose closure holds x, if any."""
+        bx = self.bit[x]
+        return next((ab for ab in itertools.combinations(placed, 2) if self.closure[ab] & bx), None)
 
 
-def _profile_dominates(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    """Can every line size in small be matched to a distinct >= size in big?
-
-    Both profiles sorted descending; greedy matching is optimal here.
-    """
-    if len(big) < len(small):
-        return False
-    i = 0
-    for want in small:
-        while i < len(big) and big[i] < want:
-            return False
-        i += 1
-    return all(b >= s for b, s in zip(big, small))
-
-
-def _closure_table(m: LinearMatroid):
-    """closure[(a, b)] -> sorted tuple of labels on the line through a and b."""
-    labels = sorted(m.labels)
-    table: dict[tuple[int, int], tuple[int, ...]] = {}
-    for a, b in itertools.combinations(labels, 2):
-        pts = tuple(c for c in labels if m.rank({a, b, c}) <= 2)
-        table[(a, b)] = pts
-        table[(b, a)] = pts
-    return table
-
-
-def _search_order(m: LinearMatroid):
+def _search_order(table: _PairTable, through: Mapping[int, tuple[int, ...]]) -> list[int]:
     """Element order where each element sits on a line with two placed ones
-    whenever possible.  Returns [(label, (anchor_a, anchor_b) | None), ...]."""
-    labels = sorted(m.labels)
-    _, through = _line_data(m)
-    closure = _closure_table(m)
-    remaining = set(labels)
-    order: list[tuple[int, tuple[int, int] | None]] = []
-    placed: list[int] = []
-
-    def line_anchor(x: int):
-        for a, b in itertools.combinations(placed, 2):
-            if x in closure[(a, b)] and m.rank({a, b}) == 2:
-                return (a, b)
-        return None
-
+    whenever possible; otherwise the most line-covered element comes next."""
+    order: list[int] = []
+    remaining = list(table.labels)
     while remaining:
-        best = None
-        best_anchor = None
-        for x in sorted(remaining):
-            anchor = line_anchor(x)
-            if anchor is not None:
-                best, best_anchor = x, anchor
-                break
-        if best is None:
-            # no line-constrained element: take the most line-covered one
-            best = max(sorted(remaining), key=lambda x: (len(through[x]), sum(through[x])))
-            best_anchor = None
-        order.append((best, best_anchor))
-        placed.append(best)
-        remaining.discard(best)
+        x = next((x for x in remaining if table.anchor(order, x)), None)
+        if x is None:
+            x = max(remaining, key=lambda x: (len(through[x]), sum(through[x])))
+        order.append(x)
+        remaining.remove(x)
     return order
 
 
@@ -417,47 +375,26 @@ class _RankPreservingSearch:
             return None
         if m.size == 0:
             return {}
+        tm = self.table_m = _PairTable(m)
+        self.table_n = _PairTable(n)
+        self.anchors: dict[int, tuple[int, int] | None] = {}
         if self.simple:
-            _, self.through_m = _line_data(m)
-            _, self.through_n = _line_data(n)
-            self.closure_n = _closure_table(n)
+            self.through_m = tm.through()
+            self.through_n = self.table_n.through()
             if self.bijective:
                 if sorted(self.through_m.values()) != sorted(self.through_n.values()):
                     return None
-                order = [(x, None) for x in sorted(m.labels)]
-                self.anchors = self._anchors_for(sorted(m.labels))
+                self.order = tm.labels
             else:
-                order = _search_order(m)
-                self.anchors = {x: a for x, a in order}
+                self.order = _search_order(tm, self.through_m)
+            self.anchors = {x: tm.anchor(self.order[:i], x) for i, x in enumerate(self.order)}
         else:
-            order = [(x, None) for x in self._generic_order()]
-            self.anchors = {x: None for x, _ in order}
-        self.order = [x for x, _ in order]
-        self.prefix_rank = []
-        seen: list[int] = []
+            self.order = self._generic_order()
+        self.prefix_rank = [m.rank(self.order[: i + 1]) for i in range(len(self.order))]
+        self.placed_mask = [0]
         for x in self.order:
-            seen.append(x)
-            self.prefix_rank.append(m.rank(seen))
-        self.rank2_m, self.rank3_m = _small_rank_tables(m)
-        self.rank2_n, self.rank3_n = _small_rank_tables(n)
-        assignment: dict[int, int] = {}
-        used: set[int] = set()
-        basis: list = []
-        return self._dfs(0, assignment, used, basis)
-
-    def _anchors_for(self, order: list[int]):
-        closure = _closure_table(self.m)
-        anchors: dict[int, tuple[int, int] | None] = {}
-        placed: list[int] = []
-        for x in order:
-            found = None
-            for a, b in itertools.combinations(placed, 2):
-                if self.m.rank({a, b}) == 2 and x in closure[(a, b)]:
-                    found = (a, b)
-                    break
-            anchors[x] = found
-            placed.append(x)
-        return anchors
+            self.placed_mask.append(self.placed_mask[-1] | tm.bit[x])
+        return self._dfs(0, {}, 0, [])
 
     def _generic_order(self) -> list[int]:
         m = self.m
@@ -468,26 +405,29 @@ class _RankPreservingSearch:
                 class_of[x] = len(cls)
         return sorted(m.labels, key=lambda x: (x not in loops, -class_of.get(x, 0), x))
 
-    def _candidates(self, x: int, assignment: dict[int, int], used: set[int]):
+    def _candidates(self, x: int, assignment: dict[int, int], used_mask: int):
         n = self.n
+        tn = self.table_n
         anchor = self.anchors.get(x)
         if anchor is not None:
             a, b = anchor
-            pool: Iterable[int] = self.closure_n[(assignment[a], assignment[b])]
+            pool = tn.members(tn.closure[assignment[a], assignment[b]])
         else:
-            pool = sorted(n.labels)
+            pool = tn.labels
         for y in pool:
-            if y in used:
+            if tn.bit[y] & used_mask:
                 continue
             if self.simple:
+                want, have = self.through_m[x], self.through_n[y]
                 if self.bijective:
-                    if self.through_m[x] != self.through_n[y]:
+                    if want != have:
                         continue
-                elif not _profile_dominates(self.through_n[y], self.through_m[x]):
+                elif len(have) < len(want) or any(h < w for h, w in zip(have, want)):
+                    # every line through x needs its own line through y
                     continue
             else:
                 x_loop = all(c == 0 for c in self.m.column_of(x))
-                y_loop = all(c == 0 for c in self.n.column_of(y))
+                y_loop = all(c == 0 for c in n.column_of(y))
                 if self.bijective:
                     if x_loop != y_loop:
                         continue
@@ -495,7 +435,30 @@ class _RankPreservingSearch:
                     continue
             yield y
 
-    def _dfs(self, depth: int, assignment: dict[int, int], used: set[int], basis: list):
+    def _consistent(self, depth: int, y: int, assignment: dict[int, int], used_mask: int) -> bool:
+        """Does placing x = order[depth] at y keep every pair and triple rank
+        through x?
+
+        For each placed p: r(p, x) = r(f(p), y), and f carries the placed
+        points of cl(p, x) exactly onto the images in cl(f(p), y).  Since
+        r(S + e) = r(S) + [e not in cl(S)], the second test equals
+        r(p, q, x) = r(f(p), f(q), y) for every other placed q.
+        """
+        tm, tn = self.table_m, self.table_n
+        x = self.order[depth]
+        placed_mask = self.placed_mask[depth]
+        for p in self.order[:depth]:
+            fp = assignment[p]
+            if tm.rank2[p, x] != tn.rank2[fp, y]:
+                return False
+            image = 0
+            for q in tm.members(tm.closure[p, x] & placed_mask):
+                image |= tn.bit[assignment[q]]
+            if image != tn.closure[fp, y] & used_mask:
+                return False
+        return True
+
+    def _dfs(self, depth: int, assignment: dict[int, int], used_mask: int, basis: list):
         if depth == len(self.order):
             # pruning along the way is heuristic; the leaf check is the proof
             found = dict(assignment)
@@ -503,35 +466,18 @@ class _RankPreservingSearch:
                 return found if verify_bijection(self.m, self.n, found) else None
             return found if verify_embedding(self.m, self.n, found) else None
         x = self.order[depth]
-        placed = self.order[:depth]
-        r2m, r3m, r2n, r3n = self.rank2_m, self.rank3_m, self.rank2_n, self.rank3_n
-        for y in self._candidates(x, assignment, used):
-            ok = True
-            # pairwise and triple rank agreement with everything placed
-            for i, p_ in enumerate(placed):
-                fp = assignment[p_]
-                if r2m[_key2(p_, x)] != r2n[_key2(fp, y)]:
-                    ok = False
-                    break
-                for q in placed[i + 1:]:
-                    if r3m[_key3(p_, q, x)] != r3n[_key3(fp, assignment[q], y)]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+        for y in self._candidates(x, assignment, used_mask):
+            if not self._consistent(depth, y, assignment, used_mask):
                 continue
             new_basis = [(lead, row) for lead, row in basis]
             _insert_into_basis(self.n.column_of(y), new_basis, self.n.p)
             if len(new_basis) != self.prefix_rank[depth]:
                 continue
             assignment[x] = y
-            used.add(y)
-            hit = self._dfs(depth + 1, assignment, used, new_basis)
+            hit = self._dfs(depth + 1, assignment, used_mask | self.table_n.bit[y], new_basis)
             if hit is not None:
                 return hit
             del assignment[x]
-            used.discard(y)
         return None
 
 

@@ -425,9 +425,9 @@ def worker_count() -> int:
     """Pool size: MATROIDLAB_THREADS when set, else all cores."""
     raw = os.environ.get("MATROIDLAB_THREADS", "").strip()
     if raw:
-        n = int(raw)
+        n = int(raw) if raw.isdecimal() else 0
         if n < 1:
-            raise ValueError("MATROIDLAB_THREADS must be a positive integer")
+            raise ValueError(f"MATROIDLAB_THREADS must be a positive integer, not {raw!r}")
         return n
     return os.cpu_count() or 1
 

@@ -87,6 +87,21 @@ def naive_is_isomorphic(m, n) -> bool:
     return _tables_isomorphic(tuple(m.labels), ta, tuple(n.labels), tb) is not None
 
 
+def naive_is_restriction(m, n) -> bool:
+    """Brute force: some |m|-subset of n's labels carries m's rank table."""
+    if len(m.labels) > 8:
+        raise ValueError("naive restriction oracle is limited to 8 elements")
+    ta = subset_rank_table(m)
+    tn = subset_rank_table(n)
+    for keep in itertools.combinations(tuple(n.labels), len(m.labels)):
+        tb = {sub: r for sub, r in tn.items() if sub <= frozenset(keep)}
+        if sorted(tb.values()) != sorted(ta.values()):
+            continue
+        if _tables_isomorphic(tuple(m.labels), ta, keep, tb) is not None:
+            return True
+    return False
+
+
 def _minor_rank_table(m, contract: frozenset, keep: Sequence) -> dict[frozenset, int]:
     """Rank table of the minor m / contract restricted to keep.
 

@@ -9,6 +9,7 @@ from matroidlab import gf
 from matroidlab import suites
 from matroidlab.catalog import named
 from matroidlab.cli import main
+from matroidlab.matroid import LinearMatroid, MinorWitness, verify_witness
 from matroidlab.suites import SUITE_ORDER, run_suite, suite_names, worker_count
 
 
@@ -102,10 +103,33 @@ def test_minor_bad_contract_list_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_minor_unsimple_target_exit_2(runner, tmp_path):
+def test_minor_ignores_target_contract_hint(runner, tmp_path):
+    # F7M_PAIRS carries a contract hint labelling its own payload matroid;
+    # it must not be applied to the host, whose labels stop at 8
     path = emit(runner, tmp_path, "AG23E_Y0")
-    result = runner.invoke(main, ["minor", "-m", path, "-n", "FORBIDDEN_A"])
+    result = runner.invoke(main, ["minor", "-m", path, "-n", "F7M_PAIRS"])
+    assert result.exit_code == 0, result.output
+    lines = dict(line.split(" ", 1) for line in result.output.splitlines())
+
+    def labels(text):
+        return tuple(int(x) for x in text.strip("{}").split(",") if x)
+
+    witness = MinorWitness(
+        labels(lines["contract"]),
+        labels(lines["delete"]),
+        tuple(tuple(int(v) for v in pair.split(">")) for pair in lines["map"].split(",")),
+    )
+    host = LinearMatroid(gf.read_file(path))
+    assert verify_witness(host, named("F7M_PAIRS").matroid(), witness)
+
+
+def test_minor_unknown_contract_label_exit_2(runner, tmp_path):
+    path = emit(runner, tmp_path, "AG23E_Y0")
+    result = runner.invoke(
+        main, ["minor", "-m", path, "-n", "F7M_PAIRS", "--contract", "99"]
+    )
     assert result.exit_code == 2
+    assert "unknown element label 99" in result.output
 
 
 # -- classify --------------------------------------------------------------------
@@ -277,6 +301,16 @@ def test_threads_env_cap(monkeypatch):
     monkeypatch.setenv("MATROIDLAB_THREADS", "0")
     with pytest.raises(ValueError):
         worker_count()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+def test_threads_env_bad_value_exit_2(runner, monkeypatch, value):
+    monkeypatch.setenv("MATROIDLAB_THREADS", value)
+    with pytest.raises(ValueError, match="MATROIDLAB_THREADS"):
+        worker_count()
+    result = runner.invoke(main, ["verify", "--suite", "dyadic"])
+    assert result.exit_code == 2
+    assert "MATROIDLAB_THREADS must be a positive integer" in result.output
 
 
 def test_human_text_mentions_anchor_and_failure():

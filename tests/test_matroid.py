@@ -17,16 +17,18 @@ from matroidlab.matroid import (
     has_u24_minor,
     is_isomorphic,
     is_restriction_of,
-    vector_matroid,
     verify_bijection,
     verify_embedding,
     verify_witness,
 )
+from matroidlab.matroid import _PairTable
 
 from .naive import (
     naive_has_minor,
     naive_is_isomorphic,
+    naive_is_restriction,
     random_matrix,
+    subset_rank_table,
 )
 
 
@@ -41,6 +43,22 @@ def mk4():
 
 def u24():
     return m_of([[1, 0, 1, 1], [0, 1, 1, -1]])
+
+
+def m_cols(*cols):
+    """Matroid over GF(3) of the given columns, each an (x, y, z) triple."""
+    return LinearMatroid(GFMatrix.from_columns(3, cols, nrows=3))
+
+
+E0, E1, E2, ZERO = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+E12 = (0, 1, 1)
+# each has a loop or a parallel class; the 3-point line is {E1, E2, E12}
+NONSIMPLE_FAMILY = (
+    m_cols(E0, E1, E2, ZERO, (2, 0, 0), E12),  # loop, pair off the line
+    m_cols(E0, E1, E2, ZERO, (0, 2, 0), E12),  # loop, pair on the line
+    m_cols(E0, E1, E2, E0, (2, 0, 0), E12),  # class of three, no loop
+    m_cols(E0, E1, E2, ZERO, ZERO, E12),  # two loops
+)
 
 
 def test_labels_default_and_validation():
@@ -164,6 +182,56 @@ def test_iso_matches_naive_on_random_pairs():
         iso = find_isomorphism(LinearMatroid(a), LinearMatroid(b))
         assert iso is not None
         assert verify_bijection(LinearMatroid(a), LinearMatroid(b), iso)
+    # loops and parallel classes, and relabelled rescaled copies of them
+    family = list(NONSIMPLE_FAMILY)
+    for m in NONSIMPLE_FAMILY:
+        order = list(range(m.size))
+        rng.shuffle(order)
+        copy = m.matrix.permute_cols(order)
+        for j in range(m.size):
+            copy = copy.scale_col(j, rng.randrange(1, 3))
+        family.append(LinearMatroid(copy))
+    for ma, mb in itertools.product(family, repeat=2):
+        iso = find_isomorphism(ma, mb)
+        assert (iso is not None) == naive_is_isomorphic(ma, mb)
+        if iso is not None:
+            assert verify_bijection(ma, mb, iso)
+
+
+def test_embedding_matches_naive_on_nonsimple_matroids():
+    host = m_cols(E0, E1, E2, ZERO, (2, 0, 0), E12, E1)  # loop, pairs {0,4} {1,6}
+    sources = [
+        m_cols(ZERO, E0, (2, 0, 0)),  # loop and a parallel pair
+        m_cols(E1, (0, 2, 0), E2, E12),  # parallel pair on a 3-point line
+        m_cols(E0, E0, E0),  # parallel class of three
+        m_cols(ZERO, ZERO, E0),  # two loops
+        m_cols(E0, (2, 0, 0), E1, E1, ZERO),  # two parallel pairs and a loop
+        m_cols(E0, E0, E1, E2, (1, 1, 0)),  # parallel pair on a 3-point line
+    ]
+    sources += list(NONSIMPLE_FAMILY)
+    hits = 0
+    for m in sources:
+        emb = find_embedding(m, host)
+        assert (emb is not None) == naive_is_restriction(m, host)
+        if emb is not None:
+            assert verify_embedding(m, host, emb)
+            hits += 1
+    assert 0 < hits < len(sources)
+
+
+def test_pair_table_matches_subset_ranks():
+    # every matroid on four columns drawn, with repetition, from the zero
+    # vector and the 13 points of PG(2, 3): loops and parallel classes included
+    vectors = [v for v in itertools.product(range(3), repeat=3) if next((x for x in v if x), 1) == 1]
+    for cols in itertools.combinations_with_replacement(vectors, 4):
+        m = m_cols(*cols)
+        ranks = subset_rank_table(m)
+        table = _PairTable(m)
+        for a, b in itertools.permutations(m.labels, 2):
+            r = ranks[frozenset((a, b))]
+            assert table.rank2[a, b] == r
+            closure = [c for c in m.labels if ranks[frozenset((a, b, c))] == r]
+            assert table.members(table.closure[a, b]) == closure
 
 
 def test_embedding_identity_and_subsets():
