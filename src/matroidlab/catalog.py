@@ -13,9 +13,12 @@ this ordering.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .gf import GFMatrix, hstack, reduce
 from .matroid import LinearMatroid
@@ -250,7 +253,11 @@ class TableRow:
 _PARAM = re.compile(r"^(MK|DOWLING|PI|SIGMA|OMEGA|T1_)(\d+)$")
 
 
-def _fixed_entries(p: int) -> dict[str, NamedEntry]:
+@functools.cache
+def _fixed_entries(p: int) -> Mapping[str, NamedEntry]:
+    """The fixed entries over GF(p), built once per field and read-only;
+    entries are frozen and ``NamedEntry.matroid()`` returns a fresh matroid,
+    so sharing them is safe."""
     e: dict[str, NamedEntry] = {}
 
     def put(id_, kind, rows, labels=None, hint=None, note=""):
@@ -293,7 +300,7 @@ def _fixed_entries(p: int) -> dict[str, NamedEntry]:
     f7d = LinearMatroid(reduce(F7MINUS_ROWS, p)).dual()
     e["F7MINUS_DUAL"] = NamedEntry("F7MINUS_DUAL", "matroid", f7d.matrix, f7d.labels,
                                    note="dual of the non-Fano plane, rank 4")
-    return e
+    return MappingProxyType(e)
 
 
 def named(id_: str, field: int = 3) -> NamedEntry:
@@ -302,32 +309,37 @@ def named(id_: str, field: int = 3) -> NamedEntry:
     fixed = _fixed_entries(field)
     if id_ in fixed:
         return fixed[id_]
-    m = _PARAM.match(id_)
-    if m:
-        head, num = m.group(1), int(m.group(2))
-        try:
-            if head == "MK":
-                mat = clique(num, field)
-                note = f"cycle matroid of the complete graph on {num} vertices"
-            elif head == "DOWLING":
-                mat = dowling(num, field)
-                note = f"rank-{num} frame geometry on {num * num} elements"
-            elif head == "PI":
-                mat = pi(num, field)
-                note = f"rank-{num} universal matroid over the T1 payload"
-            elif head == "SIGMA":
-                mat = sigma(num, field)
-                note = f"rank-{num} universal matroid over the T2 payload"
-            elif head == "OMEGA":
-                mat = omega(num, field)
-                note = f"rank-{num} universal matroid over the T3 payload"
-            else:
-                mat = t_r_1(num, field)
-                note = f"rank-{num} member of the T^1 family"
-        except ValueError as exc:
-            raise KeyError(f"unknown catalog id {id_!r}: {exc}") from None
-        return NamedEntry(id_, "matroid", mat.matrix, mat.labels, note=note)
+    if _PARAM.match(id_):
+        return _family_entry(id_, field)
     raise KeyError(f"unknown catalog id {id_!r}")
+
+
+@functools.lru_cache(maxsize=128)
+def _family_entry(id_: str, field: int) -> NamedEntry:
+    m = _PARAM.match(id_)
+    head, num = m.group(1), int(m.group(2))
+    try:
+        if head == "MK":
+            mat = clique(num, field)
+            note = f"cycle matroid of the complete graph on {num} vertices"
+        elif head == "DOWLING":
+            mat = dowling(num, field)
+            note = f"rank-{num} frame geometry on {num * num} elements"
+        elif head == "PI":
+            mat = pi(num, field)
+            note = f"rank-{num} universal matroid over the T1 payload"
+        elif head == "SIGMA":
+            mat = sigma(num, field)
+            note = f"rank-{num} universal matroid over the T2 payload"
+        elif head == "OMEGA":
+            mat = omega(num, field)
+            note = f"rank-{num} universal matroid over the T3 payload"
+        else:
+            mat = t_r_1(num, field)
+            note = f"rank-{num} member of the T^1 family"
+    except ValueError as exc:
+        raise KeyError(f"unknown catalog id {id_!r}: {exc}") from None
+    return NamedEntry(id_, "matroid", mat.matrix, mat.labels, note=note)
 
 
 def catalog_ids() -> tuple[str, ...]:

@@ -101,7 +101,8 @@ def ids_cmd() -> None:
               help="matrix file presenting the host matroid")
 @click.option("-n", "target_id", required=True, help="catalog id of the minor target")
 @click.option("--contract", default=None,
-              help="comma-separated labels to contract first (search hint)")
+              help="comma-separated labels to contract first (search hint); "
+                   "a negative under a hint exits 1")
 @click.option("--expect", type=click.Choice(["yes", "no"]), default="yes",
               show_default=True, help="exit 0 when the outcome matches this")
 def minor_cmd(matroid_file: str, target_id: str, contract: str | None, expect: str) -> None:
@@ -119,9 +120,14 @@ def minor_cmd(matroid_file: str, target_id: str, contract: str | None, expect: s
     try:
         witness = has_minor(m, entry.matroid(), hint=hint)
     except (KeyError, ValueError) as exc:
-        _fail(2, f"error: {exc}")
+        # str() of a KeyError is the repr of its message
+        _fail(2, f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}")
         raise AssertionError
     if witness is None:
+        if hint:
+            # a search seeded by a hint says nothing about the unhinted host
+            click.echo(f"no minor of M/{_fmt_set(set(hint))}")
+            sys.exit(1)
         click.echo("no minor")
         sys.exit(0 if expect == "no" else 1)
     click.echo(f"contract {_fmt_set(witness.contracted)}")

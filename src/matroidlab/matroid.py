@@ -1,9 +1,11 @@
 """Linear matroids presented by matrices over GF(3) or GF(5).
 
 A LinearMatroid is a GFMatrix plus distinct integer labels, one per column.
-Everything downstream (minor search, isomorphism, embedding) works through
-the subset rank oracle, so results are matroid-level statements even though
-all the arithmetic is exact linear algebra.
+The searches (minor, isomorphism, embedding) prune with pair ranks and
+closures read off the columns' projective points and lines, and every answer
+they return is re-checked through the subset rank oracle alone, so results
+are matroid-level statements even though all the arithmetic is exact linear
+algebra.
 
 Determinism contract: every search in this module iterates labels and
 candidates in sorted order, so the first witness found is the
@@ -39,6 +41,16 @@ def _insert_into_basis(v: Sequence[int], basis: list, p: int) -> bool:
     return False
 
 
+def _normalize(v: Sequence[int], p: int) -> tuple[int, ...] | None:
+    """v scaled so its first nonzero entry is 1: its projective point, or
+    None for the zero vector."""
+    lead = next((c for c in v if c), 0)
+    if not lead:
+        return None
+    inv = pow(lead, p - 2, p)
+    return tuple((c * inv) % p for c in v)
+
+
 class LinearMatroid:
     """Vector matroid of a matrix, with stable integer column labels."""
 
@@ -54,6 +66,8 @@ class LinearMatroid:
         self.labels = labels
         self._col_of = {lab: j for j, lab in enumerate(labels)}
         self._rank_memo: dict[tuple[int, ...], int] = {}
+        self._points: dict[int, tuple[int, ...] | None] | None = None
+        self._pair_table: _PairTable | None = None
 
     # -- basics ---------------------------------------------------------------
 
@@ -66,7 +80,7 @@ class LinearMatroid:
         return len(self.labels)
 
     def column_of(self, label: int) -> tuple[int, ...]:
-        return self.matrix.column(self._col_index(label))
+        return self.matrix.columns[self._col_index(label)]
 
     def _col_index(self, label: int) -> int:
         try:
@@ -89,9 +103,10 @@ class LinearMatroid:
             return hit
         basis: list = []
         p = self.p
+        columns = self.matrix.columns
         r = 0
         for j in cols:
-            if _insert_into_basis(self.matrix.column(j), basis, p):
+            if _insert_into_basis(columns[j], basis, p):
                 r += 1
         self._rank_memo[cols] = r
         return r
@@ -153,24 +168,23 @@ class LinearMatroid:
 
     # -- loops, parallel classes, simplification ----------------------------------
 
-    def loops(self) -> tuple[int, ...]:
-        return tuple(x for x in self.labels if all(c == 0 for c in self.column_of(x)))
+    def _point_map(self) -> dict[int, tuple[int, ...] | None]:
+        """label -> its projective point (the column scaled so its first
+        nonzero entry is 1), or None for a loop.  Computed once."""
+        if self._points is None:
+            p = self.p
+            self._points = {lab: _normalize(col, p) for lab, col in zip(self.labels, self.matrix.columns)}
+        return self._points
 
-    def _parallel_key(self, label: int) -> tuple[int, ...] | None:
-        col = self.column_of(label)
-        lead = next((c for c in col if c), None)
-        if lead is None:
-            return None
-        inv = pow(lead, self.p - 2, self.p)
-        return tuple((c * inv) % self.p for c in col)
+    def loops(self) -> tuple[int, ...]:
+        return tuple(x for x, pt in self._point_map().items() if pt is None)
 
     def parallel_classes(self) -> tuple[tuple[int, ...], ...]:
         """Non-loop elements grouped by projective point, each class sorted."""
         groups: dict[tuple[int, ...], list[int]] = {}
-        for x in self.labels:
-            key = self._parallel_key(x)
-            if key is not None:
-                groups.setdefault(key, []).append(x)
+        for x, pt in self._point_map().items():
+            if pt is not None:
+                groups.setdefault(pt, []).append(x)
         return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: min(g)))
 
     def simplify(self) -> "LinearMatroid":
@@ -178,7 +192,8 @@ class LinearMatroid:
         return self.restrict(keep)
 
     def is_simple(self) -> bool:
-        return not self.loops() and all(len(c) == 1 for c in self.parallel_classes())
+        pts = self._point_map().values()
+        return None not in pts and len(set(pts)) == len(pts)
 
     # -- duality ------------------------------------------------------------------
 
@@ -293,25 +308,59 @@ class _PairTable:
     cl({a, b}) = {c : r({a, b, c}) = r({a, b})} as an int bitmask, where
     bit[x] marks label x and bits run in sorted label order.  Both key orders
     are stored.  The search reads everything it prunes with from here.
+
+    Both come from the projective points of the columns, with no rank
+    calls: two loops span rank 0 and close to the loops; a loop and a point,
+    or two elements on one point, span rank 1 and close to the loops plus
+    that point's class; two distinct points span rank 2 and close to the
+    loops plus every element on the line through them.  Use ``of(m)``,
+    which builds the table once per matroid.
     """
+
+    @classmethod
+    def of(cls, m: LinearMatroid) -> "_PairTable":
+        if m._pair_table is None:
+            m._pair_table = cls(m)
+        return m._pair_table
 
     def __init__(self, m: LinearMatroid):
         self.labels = sorted(m.labels)
         self.bit = {x: 1 << i for i, x in enumerate(self.labels)}
         self._label_of = {b: x for x, b in self.bit.items()}
+        point_of = m._point_map()
+        loops = 0
+        members: dict[tuple[int, ...], int] = {}  # point -> bitmask of its class
+        for x in self.labels:
+            pt = point_of[x]
+            if pt is None:
+                loops |= self.bit[x]
+            else:
+                members[pt] = members.get(pt, 0) | self.bit[x]
+        p = m.p
+        line: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for u, v in itertools.combinations(members, 2):
+            if (u, v) in line:
+                continue
+            # the line's p + 1 points are v and u + t*v for t in GF(p)
+            on_line = [v] + [_normalize([(a + t * b) % p for a, b in zip(u, v)], p) for t in range(p)]
+            present = [w for w in on_line if w in members]
+            mask = loops
+            for w in present:
+                mask |= members[w]
+            for pair in itertools.permutations(present, 2):
+                line[pair] = mask
         rank2: dict[tuple[int, int], int] = {}
         closure: dict[tuple[int, int], int] = {}
         for a, b in itertools.combinations(self.labels, 2):
-            rank2[a, b] = m.rank((a, b))
-            closure[a, b] = self.bit[a] | self.bit[b]
-        for a, b, c in itertools.combinations(self.labels, 3):
-            r = m.rank((a, b, c))
-            for pair, third in (((a, b), c), ((a, c), b), ((b, c), a)):
-                if r == rank2[pair]:
-                    closure[pair] |= self.bit[third]
-        for a, b in list(rank2):
-            rank2[b, a] = rank2[a, b]
-            closure[b, a] = closure[a, b]
+            pa, pb = point_of[a], point_of[b]
+            if pa is None and pb is None:
+                r, c = 0, loops
+            elif pa is None or pb is None or pa == pb:
+                r, c = 1, loops | members[pb if pa is None else pa]
+            else:
+                r, c = 2, line[pa, pb]
+            rank2[a, b] = rank2[b, a] = r
+            closure[a, b] = closure[b, a] = c
         self.rank2 = rank2
         self.closure = closure
 
@@ -375,8 +424,8 @@ class _RankPreservingSearch:
             return None
         if m.size == 0:
             return {}
-        tm = self.table_m = _PairTable(m)
-        self.table_n = _PairTable(n)
+        tm = self.table_m = _PairTable.of(m)
+        self.table_n = _PairTable.of(n)
         self.anchors: dict[int, tuple[int, int] | None] = {}
         if self.simple:
             self.through_m = tm.through()
@@ -426,8 +475,8 @@ class _RankPreservingSearch:
                     # every line through x needs its own line through y
                     continue
             else:
-                x_loop = all(c == 0 for c in self.m.column_of(x))
-                y_loop = all(c == 0 for c in n.column_of(y))
+                x_loop = self.m._point_map()[x] is None
+                y_loop = n._point_map()[y] is None
                 if self.bijective:
                     if x_loop != y_loop:
                         continue

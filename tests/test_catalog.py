@@ -143,6 +143,17 @@ def test_named_parameterized():
     assert named("T1_4").matroid().size == 4 + 6 + 3
 
 
+def test_named_builds_each_entry_once():
+    # entries are shared per (id, field); their matroids are not, so
+    # per-matroid caches never leak between callers
+    for id_ in ("AG23E", "AG23E_DUAL", "PI4", "DOWLING3"):
+        for field in (3, 5):
+            entry = named(id_, field)
+            assert named(id_, field) is entry
+            assert entry.matroid() is not entry.matroid()
+    assert named("PI4", 3) is not named("PI4", 5)
+
+
 def test_catalog_ids_all_resolve():
     for id_ in catalog_ids():
         entry = named(id_)

@@ -129,7 +129,22 @@ def test_minor_unknown_contract_label_exit_2(runner, tmp_path):
         main, ["minor", "-m", path, "-n", "F7M_PAIRS", "--contract", "99"]
     )
     assert result.exit_code == 2
-    assert "unknown element label 99" in result.output
+    assert result.output == "error: unknown element label 99\n"
+
+
+def test_minor_hinted_negative_names_scope_exit_1(runner, tmp_path):
+    # AG23E has a U24 minor, but not one that contracts 1 and 2: a search
+    # seeded by a hint cannot confirm a "no" about the host
+    path = emit(runner, tmp_path, "AG23E")
+    found = runner.invoke(main, ["minor", "-m", path, "-n", "U24"])
+    assert found.exit_code == 0
+    assert found.output.splitlines()[0] == "contract {0}"
+    for expect in ("yes", "no"):
+        result = runner.invoke(
+            main, ["minor", "-m", path, "-n", "U24", "--contract", "1,2", "--expect", expect]
+        )
+        assert result.exit_code == 1
+        assert result.output == "no minor of M/{1,2}\n"
 
 
 # -- classify --------------------------------------------------------------------

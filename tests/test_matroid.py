@@ -7,6 +7,7 @@ import random
 import pytest
 
 from matroidlab import gf
+from matroidlab.catalog import named
 from matroidlab.gf import GFMatrix
 from matroidlab.matroid import (
     LinearMatroid,
@@ -219,19 +220,90 @@ def test_embedding_matches_naive_on_nonsimple_matroids():
     assert 0 < hits < len(sources)
 
 
+def _check_pair_table(m):
+    """rank2, closure, loops() and parallel_classes() of m against the
+    brute-force subset ranks."""
+    ranks = subset_rank_table(m)
+    table = _PairTable(m)
+    for a, b in itertools.permutations(m.labels, 2):
+        r = ranks[frozenset((a, b))]
+        assert table.rank2[a, b] == r
+        closure = [c for c in sorted(m.labels) if ranks[frozenset((a, b, c))] == r]
+        assert table.members(table.closure[a, b]) == closure
+    points = [x for x in m.labels if ranks[frozenset((x,))] == 1]
+    assert m.loops() == tuple(x for x in m.labels if x not in points)
+    classes = {tuple(y for y in sorted(points) if ranks[frozenset((x, y))] == 1) for x in points}
+    assert m.parallel_classes() == tuple(sorted(classes))
+    assert m.is_simple() == (len(points) == m.size and all(len(c) == 1 for c in classes))
+
+
+def _rank4_with_loops_and_classes(p, rng):
+    """Seeded rank-4 matroid over GF(p) on 8 columns: some zero, some
+    rescaled copies of earlier columns."""
+    cols = []
+    for _ in range(8):
+        roll = rng.random()
+        if roll < 0.15:
+            cols.append([0] * 4)
+        elif roll < 0.45 and cols:
+            s = rng.randint(1, p - 1)
+            cols.append([(s * x) % p for x in rng.choice(cols)])
+        else:
+            cols.append([rng.randrange(p) for _ in range(4)])
+    return LinearMatroid(GFMatrix.from_columns(p, cols, nrows=4))
+
+
 def test_pair_table_matches_subset_ranks():
     # every matroid on four columns drawn, with repetition, from the zero
     # vector and the 13 points of PG(2, 3): loops and parallel classes included
-    vectors = [v for v in itertools.product(range(3), repeat=3) if next((x for x in v if x), 1) == 1]
-    for cols in itertools.combinations_with_replacement(vectors, 4):
-        m = m_cols(*cols)
-        ranks = subset_rank_table(m)
-        table = _PairTable(m)
-        for a, b in itertools.permutations(m.labels, 2):
-            r = ranks[frozenset((a, b))]
-            assert table.rank2[a, b] == r
-            closure = [c for c in m.labels if ranks[frozenset((a, b, c))] == r]
-            assert table.members(table.closure[a, b]) == closure
+    pg23 = [v for v in itertools.product(range(3), repeat=3) if next((x for x in v if x), 1) == 1]
+    for cols in itertools.combinations_with_replacement(pg23, 4):
+        _check_pair_table(m_cols(*cols))
+    # every 3-column multiset over the zero vector and the 31 points of
+    # PG(2, 5), each column rescaled so that normalization is exercised
+    rng = random.Random(5)
+    pg25 = [v for v in itertools.product(range(5), repeat=3) if next((x for x in v if x), 1) == 1]
+    multisets = list(itertools.combinations_with_replacement(pg25, 3))
+    assert len(multisets) == 5984
+    for cols in multisets:
+        scaled = [[(rng.randint(1, 4) * x) % 5 for x in col] for col in cols]
+        _check_pair_table(LinearMatroid(GFMatrix.from_columns(5, scaled, nrows=3)))
+    # seeded rank-4 matroids over GF(3) and GF(5)
+    nonsimple = 0
+    for p in (3, 5):
+        rng = random.Random(40 + p)
+        for _ in range(50):
+            m = _rank4_with_loops_and_classes(p, rng)
+            _check_pair_table(m)
+            nonsimple += bool(m.loops()) and any(len(c) > 1 for c in m.parallel_classes())
+    assert nonsimple >= 20
+
+
+def test_pair_table_is_cached_and_makes_no_rank_calls(monkeypatch):
+    builds, rank_calls = [], []
+    real_init, real_rank = _PairTable.__init__, LinearMatroid.rank
+
+    def counting_init(self, m):
+        builds.append(m)
+        real_init(self, m)
+
+    def counting_rank(self, subset=None):
+        rank_calls.append(subset)
+        return real_rank(self, subset)
+
+    monkeypatch.setattr(_PairTable, "__init__", counting_init)
+    monkeypatch.setattr(LinearMatroid, "rank", counting_rank)
+    pi4 = named("PI4").matroid()
+    table = _PairTable.of(pi4)
+    assert rank_calls == [] and len(builds) == 1
+    assert _PairTable.of(pi4) is table and len(builds) == 1
+    # a negative search tries 13 contraction sets: one table for the fixed
+    # target, one per stage
+    builds.clear()
+    target = named("AG23E").matroid()
+    assert has_minor(named("PI4").matroid(), target) is None
+    assert len(builds) == 14
+    assert sum(m is target for m in builds) == 1
 
 
 def test_embedding_identity_and_subsets():
