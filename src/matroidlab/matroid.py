@@ -3,9 +3,9 @@
 A LinearMatroid is a GFMatrix plus distinct integer labels, one per column.
 The searches (minor, isomorphism, embedding) prune with pair ranks and
 closures read off the columns' projective points and lines, and every answer
-they return is re-checked through the subset rank oracle alone, so results
-are matroid-level statements even though all the arithmetic is exact linear
-algebra.
+they return is re-checked from the columns alone, by subset independence
+with the rank oracle's echelon-basis insertion, so results are matroid-level
+statements even though all the arithmetic is exact linear algebra.
 
 Determinism contract: every search in this module iterates labels and
 candidates in sorted order, so the first witness found is the
@@ -119,15 +119,21 @@ class LinearMatroid:
 
     def delete(self, labels: Iterable[int]) -> "LinearMatroid":
         drop = {self._col_index(x) for x in set(labels)}
-        keep = [j for j in range(self.matrix.ncols) if j not in drop]
-        return LinearMatroid(self.matrix.take_cols(keep), [self.labels[j] for j in keep])
+        return self._take([j for j in range(self.matrix.ncols) if j not in drop])
 
     def restrict(self, labels: Iterable[int]) -> "LinearMatroid":
         keep_set = set(labels)
         for x in keep_set:
             self._col_index(x)
-        keep = [j for j, lab in enumerate(self.labels) if lab in keep_set]
-        return LinearMatroid(self.matrix.take_cols(keep), [self.labels[j] for j in keep])
+        return self._take([j for j, lab in enumerate(self.labels) if lab in keep_set])
+
+    def _take(self, keep: list[int]) -> "LinearMatroid":
+        """The restriction to the columns at positions keep; it inherits the
+        points already computed for them."""
+        child = LinearMatroid(self.matrix.take_cols(keep), [self.labels[j] for j in keep])
+        if self._points is not None:
+            child._points = {lab: self._points[lab] for lab in child.labels}
+        return child
 
     def contract(self, labels: Iterable[int]) -> "LinearMatroid":
         """Contract by pivoting: each contracted non-loop removes one row."""
@@ -229,26 +235,73 @@ class MinorWitness:
         return dict(self.mapping)
 
 
+def _same_independent_sets(
+    a_cols: Sequence, a_p: int, b_cols: Sequence, b_p: int, r: int, b_seed: Sequence = ()
+) -> bool:
+    """Do the columns a_cols[i] <-> b_cols[i] give the same independent sets
+    of size at most r?  With a seed basis for b (the columns of a contracted
+    set T), a subset counts as independent on that side when it is
+    independent in the contraction by T: each insertion after T grows the
+    rank.
+
+    Subsets are walked depth first by increasing index, with one echelon
+    basis per side: a subset's basis is its prefix's plus one insertion.  The
+    walk returns False at the first subset whose independence differs.  A
+    prefix that is dependent on both sides has only supersets that are
+    dependent on both sides, so its subtree is skipped; every subset of size
+    at most r is therefore decided, and the test is complete.
+    """
+    basis_a: list = []
+    basis_b: list = list(b_seed)
+    size = len(a_cols)
+
+    def walk(start: int, depth: int) -> bool:
+        if depth == r:
+            return True
+        for j in range(start, size):
+            grew = _insert_into_basis(a_cols[j], basis_a, a_p)
+            if grew != _insert_into_basis(b_cols[j], basis_b, b_p):
+                return False
+            if grew:
+                ok = walk(j + 1, depth + 1)
+                basis_a.pop()
+                basis_b.pop()
+                if not ok:
+                    return False
+        return True
+
+    return walk(0, 0)
+
+
 def verify_bijection(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, int]) -> bool:
     """Full check that mapping (labels of m -> labels of n) is an isomorphism.
 
     Independence of subsets of size at most rank determines every rank value,
-    so checking those subsets in both directions is a complete test.
+    so comparing those subsets' independence on both sides is a complete
+    test.  The subsets are walked depth first with one echelon basis per
+    side; a prefix dependent on both sides has only dependent supersets on
+    both sides, so skipping its subtree leaves no subset unchecked.  Uses the
+    columns alone, never the search's points or pair table.
     """
     if set(mapping.keys()) != set(m.labels) or set(mapping.values()) != set(n.labels):
         return False
     if m.size != n.size or m.rank() != n.rank():
         return False
-    r = m.rank()
-    for k in range(1, r + 1):
-        for sub in itertools.combinations(m.labels, k):
-            if m.is_independent(sub) != n.is_independent([mapping[x] for x in sub]):
-                return False
-    return True
+    return _same_independent_sets(
+        [m.column_of(x) for x in m.labels], m.p, [n.column_of(mapping[x]) for x in m.labels], n.p, m.rank()
+    )
 
 
 def verify_embedding(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, int]) -> bool:
-    """Full check that mapping embeds m into n preserving every subset rank."""
+    """Full check that mapping embeds m into n preserving every subset rank.
+
+    The image must have m's rank, and every subset of m of size at most
+    that rank must be independent exactly when its image is.  The subsets
+    are walked depth first with one echelon basis per side; a prefix
+    dependent on both sides has only dependent supersets on both sides, so
+    skipping its subtree leaves no subset unchecked.  Uses the columns
+    alone, never the search's points or pair table.
+    """
     if set(mapping.keys()) != set(m.labels):
         return False
     image = list(mapping.values())
@@ -258,17 +311,22 @@ def verify_embedding(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, i
     if n.rank(image) != r:
         # ranks above r inside the image would otherwise go unnoticed
         return False
-    for k in range(1, r + 1):
-        for sub in itertools.combinations(m.labels, k):
-            if m.is_independent(sub) != n.is_independent([mapping[x] for x in sub]):
-                return False
-    return True
+    return _same_independent_sets(
+        [m.column_of(x) for x in m.labels], m.p, [n.column_of(mapping[x]) for x in m.labels], n.p, r
+    )
 
 
 def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) -> bool:
-    """Recheck a minor witness using only the rank oracle of m.
+    """Recheck a minor witness using only m's columns, never contraction code.
 
-    Uses r_{M/T}(S) = r_M(S + T) - r_M(T); no contraction code involved.
+    r_{M/T}(S) = r_M(S + T) - r_M(T), so S is independent in M/T exactly
+    when each of its columns grows the rank once a basis of T is in place.
+    The image must have n's rank in M/T (M/T itself may have more: deleting
+    can lower the rank), and every subset of n of size at most that rank
+    must be independent exactly when its image is independent in M/T.  The
+    subsets are walked depth first from that seed basis, one echelon basis
+    per side; a prefix dependent on both sides has only dependent supersets
+    on both sides, so skipping its subtree leaves no subset unchecked.
     """
     contracted = set(witness.contracted)
     deleted = set(witness.deleted)
@@ -283,19 +341,16 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
     survivors = set(m.labels) - contracted - deleted
     if not image <= survivors:
         return False
-    base = m.rank(contracted)
-    if m.rank() - base != n.rank() or len(survivors) != n.size:
+    if len(survivors) != n.size:
         return False
-    for k in range(1, n.rank() + 1):
-        for sub in itertools.combinations(n.labels, k):
-            want = len(sub) if n.is_independent(sub) else None
-            got = m.rank({mapping[x] for x in sub} | contracted) - base
-            if want is None:
-                if got == len(sub):
-                    return False
-            elif got != len(sub):
-                return False
-    return True
+    seed: list = []
+    for x in sorted(contracted):
+        _insert_into_basis(m.column_of(x), seed, m.p)
+    if m.rank(image | contracted) - len(seed) != n.rank():
+        # ranks above n's inside the image would otherwise go unnoticed
+        return False
+    images = [m.column_of(mapping[x]) for x in n.labels]
+    return _same_independent_sets([n.column_of(x) for x in n.labels], n.p, images, m.p, n.rank(), seed)
 
 
 # -- pair table for the rank-preserving search -----------------------------------------
@@ -363,6 +418,7 @@ class _PairTable:
             closure[a, b] = closure[b, a] = c
         self.rank2 = rank2
         self.closure = closure
+        self._through: dict[int, tuple[int, ...]] | None = None
 
     def members(self, mask: int) -> list[int]:
         """Labels whose bits are set in mask, in sorted order."""
@@ -375,12 +431,15 @@ class _PairTable:
 
     def through(self) -> dict[int, tuple[int, ...]]:
         """x -> sizes, descending, of the pair closures of >= 3 points holding
-        x; in a simple matroid these are the lines through x."""
-        lines = {c for c in self.closure.values() if c.bit_count() >= 3}
-        return {
-            x: tuple(sorted((l.bit_count() for l in lines if l & self.bit[x]), reverse=True))
-            for x in self.labels
-        }
+        x; in a simple matroid these are the lines through x.  Computed once
+        per table."""
+        if self._through is None:
+            lines = {c for c in self.closure.values() if c.bit_count() >= 3}
+            self._through = {
+                x: tuple(sorted((l.bit_count() for l in lines if l & self.bit[x]), reverse=True))
+                for x in self.labels
+            }
+        return self._through
 
     def anchor(self, placed: Sequence[int], x: int) -> tuple[int, int] | None:
         """First pair of placed labels whose closure holds x, if any."""
@@ -440,10 +499,31 @@ class _RankPreservingSearch:
         else:
             self.order = self._generic_order()
         self.prefix_rank = [m.rank(self.order[: i + 1]) for i in range(len(self.order))]
-        self.placed_mask = [0]
-        for x in self.order:
-            self.placed_mask.append(self.placed_mask[-1] | tm.bit[x])
+        self.checks = [self._pair_checks(depth) for depth in range(len(self.order))]
         return self._dfs(0, {}, 0, [])
+
+    def _pair_checks(self, depth: int) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(p, r(p, x), placed labels of cl(p, x)) for each placed p, where
+        x = order[depth].  In the simple case only the first p on each line
+        through x is kept: distinct lines through x share no placed point,
+        and in a simple n any two placed images on cl(f(p), y) span that same
+        line, so the test for a second p on the line repeats the first."""
+        tm = self.table_m
+        x = self.order[depth]
+        placed = self.order[:depth]
+        placed_mask = 0
+        for p in placed:
+            placed_mask |= tm.bit[p]
+        checks = []
+        lines_seen = set()
+        for p in placed:
+            line = tm.closure[p, x]
+            if self.simple:
+                if line in lines_seen:
+                    continue
+                lines_seen.add(line)
+            checks.append((p, tm.rank2[p, x], tuple(tm.members(line & placed_mask))))
+        return checks
 
     def _generic_order(self) -> list[int]:
         m = self.m
@@ -488,26 +568,29 @@ class _RankPreservingSearch:
         """Does placing x = order[depth] at y keep every pair and triple rank
         through x?
 
-        For each placed p: r(p, x) = r(f(p), y), and f carries the placed
-        points of cl(p, x) exactly onto the images in cl(f(p), y).  Since
-        r(S + e) = r(S) + [e not in cl(S)], the second test equals
-        r(p, q, x) = r(f(p), f(q), y) for every other placed q.
+        For each row (p, r, qs) of the depth's pair checks: r(f(p), y) = r,
+        and f carries the placed points qs of cl(p, x) exactly onto the
+        images in cl(f(p), y).  Since r(S + e) = r(S) + [e not in cl(S)], the
+        second test equals r(p, q, x) = r(f(p), f(q), y) for every other
+        placed q.  In the simple case the rows keep one p per line through
+        x, which decides the same as testing every placed p.
         """
-        tm, tn = self.table_m, self.table_n
-        x = self.order[depth]
-        placed_mask = self.placed_mask[depth]
-        for p in self.order[:depth]:
+        tn = self.table_n
+        bit = tn.bit
+        for p, r, qs in self.checks[depth]:
             fp = assignment[p]
-            if tm.rank2[p, x] != tn.rank2[fp, y]:
+            if tn.rank2[fp, y] != r:
                 return False
             image = 0
-            for q in tm.members(tm.closure[p, x] & placed_mask):
-                image |= tn.bit[assignment[q]]
+            for q in qs:
+                image |= bit[assignment[q]]
             if image != tn.closure[fp, y] & used_mask:
                 return False
         return True
 
     def _dfs(self, depth: int, assignment: dict[int, int], used_mask: int, basis: list):
+        """basis is an echelon basis of the placed images; it is shared down
+        the whole search, each insertion popped again on backtracking."""
         if depth == len(self.order):
             # pruning along the way is heuristic; the leaf check is the proof
             found = dict(assignment)
@@ -515,18 +598,27 @@ class _RankPreservingSearch:
                 return found if verify_bijection(self.m, self.n, found) else None
             return found if verify_embedding(self.m, self.n, found) else None
         x = self.order[depth]
+        # an anchored x lies in cl(a, b) of placed a, b, and its candidates in
+        # cl(f(a), f(b)): neither side's rank grows, so the prefix-rank test
+        # would always pass
+        test_rank = self.anchors.get(x) is None
         for y in self._candidates(x, assignment, used_mask):
             if not self._consistent(depth, y, assignment, used_mask):
                 continue
-            new_basis = [(lead, row) for lead, row in basis]
-            _insert_into_basis(self.n.column_of(y), new_basis, self.n.p)
-            if len(new_basis) != self.prefix_rank[depth]:
-                continue
+            grew = False
+            if test_rank:
+                grew = _insert_into_basis(self.n.column_of(y), basis, self.n.p)
+                if len(basis) != self.prefix_rank[depth]:
+                    if grew:
+                        basis.pop()
+                    continue
             assignment[x] = y
-            hit = self._dfs(depth + 1, assignment, used_mask | self.table_n.bit[y], new_basis)
+            hit = self._dfs(depth + 1, assignment, used_mask | self.table_n.bit[y], basis)
             if hit is not None:
                 return hit
             del assignment[x]
+            if grew:
+                basis.pop()
         return None
 
 

@@ -54,10 +54,12 @@ def naive_rank(m: GFMatrix) -> int:
 # oracles below may call it.
 
 
-def subset_rank_table(matroid) -> dict[frozenset, int]:
+def subset_rank_table(matroid, max_size: int | None = None) -> dict[frozenset, int]:
+    """Rank of every subset, or of every subset of at most max_size labels."""
     labels = list(matroid.labels)
     table = {}
-    for k in range(len(labels) + 1):
+    top = len(labels) if max_size is None else min(max_size, len(labels))
+    for k in range(top + 1):
         for sub in itertools.combinations(labels, k):
             table[frozenset(sub)] = matroid.rank(sub)
     return table

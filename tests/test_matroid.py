@@ -22,9 +22,11 @@ from matroidlab.matroid import (
     verify_embedding,
     verify_witness,
 )
-from matroidlab.matroid import _PairTable
+from matroidlab import matroid as matroid_module
+from matroidlab.matroid import _PairTable, _RankPreservingSearch
 
 from .naive import (
+    _minor_rank_table,
     naive_has_minor,
     naive_is_isomorphic,
     naive_is_restriction,
@@ -52,6 +54,8 @@ def m_cols(*cols):
 
 
 E0, E1, E2, ZERO = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+# the 13 points of PG(2, 3), each scaled so its first nonzero entry is 1
+PG23 = [v for v in itertools.product(range(3), repeat=3) if any(v) and next(x for x in v if x) == 1]
 E12 = (0, 1, 1)
 # each has a loop or a parallel class; the 3-point line is {E1, E2, E12}
 NONSIMPLE_FAMILY = (
@@ -237,27 +241,26 @@ def _check_pair_table(m):
     assert m.is_simple() == (len(points) == m.size and all(len(c) == 1 for c in classes))
 
 
-def _rank4_with_loops_and_classes(p, rng):
-    """Seeded rank-4 matroid over GF(p) on 8 columns: some zero, some
-    rescaled copies of earlier columns."""
+def _with_loops_and_classes(p, rng, nrows=4, ncols=8):
+    """Seeded matroid over GF(p), rank at most nrows: some columns zero,
+    some rescaled copies of earlier columns."""
     cols = []
-    for _ in range(8):
+    for _ in range(ncols):
         roll = rng.random()
         if roll < 0.15:
-            cols.append([0] * 4)
+            cols.append([0] * nrows)
         elif roll < 0.45 and cols:
             s = rng.randint(1, p - 1)
             cols.append([(s * x) % p for x in rng.choice(cols)])
         else:
-            cols.append([rng.randrange(p) for _ in range(4)])
-    return LinearMatroid(GFMatrix.from_columns(p, cols, nrows=4))
+            cols.append([rng.randrange(p) for _ in range(nrows)])
+    return LinearMatroid(GFMatrix.from_columns(p, cols, nrows=nrows))
 
 
 def test_pair_table_matches_subset_ranks():
     # every matroid on four columns drawn, with repetition, from the zero
     # vector and the 13 points of PG(2, 3): loops and parallel classes included
-    pg23 = [v for v in itertools.product(range(3), repeat=3) if next((x for x in v if x), 1) == 1]
-    for cols in itertools.combinations_with_replacement(pg23, 4):
+    for cols in itertools.combinations_with_replacement([ZERO] + PG23, 4):
         _check_pair_table(m_cols(*cols))
     # every 3-column multiset over the zero vector and the 31 points of
     # PG(2, 5), each column rescaled so that normalization is exercised
@@ -273,7 +276,7 @@ def test_pair_table_matches_subset_ranks():
     for p in (3, 5):
         rng = random.Random(40 + p)
         for _ in range(50):
-            m = _rank4_with_loops_and_classes(p, rng)
+            m = _with_loops_and_classes(p, rng)
             _check_pair_table(m)
             nonsimple += bool(m.loops()) and any(len(c) > 1 for c in m.parallel_classes())
     assert nonsimple >= 20
@@ -304,6 +307,28 @@ def test_pair_table_is_cached_and_makes_no_rank_calls(monkeypatch):
     assert has_minor(named("PI4").matroid(), target) is None
     assert len(builds) == 14
     assert sum(m is target for m in builds) == 1
+    assert table.through() is table.through()
+
+
+def test_restrict_and_delete_reuse_computed_points(monkeypatch):
+    rows = [[1, 0, 2, 0, 1, 1], [0, 0, 0, 0, 1, 2], [2, 0, 1, 0, 0, 1]]
+    m = m_of(rows)  # loops 1, 3; class {0, 2}
+    m._point_map()
+    calls = []
+    real = matroid_module._normalize
+
+    def counting(v, p):
+        calls.append(v)
+        return real(v, p)
+
+    monkeypatch.setattr(matroid_module, "_normalize", counting)
+    children = [m.simplify(), m.delete({2, 3}), m.restrict({0, 1, 5})]
+    seen = [(c.loops(), c.parallel_classes(), c.is_simple()) for c in children]
+    assert calls == []
+    monkeypatch.undo()
+    for child, got in zip(children, seen):
+        fresh = LinearMatroid(child.matrix, child.labels)
+        assert got == (fresh.loops(), fresh.parallel_classes(), fresh.is_simple())
 
 
 def test_embedding_identity_and_subsets():
@@ -383,3 +408,144 @@ def test_minor_commutation_randomized():
         for k in range(min(4, a.size) + 1):
             for sub in itertools.combinations(a.labels, k):
                 assert a.rank(sub) == b.rank(sub)
+
+
+def test_every_small_pg23_restriction_embeds_into_pg23():
+    # every set of at most five points of PG(2, 3), the empty set included
+    pg = m_cols(*PG23)
+    subsets = [s for k in range(6) for s in itertools.combinations(PG23, k)]
+    assert len(subsets) == 2380
+    for cols in subsets:
+        m = m_cols(*cols)
+        emb = find_embedding(m, pg)
+        assert emb is not None and verify_embedding(m, pg, emb)
+
+
+def test_pg23_subsets_into_arc_host_match_naive():
+    # the arc e0, e1, e2, (1,1,1) plus (1,1,0) and (0,1,1): holds two
+    # 3-point lines, so both answers occur
+    host = m_cols(E0, E1, E2, (1, 1, 1), (1, 1, 0), E12)
+    yes = no = 0
+    for k in (3, 4, 5):
+        for cols in itertools.combinations(PG23, k):
+            m = m_cols(*cols)
+            emb = find_embedding(m, host)
+            assert (emb is not None) == naive_is_restriction(m, host)
+            if emb is None:
+                no += 1
+            else:
+                assert verify_embedding(m, host, emb)
+                yes += 1
+    assert (yes, no) == (1690, 598)
+
+
+def test_verify_bijection_matches_rank_tables_on_swapped_maps():
+    m3, m5 = named("OMEGA5", 3).matroid(), named("OMEGA5", 5).matroid()
+    iso = find_isomorphism(m3, m5)
+    assert iso is not None
+    # subsets of at most rank-many labels decide every rank; the full tables
+    # of 2^18 subsets would take tens of seconds
+    r = m3.rank()
+    t3, t5 = subset_rank_table(m3, r), subset_rank_table(m5, r)
+    mappings = [iso]
+    for a, b in itertools.combinations(m3.labels, 2):
+        mappings.append({**iso, a: iso[b], b: iso[a]})
+    verdicts = []
+    for mapping in mappings:
+        want = all(rank == t5[frozenset(mapping[x] for x in sub)] for sub, rank in t3.items())
+        assert verify_bijection(m3, m5, mapping) == want
+        verdicts.append(want)
+    # no transposition of OMEGA5's image labels is an isomorphism
+    assert verdicts == [True] + [False] * 153
+
+
+def _naive_witness_ok(m, n, w):
+    """The witness's minor, by rank identities alone, has n's rank table
+    under its mapping."""
+    contracted, deleted = set(w.contracted), set(w.deleted)
+    mapping = w.as_dict()
+    if contracted & deleted or set(mapping) != set(n.labels):
+        return False
+    keep = tuple(x for x in m.labels if x not in contracted | deleted)
+    if sorted(mapping.values()) != sorted(keep):
+        return False
+    minor = _minor_rank_table(m, frozenset(contracted), keep)
+    return all(rank == minor[frozenset(mapping[x] for x in sub)] for sub, rank in subset_rank_table(n).items())
+
+
+def _mutated_witnesses(w):
+    contracted, deleted, mapping = set(w.contracted), set(w.deleted), w.as_dict()
+
+    def make(t, d, f):
+        return MinorWitness(tuple(sorted(t)), tuple(sorted(d)), tuple(sorted(f.items())))
+
+    for c, d in itertools.product(contracted, deleted):  # swap a contracted and a deleted label
+        yield make(contracted - {c} | {d}, deleted - {d} | {c}, mapping)
+    for x, d in itertools.product(mapping, deleted):  # move an image into the deleted set
+        yield make(contracted, deleted | {mapping[x]}, mapping)
+        yield make(contracted, deleted - {d} | {mapping[x]}, {**mapping, x: d})
+    for d in deleted:  # contract one more label, which may make the set dependent
+        yield make(contracted | {d}, deleted - {d}, mapping)
+
+
+def test_verify_witness_matches_minor_rank_tables_on_mutations():
+    rng = random.Random(77)
+    targets = [u24(), m_of([[1, 0, 1], [0, 1, 1]]), named("F7MINUS").matroid()]
+    verdicts = []
+    for _ in range(40):
+        m = LinearMatroid(random_matrix(rng, 3, rng.randint(3, 4), rng.randint(6, 8)))
+        for n in targets:
+            w = has_minor(m, n)
+            if w is None:
+                continue
+            assert verify_witness(m, n, w) and _naive_witness_ok(m, n, w)
+            for bad in _mutated_witnesses(w):
+                want = _naive_witness_ok(m, n, bad)
+                assert verify_witness(m, n, bad) == want
+                verdicts.append(want)
+    assert sum(verdicts) > 20 and len(verdicts) - sum(verdicts) > 100
+
+
+def test_verify_embedding_matches_subset_ranks_with_loops_and_classes():
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(300):
+        p = rng.choice((3, 5))
+        n = _with_loops_and_classes(p, rng, nrows=3, ncols=rng.randint(4, 7))
+        picked = rng.sample(n.labels, rng.randint(1, n.size))
+        if rng.random() < 0.5:
+            # a true restriction, rescaled
+            source = [[(rng.randint(1, p - 1) * x) % p for x in n.column_of(j)] for j in picked]
+        else:
+            source = [[rng.randrange(p) for _ in range(3)] for _ in picked]
+        m = LinearMatroid(GFMatrix.from_columns(p, source, nrows=3))
+        if rng.random() < 0.3:
+            rng.shuffle(picked)
+        mapping = dict(zip(m.labels, picked))
+        tm, tn = subset_rank_table(m), subset_rank_table(n)
+        want = all(rank == tn[frozenset(mapping[x] for x in sub)] for sub, rank in tm.items())
+        assert verify_embedding(m, n, mapping) == want
+        verdicts.append(want)
+    assert sum(verdicts) > 50 and len(verdicts) - sum(verdicts) > 50
+
+
+def test_negative_omega5_dowling5_search_effort(monkeypatch):
+    counts = {"dfs": 0, "consistent": 0, "insert": 0}
+
+    def counting(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(_RankPreservingSearch, "_dfs", "dfs")
+    counting(_RankPreservingSearch, "_consistent", "consistent")
+    counting(matroid_module, "_insert_into_basis", "insert")
+    assert find_embedding(named("OMEGA5").matroid(), named("DOWLING5").matroid()) is None
+    assert (counts["dfs"], counts["consistent"]) == (89481, 97640)
+    # one shared basis, no insertion at anchored depths (89,676 with a copy
+    # per candidate)
+    assert counts["insert"] < 45000
