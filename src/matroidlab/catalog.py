@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .gf import GFMatrix, hstack, reduce
+from .gf import GFMatrix, hstack
 from .matroid import LinearMatroid
 
 # -- T-matrices and their zero-row-sum extensions ---------------------------------
@@ -103,10 +103,6 @@ F7MINUS_XY0_ROWS = (
     (0, 0, 1, 0, 1, -1, -1),
 )
 
-# two payload matrices that each force a non-Fano minor in [I|D|P]
-F7_TRIGGER_A = ((1, 0), (1, 0), (0, 1), (0, 1))
-F7_TRIGGER_B = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
-
 U24_ROWS = ((1, 0, 1, 1), (0, 1, 1, -1))
 
 
@@ -166,7 +162,7 @@ def universal_matrix(P, r: int, p: int = 3) -> GFMatrix:
             # residues are field-specific; re-reduce from signed integers instead
             raise ValueError("payload matrix field does not match requested field")
     else:
-        P = reduce(P, p)
+        P = GFMatrix(p, P)
     if P.nrows > r:
         raise ValueError(f"payload has {P.nrows} rows, more than rank {r}")
     pad = GFMatrix.zeros(p, r - P.nrows, P.ncols)
@@ -261,7 +257,7 @@ def _fixed_entries(p: int) -> Mapping[str, NamedEntry]:
     e: dict[str, NamedEntry] = {}
 
     def put(id_, kind, rows, labels=None, hint=None, note=""):
-        e[id_] = NamedEntry(id_, kind, reduce(rows, p), labels, hint, note)
+        e[id_] = NamedEntry(id_, kind, GFMatrix(p, rows), labels, hint, note)
 
     put("T1", "matrix", T1, note="4x3 payload matrix behind the PI family")
     put("T2", "matrix", T2, note="3x3 payload matrix behind the SIGMA family")
@@ -294,10 +290,10 @@ def _fixed_entries(p: int) -> Mapping[str, NamedEntry]:
     put("F7MINUS_XY0", "matroid", F7MINUS_XY0_ROWS,
         note="non-Fano form with a payload top row over a frame block")
     put("U24", "matroid", U24_ROWS, note="4-point line")
-    ag = LinearMatroid(reduce(AG23E_ROWS, p), AG23E_LABELS).dual()
+    ag = LinearMatroid(GFMatrix(p, AG23E_ROWS), AG23E_LABELS).dual()
     e["AG23E_DUAL"] = NamedEntry("AG23E_DUAL", "matroid", ag.matrix, ag.labels,
                                  note="dual of AG23E, rank 5")
-    f7d = LinearMatroid(reduce(F7MINUS_ROWS, p)).dual()
+    f7d = LinearMatroid(GFMatrix(p, F7MINUS_ROWS)).dual()
     e["F7MINUS_DUAL"] = NamedEntry("F7MINUS_DUAL", "matroid", f7d.matrix, f7d.labels,
                                    note="dual of the non-Fano plane, rank 4")
     return MappingProxyType(e)
@@ -352,5 +348,5 @@ def catalog_ids() -> tuple[str, ...]:
 
 def table_rows(p: int = 3) -> tuple[TableRow, ...]:
     return tuple(
-        TableRow(key, reduce(rows, p), hint) for key, (rows, hint) in FORBIDDEN.items()
+        TableRow(key, GFMatrix(p, rows), hint) for key, (rows, hint) in FORBIDDEN.items()
     )

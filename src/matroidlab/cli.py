@@ -24,7 +24,7 @@ from .matroid import (
     find_isomorphism,
     has_minor,
 )
-from .suites import _fmt_map, _fmt_set, run_suite, suite_names, worker_count
+from .suites import _fmt_map, _fmt_set, run_suite, suite_names
 from .templates import CONTAINS_AG23E, classify_Y_template, verify_classification
 
 
@@ -143,10 +143,6 @@ def minor_cmd(matroid_file: str, target_id: str, contract: str | None, expect: s
               help="also write the machine-readable report to this file")
 def verify_cmd(suite: str, report: str | None) -> None:
     """Run a verification suite; exit 0 only if every check passes."""
-    try:
-        worker_count()
-    except ValueError as exc:
-        _fail(2, f"error: {exc}")
     rep = run_suite(suite)
     click.echo(rep.human_text())
     if report is not None:

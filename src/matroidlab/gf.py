@@ -1,10 +1,10 @@
 """Exact dense linear algebra over the prime fields GF(3) and GF(5).
 
-Everything in this module is immutable: each operation returns a new matrix,
-so values can be shared freely between concurrent workers.  Entries are kept
-as least non-negative residues; ``signed_rows`` produces the balanced form
-(2 mod 3 prints as -1) used when displaying matrices.  Matrices with zero
-rows or zero columns are legal everywhere and stand for empty blocks.
+Everything in this module is immutable: each operation returns a new matrix.
+Entries are kept as least non-negative residues; ``signed_rows`` produces the
+balanced form (2 mod 3 prints as -1) used when displaying matrices.  Matrices
+with zero rows or zero columns are legal everywhere and stand for empty
+blocks.
 """
 
 from __future__ import annotations
@@ -200,16 +200,6 @@ class GFMatrix:
         rows = [list(r) for r in self.rows]
         rows[dst] = [(a + c * b) % self.p for a, b in zip(rows[dst], rows[src])]
         return GFMatrix(self.p, rows, ncols=self.ncols)
-
-
-def reduce(entries: Iterable[Iterable[int]], p: int, ncols: int | None = None) -> GFMatrix:
-    """Reduce integer entries into GF(p) and wrap them as a matrix."""
-    return GFMatrix(p, entries, ncols=ncols)
-
-
-def support(v: Iterable[int]) -> frozenset[int]:
-    """Indices of the nonzero entries of a column (entries given as residues)."""
-    return frozenset(i for i, x in enumerate(v) if x != 0)
 
 
 def weight(v: Iterable[int]) -> int:

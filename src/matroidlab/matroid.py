@@ -555,6 +555,8 @@ class _RankPreservingSearch:
                     # every line through x needs its own line through y
                     continue
             else:
+                # needed: a loop of n on an element parallel to a placed one
+                # passes both the pair check and the prefix rank
                 x_loop = self.m._point_map()[x] is None
                 y_loop = n._point_map()[y] is None
                 if self.bijective:

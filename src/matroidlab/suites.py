@@ -7,16 +7,13 @@ payload forces an AG23E minor), ``dyadic`` (field-independence isomorphisms),
 Every check re-verifies its own witness through an independent routine before
 reporting a pass; a check never trusts the search that produced the witness.
 
-Checks may run concurrently (MATROIDLAB_THREADS caps the pool), but the
-report is always ordered by check id, so two runs of the same suite produce
-identical machine-readable output up to the timing column.
+Checks run one at a time in check-id order, so two runs of the same suite
+produce identical machine-readable output up to the timing column.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -422,14 +419,8 @@ def suite_names() -> tuple[str, ...]:
 
 
 def worker_count() -> int:
-    """Pool size: MATROIDLAB_THREADS when set, else all cores."""
-    raw = os.environ.get("MATROIDLAB_THREADS", "").strip()
-    if raw:
-        n = int(raw) if raw.isdecimal() else 0
-        if n < 1:
-            raise ValueError(f"MATROIDLAB_THREADS must be a positive integer, not {raw!r}")
-        return n
-    return os.cpu_count() or 1
+    """Checks run one at a time in the calling thread, so always 1."""
+    return 1
 
 
 def _sanitize(text: str) -> str:
@@ -456,6 +447,4 @@ def run_suite(name: str) -> SuiteReport:
     else:
         raise KeyError(f"unknown suite: {name}")
     checks.sort(key=lambda c: c.check_id)
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = tuple(pool.map(_run_one, checks))
-    return SuiteReport(name, results)
+    return SuiteReport(name, tuple(_run_one(c) for c in checks))

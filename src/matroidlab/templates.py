@@ -18,13 +18,14 @@ normalized matrix is a verdict for the input.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .catalog import FORBIDDEN, T1, T2, T3, build_D, named, universal_matrix, universal_matroid
-from .gf import GFMatrix, from_text, hstack, reduce, vstack, weight
+from .gf import GFMatrix, from_text, hstack, vstack, weight
 from .matroid import LinearMatroid, MinorWitness, has_minor, verify_witness
 
 # classifier verdicts
@@ -344,7 +345,7 @@ def forbidden_scan(P: GFMatrix, ids: Sequence[str] | None = None) -> tuple[ScanH
         raise ValueError("the forbidden catalog lives over GF(3)")
     out = []
     for key in ids if ids is not None else FORBIDDEN.keys():
-        hit = find_submatrix(P, reduce(FORBIDDEN[key][0], 3))
+        hit = find_submatrix(P, GFMatrix(3, FORBIDDEN[key][0]))
         if hit is not None:
             out.append(ScanHit(key, hit))
     return tuple(out)
@@ -362,37 +363,27 @@ _DERIVED: dict[str, tuple[str, tuple[tuple, ...]]] = {
 
 def derived_needle(name: str) -> GFMatrix:
     base, trail = _DERIVED[name]
-    return apply_moves(reduce(FORBIDDEN[base][0], 3), trail)
+    return apply_moves(GFMatrix(3, FORBIDDEN[base][0]), trail)
 
 
-_NEEDLES: tuple[tuple[str, str, tuple, GFMatrix], ...] | None = None
-
-
+@functools.cache
 def _classifier_needles() -> tuple[tuple[str, str, tuple, GFMatrix], ...]:
-    global _NEEDLES
-    if _NEEDLES is None:
-        rows: list[tuple[str, str, tuple, GFMatrix]] = []
-        for key, (mat, _) in FORBIDDEN.items():
-            rows.append((key, key, (), reduce(mat, 3)))
-        for name, (base, trail) in _DERIVED.items():
-            rows.append((name, base, trail, derived_needle(name)))
-        _NEEDLES = tuple(rows)
-    return _NEEDLES
+    rows: list[tuple[str, str, tuple, GFMatrix]] = []
+    for key, (mat, _) in FORBIDDEN.items():
+        rows.append((key, key, (), GFMatrix(3, mat)))
+    for name, (base, trail) in _DERIVED.items():
+        rows.append((name, base, trail, derived_needle(name)))
+    return tuple(rows)
 
 
-_WITNESS_CACHE: dict[str, MinorWitness] = {}
-
-
+@functools.cache
 def _table_witness(base: str) -> MinorWitness:
     """Minor witness tying a catalog matrix to the eight-point affine
     witness, computed once per letter."""
-    w = _WITNESS_CACHE.get(base)
+    mat, hint = FORBIDDEN[base]
+    w = has_minor(universal_matroid(mat, len(mat)), named("AG23E").matroid(), hint)
     if w is None:
-        mat, hint = FORBIDDEN[base]
-        w = has_minor(universal_matroid(mat, len(mat)), named("AG23E").matroid(), hint)
-        if w is None:
-            raise RuntimeError(f"catalog matrix {base} lost its minor")
-        _WITNESS_CACHE[base] = w
+        raise RuntimeError(f"catalog matrix {base} lost its minor")
     return w
 
 
@@ -527,7 +518,7 @@ def classify_Y_template(P: GFMatrix) -> Classification:
             )
 
     for t_index, rows, verdict in ((1, T1, PI), (2, T2, SIGMA), (3, T3, OMEGA)):
-        target = add_zero_sum_row(reduce(rows, 3))
+        target = add_zero_sum_row(GFMatrix(3, rows))
         sub = find_submatrix(target, cur)
         if sub is not None:
             cert = ("t_embedding", t_index, sub)
@@ -616,7 +607,7 @@ def verify_classification(P: GFMatrix, cls: Classification) -> tuple[bool, str]:
         if families.get(t_index) != cls.verdict:
             return False, "embedding certificate names the wrong family"
         payload = {1: T1, 2: T2, 3: T3}[t_index]
-        target = add_zero_sum_row(reduce(payload, 3))
+        target = add_zero_sum_row(GFMatrix(3, payload))
         if not check_submatrix_hit(target, cur, sub):
             return False, "embedding does not check out entry by entry"
         return True, "ok"
@@ -629,7 +620,7 @@ def verify_classification(P: GFMatrix, cls: Classification) -> tuple[bool, str]:
             return False, f"unknown catalog matrix {base!r}"
         base_rows, _ = FORBIDDEN[base]
         try:
-            needle = apply_moves(reduce(base_rows, 3), trail)
+            needle = apply_moves(GFMatrix(3, base_rows), trail)
         except ValueError as exc:
             return False, f"needle derivation failed: {exc}"
         if not check_submatrix_hit(cur, needle, sub):
@@ -717,7 +708,7 @@ _SIGNS = frozenset({1, 2})
 def named_template(id_: str) -> FrameTemplate:
     """The six minimal templates: PHI2, PHI_C, PHI_X, PHI_Y0, PHI_CX,
     PHI_CX2."""
-    one = reduce([[1]], 3)
+    one = GFMatrix(3, [[1]])
     if id_ == "PHI2":
         e0 = GFMatrix.zeros(3, 0, 0)
         return FrameTemplate(_SIGNS, (), (), (), (), e0, e0, e0)
@@ -730,7 +721,7 @@ def named_template(id_: str) -> FrameTemplate:
     if id_ == "PHI_CX":
         return FrameTemplate(_SIGNS, (0,), (1,), (), (), one, one, one)
     if id_ == "PHI_CX2":
-        return FrameTemplate(_SIGNS, (0,), (1,), (), (), reduce([[-1]], 3), one, one)
+        return FrameTemplate(_SIGNS, (0,), (1,), (), (), GFMatrix(3, [[-1]]), one, one)
     raise KeyError(f"unknown template id {id_!r}")
 
 

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from matroidlab import gf
 from matroidlab.catalog import named
 from matroidlab.gf import GFMatrix
 from matroidlab.matroid import (
@@ -36,7 +35,7 @@ from .naive import (
 
 
 def m_of(rows, p=3, labels=None):
-    return LinearMatroid(gf.reduce(rows, p), labels)
+    return LinearMatroid(GFMatrix(p, rows), labels)
 
 
 def mk4():
@@ -549,3 +548,21 @@ def test_negative_omega5_dowling5_search_effort(monkeypatch):
     # one shared basis, no insertion at anchored depths (89,676 with a copy
     # per candidate)
     assert counts["insert"] < 45000
+
+
+def test_nonsimple_loop_test_prunes_search(monkeypatch):
+    # m = [e1, 2e1, e2] and n = [e1, 0, e2] over GF(3): placing n's loop on
+    # m's second parallel element passes both the pair check and the prefix
+    # rank, so only the loop test in _candidates stops it (5 nodes without it)
+    counts = {"dfs": 0}
+    real = _RankPreservingSearch._dfs
+
+    def counting(*args):
+        counts["dfs"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(_RankPreservingSearch, "_dfs", counting)
+    m = m_of([[1, 2, 0], [0, 0, 1]])
+    n = m_of([[1, 0, 0], [0, 0, 1]])
+    assert find_isomorphism(m, n) is None
+    assert counts["dfs"] == 3

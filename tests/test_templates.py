@@ -8,14 +8,14 @@ import pytest
 
 from matroidlab import templates as tp
 from matroidlab.catalog import FORBIDDEN, T1, T2, T2PLUS, T3, T3PLUS, named, universal_matrix
-from matroidlab.gf import GFMatrix, reduce, weight
+from matroidlab.gf import GFMatrix, weight
 from matroidlab.matroid import LinearMatroid, is_isomorphic
 
 from .naive import naive_find_submatrix
 
 
 def gf3(rows):
-    return reduce(rows, 3)
+    return GFMatrix(3, rows)
 
 
 # -- column taxonomy ---------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_forbidden_scan_orders_and_field():
     hits = tp.forbidden_scan(b)
     assert [h.id for h in hits] == ["B"]
     with pytest.raises(ValueError):
-        tp.forbidden_scan(reduce([[1]], 5))
+        tp.forbidden_scan(GFMatrix(5, [[1]]))
 
 
 def test_derived_needles():
@@ -201,7 +201,7 @@ def test_classifier_trivial_inputs():
     check_classification(gf3([[1, 0], [-1, 0], [0, 1], [0, -1]]), tp.SIGNED_GRAPHIC)
     check_classification(GFMatrix.zeros(3, 0, 0), tp.SIGNED_GRAPHIC)
     with pytest.raises(ValueError):
-        tp.classify_Y_template(reduce([[1]], 5))
+        tp.classify_Y_template(GFMatrix(5, [[1]]))
 
 
 def test_classifier_two_column_shapes():
