@@ -12,6 +12,7 @@ select the field.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 import click
@@ -83,7 +84,10 @@ def named_cmd(id_: str, field: str, emit: str | None) -> None:
     if emit is None:
         click.echo(gf.to_text(entry.matrix), nl=False)
         return
-    gf.write_file(entry.matrix, emit)
+    try:
+        gf.write_file(entry.matrix, emit)
+    except OSError as exc:
+        _fail(2, f"error: cannot write {emit}: {exc.strerror or exc}")
     shape = f"{entry.matrix.nrows}x{entry.matrix.ncols}"
     click.echo(f"wrote {entry.id} ({shape}, GF({field})) to {emit}")
 
@@ -143,12 +147,16 @@ def minor_cmd(matroid_file: str, target_id: str, contract: str | None, expect: s
               help="also write the machine-readable report to this file")
 def verify_cmd(suite: str, report: str | None) -> None:
     """Run a verification suite; exit 0 only if every check passes."""
-    rep = run_suite(suite)
-    click.echo(rep.human_text())
-    if report is not None:
-        with open(report, "w", encoding="utf-8") as fh:
-            for line in rep.machine_lines():
-                fh.write(line + "\n")
+    # opened first, so that an unwritable path fails before the suite runs
+    try:
+        out = open(report, "w", encoding="utf-8") if report is not None else contextlib.nullcontext()
+    except OSError as exc:
+        _fail(2, f"error: cannot write {report}: {exc.strerror or exc}")
+    with out as fh:
+        rep = run_suite(suite)
+        click.echo(rep.human_text())
+        if fh is not None:
+            fh.writelines(line + "\n" for line in rep.machine_lines())
     if not rep.ok:
         bad = rep.first_failure()
         _fail(1, f"verification failed: {bad.check_id}: {bad.witness}")

@@ -7,6 +7,17 @@ they return is re-checked from the columns alone, by subset independence
 with the rank oracle's echelon-basis insertion, so results are matroid-level
 statements even though all the arithmetic is exact linear algebra.
 
+The embedding search into a simple host also prunes by the host's symmetry,
+the orbit pruning of McKay and Piperno (Practical graph isomorphism, II,
+J. Symb. Comput. 2014): at each depth it tries only the candidates that are
+the least label of their orbit under the host's monomial automorphisms that
+fix every placed image.  If f is an embedding that extends the placed images
+and sends x to y, then for each such automorphism g, g . f is an embedding
+that extends the same placed images and sends x to g(y).  So skipping every
+candidate but the least of its orbit loses no answer: a negative stays a
+proof, and the lexicographically least embedding, which takes the least
+label of an orbit at every depth, is still the one found, byte for byte.
+
 Determinism contract: every search in this module iterates labels and
 candidates in sorted order, so the first witness found is the
 lexicographically least one and repeated runs agree byte for byte.
@@ -15,8 +26,10 @@ lexicographically least one and repeated runs agree byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .gf import GFMatrix
 
@@ -68,6 +81,7 @@ class LinearMatroid:
         self._rank_memo: dict[tuple[int, ...], int] = {}
         self._points: dict[int, tuple[int, ...] | None] | None = None
         self._pair_table: _PairTable | None = None
+        self._generators: tuple[_Monomial, ...] | None = None
 
     # -- basics ---------------------------------------------------------------
 
@@ -461,6 +475,155 @@ def _search_order(table: _PairTable, through: Mapping[int, tuple[int, ...]]) -> 
     return order
 
 
+def _dominates(want: tuple[int, ...], have: tuple[int, ...]) -> bool:
+    """Can y, with line sizes have, take x, with line sizes want (both
+    descending)?  Each line through x needs its own line through y."""
+    return len(have) >= len(want) and all(h >= w for h, w in zip(have, want))
+
+
+# -- host symmetry -----------------------------------------------------------------------
+
+
+class _Monomial(NamedTuple):
+    """The monomial map v -> w with w[rows[i]] = scalars[rows[i]] * v[i],
+    and the permutation of a simple matroid's labels that it induces;
+    moves lists only the labels it does not fix."""
+
+    rows: tuple[int, ...]
+    scalars: tuple[int, ...]
+    moves: Mapping[int, int]
+
+
+def _certified(m: LinearMatroid, gens: Iterable[_Monomial]) -> tuple[_Monomial, ...]:
+    """The generators that pass the certificate, checked from the matrix
+    alone: g is an invertible linear map that sends every column of m to a
+    nonzero multiple of the column its label moves to, and the labels move
+    by a permutation.  Such a map preserves the rank of every subset.  Row i
+    of m, scaled by g, must equal row rows[i] of m with its columns in image
+    order, each column times its multiple (read where the image column's
+    first nonzero entry lies)."""
+    r, p = m.matrix.nrows, m.p
+    rows, cols = m.matrix.rows, m.matrix.columns
+    lead = [next((k for k, c in enumerate(v) if c), None) for v in cols]
+    if None in lead:
+        return ()
+    inverse = [0] + [pow(c, p - 2, p) for c in range(1, p)]
+    kept = []
+    for g in gens:
+        if sorted(g.rows) != list(range(r)) or not all(c % p for c in g.scalars):
+            continue
+        target = [m._col_of.get(g.moves.get(x, x)) for x in m.labels]
+        if None in target or sorted(target) != list(range(len(target))):
+            continue
+        source_row = {t: i for i, t in enumerate(g.rows)}
+        multiple = [
+            g.scalars[lead[t]] * rows[source_row[lead[t]]][j] * inverse[cols[t][lead[t]]] % p
+            for j, t in enumerate(target)
+        ]
+        if all(multiple) and all(
+            [g.scalars[t] * c % p for c in rows[i]] == [k * rows[t][j] % p for k, j in zip(multiple, target)]
+            for i, t in enumerate(g.rows)
+        ):
+            kept.append(g)
+    return tuple(kept)
+
+
+def _monomial_generators(m: LinearMatroid) -> tuple[_Monomial, ...]:
+    """Generators of the monomial automorphisms of a simple matroid's matrix:
+    a row permutation with row scalars that maps the set of column points
+    onto itself.  They are every such map with the identity permutation,
+    plus the first working scalars for each other permutation; any two maps
+    with one permutation differ by one of the first kind, so these generate
+    the whole group.  Identity maps are dropped and each kept map passes
+    ``_certified``.  Built once per matroid.
+
+    Permutations are chosen source row by source row, each column's image
+    support checked against the columns' supports once its own support is
+    placed; the scalars of a permutation then image row by image row (row 0
+    scaled by 1, since scaling every row moves no point), each column's image
+    point looked up once its image support is fixed.  About r! * n * r steps
+    at most: 720 * 30 * 6 at rank 6.
+    """
+    if m._generators is not None:
+        return m._generators
+    cols, r, p = m.matrix.columns, m.matrix.nrows, m.p
+    # every nonzero multiple of each column -> its label
+    label_of = {tuple(k * c % p for c in v): x for x, v in zip(m.labels, cols) for k in range(1, p)}
+    entries = [[(i, c) for i, c in enumerate(v) if c] for v in cols]
+    support_rows = [[i for i, _ in e] for e in entries]
+    host_supports = {sum(1 << i for i in s) for s in support_rows}
+    ends: list[set[tuple[int, ...]]] = [set() for _ in range(r)]  # source row -> supports ending there
+    for s in support_rows:
+        ends[s[-1]].add(tuple(s))
+
+    def permutations(rows: list[int]):
+        i = len(rows)
+        if i == r:
+            yield tuple(rows)
+            return
+        for t in range(r):
+            if t in rows:
+                continue
+            rows.append(t)
+            if all(sum(1 << rows[k] for k in s) in host_supports for s in ends[i]):
+                yield from permutations(rows)
+            rows.pop()
+
+    def scalings(rows: tuple[int, ...]):
+        """(scalars, image label of each column) for every working choice."""
+        ready: list[list[int]] = [[] for _ in range(r)]  # image row -> columns fixed there
+        for j, s in enumerate(support_rows):
+            ready[max(map(rows.__getitem__, s))].append(j)
+        scalars = [0] * r
+        images: list[int | None] = [None] * len(cols)
+
+        def walk(t: int):
+            if t == r:
+                yield tuple(scalars), tuple(images)
+                return
+            for c in range(1, 2 if t == 0 else p):
+                scalars[t] = c
+                for j in ready[t]:
+                    w = [0] * r
+                    for i, a in entries[j]:
+                        w[rows[i]] = scalars[rows[i]] * a % p
+                    images[j] = label_of.get(tuple(w))
+                    if images[j] is None:
+                        break
+                else:
+                    yield from walk(t + 1)
+
+        return walk(0)
+
+    found: dict[tuple, _Monomial] = {}
+    for rows in permutations([]):
+        every = scalings(rows)
+        for scalars, images in every if rows == tuple(range(r)) else itertools.islice(every, 1):
+            moves = {x: y for x, y in zip(m.labels, images) if x != y}
+            if moves:
+                found.setdefault(tuple(sorted(moves.items())), _Monomial(rows, scalars, moves))
+    m._generators = _certified(m, found.values())
+    return m._generators
+
+
+def _orbit_minima(gens: Sequence[_Monomial]) -> dict[int, int]:
+    """label -> least label of its orbit under the group the generators
+    generate, for every label they move (union-find, least label as root)."""
+    root: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while root.get(x, x) != x:
+            x = root[x]
+        return x
+
+    for g in gens:
+        for x, y in g.moves.items():
+            a, b = find(x), find(y)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return {x: find(x) for x in root}
+
+
 class _RankPreservingSearch:
     """Backtracking search for rank-preserving injections m -> n.
 
@@ -487,20 +650,49 @@ class _RankPreservingSearch:
         self.table_n = _PairTable.of(n)
         self.anchors: dict[int, tuple[int, int] | None] = {}
         if self.simple:
-            self.through_m = tm.through()
-            self.through_n = self.table_n.through()
+            # keys are line profiles: sizes of the lines through each element
+            key_m, key_n = tm.through(), self.table_n.through()
             if self.bijective:
-                if sorted(self.through_m.values()) != sorted(self.through_n.values()):
+                if sorted(key_m.values()) != sorted(key_n.values()):
                     return None
                 self.order = tm.labels
             else:
-                self.order = _search_order(tm, self.through_m)
+                self.order = _search_order(tm, key_m)
             self.anchors = {x: tm.anchor(self.order[:i], x) for i, x in enumerate(self.order)}
+            # every line through x needs its own line through y
+            fits = _dominates
         else:
             self.order = self._generic_order()
+            # keys say which elements are loops; needed: a loop of n on an
+            # element parallel to a placed one passes both the pair check and
+            # the prefix rank
+            key_m = {x: pt is None for x, pt in m._point_map().items()}
+            key_n = {y: pt is None for y, pt in n._point_map().items()}
+            fits = lambda x_loop, y_loop: y_loop or not x_loop
+        self.admissible = self._admissible(key_m, key_n, operator.eq if self.bijective else fits)
         self.prefix_rank = [m.rank(self.order[: i + 1]) for i in range(len(self.order))]
         self.checks = [self._pair_checks(depth) for depth in range(len(self.order))]
-        return self._dfs(0, {}, 0, [])
+        self.nodes = 0
+        # the host's generators are built once failed depth-0 subtrees have
+        # taken more nodes than r! * n, a bound on the build's steps, so the
+        # build never costs much more than the search has already spent
+        self.build_after = math.inf
+        if self.simple and not self.bijective:
+            self.build_after = math.factorial(n.matrix.nrows) * n.size
+        return self._dfs(0, {}, 0, [], ())
+
+    def _admissible(self, key_m: Mapping, key_n: Mapping, fits) -> dict[int, int]:
+        """x -> bitmask of the y in n with fits(key_m[x], key_n[y]).  The keys
+        depend on x and y alone, so each candidate's key test is decided once
+        per search."""
+        tn = self.table_n
+        by_key: dict = {}
+        for y in tn.labels:
+            by_key[key_n[y]] = by_key.get(key_n[y], 0) | tn.bit[y]
+        mask_of = {}
+        for want in set(key_m.values()):
+            mask_of[want] = sum(mask for have, mask in by_key.items() if fits(want, have))
+        return {x: mask_of[key_m[x]] for x in key_m}
 
     def _pair_checks(self, depth: int) -> list[tuple[int, int, tuple[int, ...]]]:
         """(p, r(p, x), placed labels of cl(p, x)) for each placed p, where
@@ -534,37 +726,14 @@ class _RankPreservingSearch:
                 class_of[x] = len(cls)
         return sorted(m.labels, key=lambda x: (x not in loops, -class_of.get(x, 0), x))
 
-    def _candidates(self, x: int, assignment: dict[int, int], used_mask: int):
-        n = self.n
+    def _candidates(self, x: int, assignment: dict[int, int], used_mask: int) -> list[int]:
         tn = self.table_n
+        pool = self.admissible[x] & ~used_mask
         anchor = self.anchors.get(x)
         if anchor is not None:
             a, b = anchor
-            pool = tn.members(tn.closure[assignment[a], assignment[b]])
-        else:
-            pool = tn.labels
-        for y in pool:
-            if tn.bit[y] & used_mask:
-                continue
-            if self.simple:
-                want, have = self.through_m[x], self.through_n[y]
-                if self.bijective:
-                    if want != have:
-                        continue
-                elif len(have) < len(want) or any(h < w for h, w in zip(have, want)):
-                    # every line through x needs its own line through y
-                    continue
-            else:
-                # needed: a loop of n on an element parallel to a placed one
-                # passes both the pair check and the prefix rank
-                x_loop = self.m._point_map()[x] is None
-                y_loop = n._point_map()[y] is None
-                if self.bijective:
-                    if x_loop != y_loop:
-                        continue
-                elif x_loop and not y_loop:
-                    continue
-            yield y
+            pool &= tn.closure[assignment[a], assignment[b]]
+        return tn.members(pool)
 
     def _consistent(self, depth: int, y: int, assignment: dict[int, int], used_mask: int) -> bool:
         """Does placing x = order[depth] at y keep every pair and triple rank
@@ -590,9 +759,14 @@ class _RankPreservingSearch:
                 return False
         return True
 
-    def _dfs(self, depth: int, assignment: dict[int, int], used_mask: int, basis: list):
+    def _dfs(self, depth: int, assignment: dict[int, int], used_mask: int, basis: list, stab: Sequence):
         """basis is an echelon basis of the placed images; it is shared down
-        the whole search, each insertion popped again on backtracking."""
+        the whole search, each insertion popped again on backtracking.  stab
+        holds the host's generators that fix every placed image: a candidate
+        that is not the least label of its orbit under them is skipped (see
+        the module docstring).  It is empty until ``run``'s build rule first
+        holds at depth 0."""
+        self.nodes += 1
         if depth == len(self.order):
             # pruning along the way is heuristic; the leaf check is the proof
             found = dict(assignment)
@@ -604,7 +778,10 @@ class _RankPreservingSearch:
         # cl(f(a), f(b)): neither side's rank grows, so the prefix-rank test
         # would always pass
         test_rank = self.anchors.get(x) is None
+        least = _orbit_minima(stab) if stab else {}
         for y in self._candidates(x, assignment, used_mask):
+            if least.get(y, y) != y:
+                continue
             if not self._consistent(depth, y, assignment, used_mask):
                 continue
             grew = False
@@ -615,12 +792,16 @@ class _RankPreservingSearch:
                         basis.pop()
                     continue
             assignment[x] = y
-            hit = self._dfs(depth + 1, assignment, used_mask | self.table_n.bit[y], basis)
+            fixing = [g for g in stab if y not in g.moves]
+            hit = self._dfs(depth + 1, assignment, used_mask | self.table_n.bit[y], basis, fixing)
             if hit is not None:
                 return hit
             del assignment[x]
             if grew:
                 basis.pop()
+            if depth == 0 and not stab and self.nodes > self.build_after:
+                stab = _monomial_generators(self.n)
+                least = _orbit_minima(stab)
         return None
 
 

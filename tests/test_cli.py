@@ -36,6 +36,14 @@ def test_named_stdout_is_file_format(runner):
     assert gf.from_text(result.output) == named("T2").matrix
 
 
+def test_named_emit_into_missing_directory_exit_2(runner, tmp_path):
+    path = tmp_path / "missing" / "T2.gfmat"
+    result = runner.invoke(main, ["named", "T2", "--emit", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"error: cannot write {path}: ")
+    assert not path.parent.exists()
+
+
 def test_named_emit_roundtrip(runner, tmp_path):
     path = emit(runner, tmp_path, "AG23E")
     assert gf.read_file(path) == named("AG23E").matrix
@@ -237,6 +245,17 @@ def test_verify_dyadic_report_format(runner, tmp_path):
         assert witness
         ids.append(check_id)
     assert ids == sorted(ids)
+
+
+def test_verify_report_in_missing_directory_exit_2(runner, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(suites, "_run_one", lambda check: ran.append(check))
+    report = tmp_path / "missing" / "report.tsv"
+    result = runner.invoke(main, ["verify", "--suite", "dyadic", "--report", str(report)])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"error: cannot write {report}: ")
+    # the report path is tried before any check runs
+    assert ran == []
 
 
 def test_verify_failure_names_first_failing_check(runner, monkeypatch):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from matroidlab.catalog import named
+from matroidlab.catalog import named, universal_matrix
 from matroidlab.gf import GFMatrix
 from matroidlab.matroid import (
     LinearMatroid,
@@ -528,7 +528,9 @@ def test_verify_embedding_matches_subset_ranks_with_loops_and_classes():
     assert sum(verdicts) > 50 and len(verdicts) - sum(verdicts) > 50
 
 
-def test_negative_omega5_dowling5_search_effort(monkeypatch):
+def _search_effort(monkeypatch, m, n):
+    """find_embedding(m, n) and its counts of _dfs, _consistent and
+    _insert_into_basis calls."""
     counts = {"dfs": 0, "consistent": 0, "insert": 0}
 
     def counting(owner, name, key):
@@ -543,11 +545,125 @@ def test_negative_omega5_dowling5_search_effort(monkeypatch):
     counting(_RankPreservingSearch, "_dfs", "dfs")
     counting(_RankPreservingSearch, "_consistent", "consistent")
     counting(matroid_module, "_insert_into_basis", "insert")
-    assert find_embedding(named("OMEGA5").matroid(), named("DOWLING5").matroid()) is None
-    assert (counts["dfs"], counts["consistent"]) == (89481, 97640)
-    # one shared basis, no insertion at anchored depths (89,676 with a copy
-    # per candidate)
-    assert counts["insert"] < 45000
+    found = find_embedding(m, n)
+    monkeypatch.undo()
+    return found, counts
+
+
+def test_negative_omega5_dowling5_search_effort(monkeypatch):
+    # the 20 depth-0 candidates form one orbit of DOWLING5's monomial
+    # automorphisms, so one refutation of 4,474 nodes stands for all 20
+    # (89,481 _dfs and 97,640 _consistent calls without the orbit pruning)
+    found, counts = _search_effort(monkeypatch, named("OMEGA5").matroid(), named("DOWLING5").matroid())
+    assert found is None
+    assert (counts["dfs"], counts["consistent"]) == (4475, 4882)
+    # one shared basis, no insertion at anchored depths
+    assert counts["insert"] == 2232
+
+
+@pytest.mark.parametrize("source, counts", [("PI4", (635, 714)), ("SIGMA4", (585, 616))])
+def test_negative_dowling4_search_effort(monkeypatch, source, counts):
+    # 7,609/8,568 and 3,505/3,696 _dfs/_consistent calls without the orbit
+    # pruning
+    found, effort = _search_effort(monkeypatch, named(source).matroid(), named("DOWLING4").matroid())
+    assert found is None
+    assert (effort["dfs"], effort["consistent"]) == counts
+
+
+def test_symmetry_pruning_changes_no_answer(monkeypatch):
+    # every 0-5-point subset of PG(2, 3) into PG(2, 3) and into DOWLING3, the
+    # 3-5-point subsets into the arc host (598 negatives), and has_minor(., AG23E)
+    # on the table hosts M([I | D | X]) but the rank-7 X = G, once with the
+    # host generators and once with none
+    arc = m_cols(E0, E1, E2, (1, 1, 1), (1, 1, 0), E12)
+    hosts = [(m_cols(*PG23), range(6)), (named("DOWLING3").matroid(), range(6)), (arc, (3, 4, 5))]
+    pairs = [
+        (m_cols(*cols), host) for host, sizes in hosts for k in sizes for cols in itertools.combinations(PG23, k)
+    ]
+    tables = [named(f"FORBIDDEN_{key}").matrix for key in "ABCDEFHIJKLMNO"]
+    tables = [LinearMatroid(universal_matrix(x, x.nrows)) for x in tables]
+    ag = named("AG23E").matroid()
+    real_generators, real_embedding = matroid_module._monomial_generators, matroid_module.find_embedding
+    built: list = []
+    pruned_by_outcome = {"no": 0, "yes": 0}
+
+    def counting_generators(n):
+        built.append(n)
+        return real_generators(n)
+
+    def counting_embedding(m, n):
+        before = len(built)
+        found = real_embedding(m, n)
+        if len(built) > before:
+            pruned_by_outcome["no" if found is None else "yes"] += 1
+        return found
+
+    monkeypatch.setattr(matroid_module, "_monomial_generators", counting_generators)
+    monkeypatch.setattr(matroid_module, "find_embedding", counting_embedding)
+    pruned = [matroid_module.find_embedding(m, n) for m, n in pairs]
+    pruned_minors = [has_minor(t, ag) for t in tables]
+    monkeypatch.setattr(matroid_module, "_monomial_generators", lambda n: ())
+    assert [real_embedding(m, n) for m, n in pairs] == pruned
+    assert [has_minor(t, ag) for t in tables] == pruned_minors
+    # the pruning ran: in hundreds of negatives, and in positives found after
+    # a failed depth-0 subtree (has_minor stages)
+    assert pruned_by_outcome["no"] >= 400 and pruned_by_outcome["yes"] >= 4
+
+
+def test_monomial_generators_are_certified_automorphisms():
+    for n, count in ((m_cols(*PG23), 8), (named("DOWLING3").matroid(), 8), (named("DOWLING4").matroid(), 30)):
+        gens = matroid_module._monomial_generators(n)
+        # the monomial groups have 24, 24 and 192 elements
+        assert len(gens) == count
+        assert matroid_module._monomial_generators(n) is gens
+        for g in gens:
+            assert verify_bijection(n, n, {x: g.moves.get(x, x) for x in n.labels})
+
+
+def test_dowling5_orbits_are_joints_and_the_rest():
+    n = named("DOWLING5").matroid()
+    gens = matroid_module._monomial_generators(n)
+    assert len(gens) == 134
+    least = matroid_module._orbit_minima(gens)
+    orbits: dict[int, set[int]] = {}
+    for x in n.labels:
+        orbits.setdefault(least.get(x, x), set()).add(x)
+    # the joints e_i are the first five columns
+    assert sorted(orbits.values(), key=min) == [set(range(5)), set(range(5, 25))]
+
+
+def test_verifiers_never_read_search_structures():
+    # the independent re-checks name none of the search's structures, in
+    # their own code or in any function nested in it
+    search_names = {"_PairTable", "_RankPreservingSearch", "_monomial_generators", "_orbit_minima", "_certified",
+                    "_point_map", "_pair_table", "_generators", "_points"}
+
+    def names(code):
+        out = set(code.co_names)
+        for const in code.co_consts:
+            if hasattr(const, "co_names"):
+                out |= names(const)
+        return out
+
+    verifiers = (verify_bijection, verify_embedding, verify_witness, matroid_module._same_independent_sets,
+                 matroid_module._insert_into_basis)
+    for fn in verifiers:
+        assert names(fn.__code__).isdisjoint(search_names), fn.__name__
+
+
+def test_certificate_rejects_swapped_images():
+    n = named("DOWLING4").matroid()
+    gens = matroid_module._monomial_generators(n)
+    assert matroid_module._certified(n, gens) == gens
+    for g in gens[:3] + gens[-3:]:
+        images = {x: g.moves.get(x, x) for x in n.labels}
+        for a, b in itertools.combinations(n.labels, 2):
+            swapped = {**images, a: images[b], b: images[a]}
+            bad = g._replace(moves={x: y for x, y in swapped.items() if x != y})
+            assert matroid_module._certified(n, [bad]) == ()
+    g = gens[0]
+    assert matroid_module._certified(n, [g._replace(scalars=(0,) + g.scalars[1:])]) == ()
+    assert matroid_module._certified(n, [g._replace(rows=(0,) * len(g.rows))]) == ()
 
 
 def test_nonsimple_loop_test_prunes_search(monkeypatch):
