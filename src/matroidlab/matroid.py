@@ -3,9 +3,11 @@
 A LinearMatroid is a GFMatrix plus distinct integer labels, one per column.
 The searches (minor, isomorphism, embedding) prune with pair ranks and
 closures read off the columns' projective points and lines, and every answer
-they return is re-checked from the columns alone, by subset independence
-with the rank oracle's echelon-basis insertion, so results are matroid-level
-statements even though all the arithmetic is exact linear algebra.
+they return is re-checked from the columns alone, by subset independence:
+a depth-first walk over subsets that eliminates once per prefix and keeps
+both sides' later columns reduced modulo the prefix's span, so each
+one-element extension is a zero test.  Results are matroid-level statements
+even though all the arithmetic is exact linear algebra.
 
 The embedding search into a simple host also prunes by the host's symmetry,
 the orbit pruning of McKay and Piperno (Practical graph isomorphism, II,
@@ -249,42 +251,76 @@ class MinorWitness:
         return dict(self.mapping)
 
 
-def _same_independent_sets(
-    a_cols: Sequence, a_p: int, b_cols: Sequence, b_p: int, r: int, b_seed: Sequence = ()
-) -> bool:
-    """Do the columns a_cols[i] <-> b_cols[i] give the same independent sets
-    of size at most r?  With a seed basis for b (the columns of a contracted
-    set T), a subset counts as independent on that side when it is
-    independent in the contraction by T: each insertion after T grows the
-    rank.
+def _eliminate(pivot: list, cols: Sequence[list], p: int) -> list:
+    """cols reduced by the nonzero column pivot, then without the entry at
+    pivot's first nonzero position (the lead), which the reduction made 0.
 
-    Subsets are walked depth first by increasing index, with one echelon
-    basis per side: a subset's basis is its prefix's plus one insertion.  The
-    walk returns False at the first subset whose independence differs.  A
-    prefix that is dependent on both sides has only supersets that are
-    dependent on both sides, so its subtree is skipped; every subset of size
-    at most r is therefore decided, and the test is complete.
+    Each column loses the multiple of pivot that zeroes its lead entry, so
+    it becomes zero exactly when it lay in the span of pivot and of what it
+    had been reduced by before.  pivot is 0 above its lead, so the entries
+    there are unchanged.
     """
-    basis_a: list = []
-    basis_b: list = list(b_seed)
-    size = len(a_cols)
+    for lead, x in enumerate(pivot):
+        if x:
+            break
+    inv = pow(x, p - 2, p)
+    rest = pivot[lead + 1:]
+    out = []
+    for w in cols:
+        c = w[lead]
+        if c:
+            f = c * inv % p
+            out.append(w[:lead] + [(a - f * b) % p for a, b in zip(w[lead + 1:], rest)])
+        else:
+            out.append(w[:lead] + w[lead + 1:])
+    return out
 
-    def walk(start: int, depth: int) -> bool:
-        if depth == r:
+
+def _reduce_modulo(seed: Sequence, cols: Sequence, p: int) -> tuple[int, list]:
+    """The rank of the columns seed, and cols reduced modulo their span.
+
+    seed's columns go first and are eliminated one at a time: each that is
+    still nonzero, once reduced by those before it, reduces all after it."""
+    work = [list(v) for v in seed] + [list(w) for w in cols]
+    rank = 0
+    for _ in seed:
+        head, work = work[0], work[1:]
+        if any(head):
+            rank += 1
+            work = _eliminate(head, work, p)
+    return rank, work
+
+
+def _same_independent_sets(a_cols: Sequence, a_p: int, b_cols: Sequence, b_p: int, r: int) -> bool:
+    """Do the columns a_cols[i] <-> b_cols[i] give the same independent sets
+    of size at most r?
+
+    Subsets are walked depth first by increasing index.  Each node, an
+    independent prefix, carries both sides' later columns reduced modulo the
+    prefix's span, so extending the prefix by one of them keeps it
+    independent exactly when its reduced column is nonzero; the walk returns
+    False at the first node whose two nonzero patterns differ.  A child
+    reduces the columns after its new element by that element's reduced
+    column, one elimination per side.  A column that is zero on both sides
+    makes the prefix dependent on both sides, and every superset too, so it
+    is dropped from the subtree; every subset of size at most r is therefore
+    decided, and the test is complete.
+    """
+
+    def walk(a: list, b: list, depth: int) -> bool:
+        live = [any(v) for v in a]
+        if live != [any(w) for w in b]:
+            return False
+        if depth + 1 == r:
             return True
-        for j in range(start, size):
-            grew = _insert_into_basis(a_cols[j], basis_a, a_p)
-            if grew != _insert_into_basis(b_cols[j], basis_b, b_p):
+        a = [v for v, keep in zip(a, live) if keep]
+        b = [w for w, keep in zip(b, live) if keep]
+        for j in range(len(a)):
+            if not walk(_eliminate(a[j], a[j + 1:], a_p), _eliminate(b[j], b[j + 1:], b_p), depth + 1):
                 return False
-            if grew:
-                ok = walk(j + 1, depth + 1)
-                basis_a.pop()
-                basis_b.pop()
-                if not ok:
-                    return False
         return True
 
-    return walk(0, 0)
+    return r == 0 or walk([list(v) for v in a_cols], [list(w) for w in b_cols], 0)
 
 
 def verify_bijection(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, int]) -> bool:
@@ -292,8 +328,9 @@ def verify_bijection(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, i
 
     Independence of subsets of size at most rank determines every rank value,
     so comparing those subsets' independence on both sides is a complete
-    test.  The subsets are walked depth first with one echelon basis per
-    side; a prefix dependent on both sides has only dependent supersets on
+    test.  The subsets are walked depth first, each prefix eliminated once
+    per side, so each one-element extension is a zero test of a reduced
+    column; a prefix dependent on both sides has only dependent supersets on
     both sides, so skipping its subtree leaves no subset unchecked.  Uses the
     columns alone, never the search's points or pair table.
     """
@@ -311,7 +348,8 @@ def verify_embedding(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, i
 
     The image must have m's rank, and every subset of m of size at most
     that rank must be independent exactly when its image is.  The subsets
-    are walked depth first with one echelon basis per side; a prefix
+    are walked depth first, each prefix eliminated once per side, so each
+    one-element extension is a zero test of a reduced column; a prefix
     dependent on both sides has only dependent supersets on both sides, so
     skipping its subtree leaves no subset unchecked.  Uses the columns
     alone, never the search's points or pair table.
@@ -334,18 +372,26 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
     """Recheck a minor witness using only m's columns, never contraction code.
 
     r_{M/T}(S) = r_M(S + T) - r_M(T), so S is independent in M/T exactly
-    when each of its columns grows the rank once a basis of T is in place.
-    The image must have n's rank in M/T (M/T itself may have more: deleting
-    can lower the rank), and every subset of n of size at most that rank
-    must be independent exactly when its image is independent in M/T.  The
-    subsets are walked depth first from that seed basis, one echelon basis
-    per side; a prefix dependent on both sides has only dependent supersets
-    on both sides, so skipping its subtree leaves no subset unchecked.
+    when its columns, reduced modulo the span of T, are independent.  The
+    image columns are reduced that way once, by eliminating T's columns one
+    at a time, before the walk.  The image must have n's rank in M/T (M/T
+    itself may have more: deleting can lower the rank), and every subset of
+    n of size at most that rank must be independent exactly when its image
+    is independent in M/T.  The subsets are walked depth first, each prefix
+    eliminated once per side; a prefix dependent on both sides has only
+    dependent supersets on both sides, so skipping its subtree leaves no
+    subset unchecked.  A witness that repeats a label, or names one m does
+    not have, is rejected.
     """
     contracted = set(witness.contracted)
     deleted = set(witness.deleted)
     mapping = witness.as_dict()
-    if contracted & deleted:
+    # the sets and as_dict would silently merge a repeated label
+    if len(contracted) != len(witness.contracted) or len(deleted) != len(witness.deleted):
+        return False
+    if len(mapping) != len(witness.mapping):
+        return False
+    if contracted & deleted or not (contracted | deleted) <= set(m.labels):
         return False
     if set(mapping.keys()) != set(n.labels):
         return False
@@ -357,14 +403,13 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
         return False
     if len(survivors) != n.size:
         return False
-    seed: list = []
-    for x in sorted(contracted):
-        _insert_into_basis(m.column_of(x), seed, m.p)
-    if m.rank(image | contracted) - len(seed) != n.rank():
+    t_rank, images = _reduce_modulo(
+        [m.column_of(x) for x in sorted(contracted)], [m.column_of(mapping[x]) for x in n.labels], m.p
+    )
+    if m.rank(image | contracted) - t_rank != n.rank():
         # ranks above n's inside the image would otherwise go unnoticed
         return False
-    images = [m.column_of(mapping[x]) for x in n.labels]
-    return _same_independent_sets([n.column_of(x) for x in n.labels], n.p, images, m.p, n.rank(), seed)
+    return _same_independent_sets([n.column_of(x) for x in n.labels], n.p, images, m.p, n.rank())
 
 
 # -- pair table for the rank-preserving search -----------------------------------------

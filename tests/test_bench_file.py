@@ -52,3 +52,12 @@ def test_bad_run_spec_and_missing_result(bench_file, tmp_path, capsys):
     empty.write_text("")
     assert bench_file.main(["--out", str(tmp_path / "b.json"), f"parent:w:{empty}"]) == 2
     assert "empty output" in capsys.readouterr().err
+
+
+def test_unequal_run_counts_exit_2(bench_file, tmp_path, capsys):
+    runs = [f"parent:w:{_result(tmp_path / f'p{i}', {'wall_s': 1.0})}" for i in range(3)]
+    runs += [f"change:w:{_result(tmp_path / f'c{i}', {'wall_s': 0.5})}" for i in range(2)]
+    out = tmp_path / "b.json"
+    assert bench_file.main(["--out", str(out), *runs]) == 2
+    assert "workload w: 3 parent runs but 2 change runs" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Matroid layer: minors, duality, simplification, isomorphism, embedding,
 minor search.  Structure checks run against the brute-force oracles."""
 
+import dataclasses
 import itertools
 import random
 
@@ -458,6 +459,41 @@ def test_verify_bijection_matches_rank_tables_on_swapped_maps():
     assert verdicts == [True] + [False] * 153
 
 
+def test_walk_matches_rank_tables_on_all_four_column_matroids():
+    # every multiset of four columns from the zero vector and PG(2, 3), against
+    # the identity and every transposition of its own columns; the seeded path
+    # (verify_witness's) contracts one extra column t, taken in turn from the
+    # same fourteen vectors, and compares M/t with the images reduced modulo t
+    vectors = [ZERO] + PG23
+    multisets = list(itertools.combinations_with_replacement(vectors, 4))
+    assert len(multisets) == 2380
+    swaps = [dict(enumerate(range(4)))]
+    for i, j in itertools.combinations(range(4), 2):
+        swaps.append({**swaps[0], i: j, j: i})
+    verdicts = {"plain": [], "seeded": []}
+    for k, cols in enumerate(multisets):
+        m = m_cols(*cols)
+        table = subset_rank_table(m)
+        t = vectors[k % len(vectors)]
+        host = m_cols(*cols, t)
+        n = host.contract([4])
+        n_cols, n_table = [n.column_of(x) for x in range(4)], subset_rank_table(n)
+        minor = _minor_rank_table(host, frozenset({4}), range(4))
+        t_rank, reduced = matroid_module._reduce_modulo([t], cols, 3)
+        assert t_rank == host.rank([4])
+        for swap in swaps:
+            want = all(rank == table[frozenset(swap[x] for x in sub)] for sub, rank in table.items())
+            images = [cols[swap[x]] for x in range(4)]
+            assert matroid_module._same_independent_sets(cols, 3, images, 3, m.rank()) == want
+            verdicts["plain"].append(want)
+            want = all(rank == minor[frozenset(swap[x] for x in sub)] for sub, rank in n_table.items())
+            images = [reduced[swap[x]] for x in range(4)]
+            assert matroid_module._same_independent_sets(n_cols, 3, images, 3, n.rank()) == want
+            verdicts["seeded"].append(want)
+    for got in verdicts.values():
+        assert 1000 < sum(got) < len(got) - 1000
+
+
 def _naive_witness_ok(m, n, w):
     """The witness's minor, by rank identities alone, has n's rank table
     under its mapping."""
@@ -505,6 +541,25 @@ def test_verify_witness_matches_minor_rank_tables_on_mutations():
     assert sum(verdicts) > 20 and len(verdicts) - sum(verdicts) > 100
 
 
+@pytest.mark.parametrize("field, value", [
+    # target 0 listed twice, the stray pair first: as_dict keeps the last
+    ("mapping", ((0, 1),)),
+    ("deleted", (999,)),  # not a label of M
+    ("deleted", (3,)),  # repeated
+    ("contracted", (10,)),  # repeated
+    ("contracted", (999,)),  # not a label of M
+])
+def test_verify_witness_rejects_malformed_witnesses(field, value):
+    x = named("FORBIDDEN_A").matrix
+    m, n = LinearMatroid(universal_matrix(x, x.nrows)), named("F7MINUS").matroid()
+    w = has_minor(m, n, hint=(10,))
+    assert w == MinorWitness((10,), (3, 6, 8), ((0, 0), (1, 1), (2, 5), (3, 9), (4, 2), (5, 4), (6, 7)))
+    assert verify_witness(m, n, w)
+    old = getattr(w, field)
+    bad = dataclasses.replace(w, **{field: value + old if field == "mapping" else old + value})
+    assert verify_witness(m, n, bad) is False
+
+
 def test_verify_embedding_matches_subset_ranks_with_loops_and_classes():
     rng = random.Random(31)
     verdicts = []
@@ -528,23 +583,26 @@ def test_verify_embedding_matches_subset_ranks_with_loops_and_classes():
     assert sum(verdicts) > 50 and len(verdicts) - sum(verdicts) > 50
 
 
+def _count_calls(monkeypatch, counts, owner, name):
+    """Count the calls of owner.name in counts[name]."""
+    real = getattr(owner, name)
+    counts[name] = 0
+
+    def wrapper(*args):
+        counts[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def _search_effort(monkeypatch, m, n):
-    """find_embedding(m, n) and its counts of _dfs, _consistent and
-    _insert_into_basis calls."""
-    counts = {"dfs": 0, "consistent": 0, "insert": 0}
-
-    def counting(owner, name, key):
-        real = getattr(owner, name)
-
-        def wrapper(*args):
-            counts[key] += 1
-            return real(*args)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counting(_RankPreservingSearch, "_dfs", "dfs")
-    counting(_RankPreservingSearch, "_consistent", "consistent")
-    counting(matroid_module, "_insert_into_basis", "insert")
+    """find_embedding(m, n) and its counts of _dfs, _consistent,
+    _insert_into_basis and _eliminate calls."""
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
+    _count_calls(monkeypatch, counts, _RankPreservingSearch, "_consistent")
+    _count_calls(monkeypatch, counts, matroid_module, "_insert_into_basis")
+    _count_calls(monkeypatch, counts, matroid_module, "_eliminate")
     found = find_embedding(m, n)
     monkeypatch.undo()
     return found, counts
@@ -556,9 +614,9 @@ def test_negative_omega5_dowling5_search_effort(monkeypatch):
     # (89,481 _dfs and 97,640 _consistent calls without the orbit pruning)
     found, counts = _search_effort(monkeypatch, named("OMEGA5").matroid(), named("DOWLING5").matroid())
     assert found is None
-    assert (counts["dfs"], counts["consistent"]) == (4475, 4882)
+    assert (counts["_dfs"], counts["_consistent"]) == (4475, 4882)
     # one shared basis, no insertion at anchored depths
-    assert counts["insert"] == 2232
+    assert counts["_insert_into_basis"] == 2232
 
 
 @pytest.mark.parametrize("source, counts", [("PI4", (635, 714)), ("SIGMA4", (585, 616))])
@@ -567,7 +625,31 @@ def test_negative_dowling4_search_effort(monkeypatch, source, counts):
     # pruning
     found, effort = _search_effort(monkeypatch, named(source).matroid(), named("DOWLING4").matroid())
     assert found is None
-    assert (effort["dfs"], effort["consistent"]) == counts
+    assert (effort["_dfs"], effort["_consistent"]) == counts
+
+
+def test_verifier_elimination_effort(monkeypatch):
+    # the walk eliminates once per side for each independent prefix of size
+    # 1 to r - 1 (the one-basis-per-side walk made 21,564 and 126
+    # _insert_into_basis calls here)
+    m3, m5 = named("OMEGA5", 3).matroid(), named("OMEGA5", 5).matroid()
+    iso = find_isomorphism(m3, m5)
+    f7, dowling3 = named("F7MINUS").matroid(), named("DOWLING3").matroid()
+    emb = find_embedding(f7, dowling3)
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, counts, matroid_module, "_eliminate")
+    assert verify_bijection(m3, m5, iso)
+    assert counts["_eliminate"] == 7032
+    counts["_eliminate"] = 0
+    assert verify_embedding(f7, dowling3, emb)
+    # 7 one-element and 21 two-element prefixes, two sides
+    assert counts["_eliminate"] == 56
+    monkeypatch.undo()
+    # the search keeps its own basis: the negative OMEGA5 -> DOWLING5 search
+    # reaches no leaf, so it makes no elimination
+    found, effort = _search_effort(monkeypatch, named("OMEGA5").matroid(), named("DOWLING5").matroid())
+    assert found is None
+    assert (effort["_insert_into_basis"], effort["_eliminate"]) == (2232, 0)
 
 
 def test_symmetry_pruning_changes_no_answer(monkeypatch):
@@ -646,7 +728,7 @@ def test_verifiers_never_read_search_structures():
         return out
 
     verifiers = (verify_bijection, verify_embedding, verify_witness, matroid_module._same_independent_sets,
-                 matroid_module._insert_into_basis)
+                 matroid_module._eliminate, matroid_module._reduce_modulo, matroid_module._insert_into_basis)
     for fn in verifiers:
         assert names(fn.__code__).isdisjoint(search_names), fn.__name__
 
@@ -670,15 +752,9 @@ def test_nonsimple_loop_test_prunes_search(monkeypatch):
     # m = [e1, 2e1, e2] and n = [e1, 0, e2] over GF(3): placing n's loop on
     # m's second parallel element passes both the pair check and the prefix
     # rank, so only the loop test in _candidates stops it (5 nodes without it)
-    counts = {"dfs": 0}
-    real = _RankPreservingSearch._dfs
-
-    def counting(*args):
-        counts["dfs"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(_RankPreservingSearch, "_dfs", counting)
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
     m = m_of([[1, 2, 0], [0, 0, 1]])
     n = m_of([[1, 0, 0], [0, 0, 1]])
     assert find_isomorphism(m, n) is None
-    assert counts["dfs"] == 3
+    assert counts["_dfs"] == 3

@@ -9,7 +9,8 @@ made with ``--trace 1`` adds its per-layer counters; every other run adds one
 sample of each end-to-end metric.  List the runs of each side in the order
 they were made: the i-th parent run and the i-th change run of a workload
 form pair i, and a pair is won by the side whose value is better in the
-direction that BENCHMARK.json gives the metric.
+direction that BENCHMARK.json gives the metric.  Both sides must have the
+same number of untraced runs of each workload; otherwise the tool exits 2.
 
 Ten alternating pairs of one workload, from two checkouts:
 
@@ -98,6 +99,9 @@ def build(runs: list[tuple[str, str, str]], better: dict[str, str]) -> dict:
             w["units"][name] = m["unit"]
     out = {}
     for workload, w in sorted(workloads.items()):
+        if w["runs"]["parent"] != w["runs"]["change"]:
+            raise ValueError(f"workload {workload}: {w['runs']['parent']} parent runs but "
+                             f"{w['runs']['change']} change runs; pairs need equal counts")
         metrics = {}
         for name, unit in w["units"].items():
             parent, change = w["samples"]["parent"].get(name, []), w["samples"]["change"].get(name, [])
