@@ -1,28 +1,31 @@
 """Linear matroids presented by matrices over GF(3) or GF(5).
 
 A LinearMatroid is a GFMatrix plus distinct integer labels, one per column.
-The searches (minor, isomorphism, embedding) prune with pair ranks and
-closures read off the columns' projective points and lines, and every answer
-they return is re-checked from the columns alone, by subset independence:
-a depth-first walk over subsets that eliminates once per prefix and keeps
-both sides' later columns reduced modulo the prefix's span, so each
-one-element extension is a zero test.  Results are matroid-level statements
-even though all the arithmetic is exact linear algebra.
+The isomorphism and embedding searches run on the simplifications, pruning
+with the lines through the columns' projective points; loops and parallel
+classes are mapped around them.  Every answer is re-checked from the columns
+alone, by subset independence: a depth-first walk over subsets that
+eliminates once per prefix and keeps both sides' later columns reduced
+modulo the prefix's span, so each one-element extension is a zero test.
+Results are matroid-level statements even though all the arithmetic is
+exact linear algebra.
 
-The embedding search into a simple host also prunes by the host's symmetry,
-the orbit pruning of McKay and Piperno (Practical graph isomorphism, II,
-J. Symb. Comput. 2014): at each depth it tries only the candidates that are
-the least label of their orbit under the host's monomial automorphisms that
-fix every placed image.  If f is an embedding that extends the placed images
-and sends x to y, then for each such automorphism g, g . f is an embedding
-that extends the same placed images and sends x to g(y).  So skipping every
-candidate but the least of its orbit loses no answer: a negative stays a
-proof, and the lexicographically least embedding, which takes the least
-label of an orbit at every depth, is still the one found, byte for byte.
+The embedding search also prunes by the host's symmetry, the orbit pruning
+of McKay and Piperno (Practical graph isomorphism, II, J. Symb. Comput.
+2014): at each depth it tries only the candidates that are the least label
+of their orbit under the host's monomial automorphisms that fix every placed
+image and map each parallel class of the host onto one of the same size.  If
+f is an embedding that extends the placed images and sends x to y, then for
+each such automorphism g, g . f is an embedding that extends the same placed
+images and sends x to g(y).  So skipping every candidate but the least of
+its orbit loses no answer: a negative stays a proof, and the first embedding
+in the search's order, which takes the least label of an orbit at every
+depth, is still the one found, byte for byte.
 
 Determinism contract: every search in this module iterates labels and
-candidates in sorted order, so the first witness found is the
-lexicographically least one and repeated runs agree byte for byte.
+candidates in a fixed order, so repeated runs agree byte for byte; the
+isomorphism search's order is sorted, so its witness is the
+lexicographically least isomorphism.
 """
 
 from __future__ import annotations
@@ -210,8 +213,11 @@ class LinearMatroid:
         return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: min(g)))
 
     def simplify(self) -> "LinearMatroid":
-        keep = [min(cls) for cls in self.parallel_classes()]
-        return self.restrict(keep)
+        """The restriction to the least label of each parallel class; self
+        when already simple, so that what is cached on it is kept."""
+        if self.is_simple():
+            return self
+        return self.restrict(min(cls) for cls in self.parallel_classes())
 
     def is_simple(self) -> bool:
         pts = self._point_map().values()
@@ -380,12 +386,15 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
     is independent in M/T.  The subsets are walked depth first, each prefix
     eliminated once per side; a prefix dependent on both sides has only
     dependent supersets on both sides, so skipping its subtree leaves no
-    subset unchecked.  A witness that repeats a label, or names one m does
-    not have, is rejected.
+    subset unchecked.  A witness that repeats a label, names one m does not
+    have, or holds a mapping entry that is not a pair, is rejected.
     """
     contracted = set(witness.contracted)
     deleted = set(witness.deleted)
-    mapping = witness.as_dict()
+    try:
+        mapping = witness.as_dict()
+    except (TypeError, ValueError):
+        return False
     # the sets and as_dict would silently merge a repeated label
     if len(contracted) != len(witness.contracted) or len(deleted) != len(witness.deleted):
         return False
@@ -416,19 +425,17 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
 
 
 class _PairTable:
-    """Rank and closure of every pair of elements of one matroid.
+    """The lines of a simple matroid, as the closure of every pair.
 
-    For distinct labels a, b: rank2[a, b] = r({a, b}) and closure[a, b] is
-    cl({a, b}) = {c : r({a, b, c}) = r({a, b})} as an int bitmask, where
-    bit[x] marks label x and bits run in sorted label order.  Both key orders
-    are stored.  The search reads everything it prunes with from here.
+    For distinct labels a, b, closure[a, b] is cl({a, b}), the elements on
+    the line through a and b, as an int bitmask, where bit[x] marks label x
+    and bits run in sorted label order.  Both key orders are stored.  The
+    search reads everything it prunes with from here.
 
-    Both come from the projective points of the columns, with no rank
-    calls: two loops span rank 0 and close to the loops; a loop and a point,
-    or two elements on one point, span rank 1 and close to the loops plus
-    that point's class; two distinct points span rank 2 and close to the
-    loops plus every element on the line through them.  Use ``of(m)``,
-    which builds the table once per matroid.
+    The lines come from the projective points of the columns, with no rank
+    calls: the line through points u and v holds v and u + t*v for t in
+    GF(p), and its closure is every element on one of those points.  Use
+    ``of(m)``, which builds the table once per matroid.
     """
 
     @classmethod
@@ -442,40 +449,18 @@ class _PairTable:
         self.bit = {x: 1 << i for i, x in enumerate(self.labels)}
         self._label_of = {b: x for x, b in self.bit.items()}
         point_of = m._point_map()
-        loops = 0
-        members: dict[tuple[int, ...], int] = {}  # point -> bitmask of its class
-        for x in self.labels:
-            pt = point_of[x]
-            if pt is None:
-                loops |= self.bit[x]
-            else:
-                members[pt] = members.get(pt, 0) | self.bit[x]
+        label_at = {point_of[x]: x for x in self.labels}
         p = m.p
-        line: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for u, v in itertools.combinations(members, 2):
-            if (u, v) in line:
-                continue
-            # the line's p + 1 points are v and u + t*v for t in GF(p)
-            on_line = [v] + [_normalize([(a + t * b) % p for a, b in zip(u, v)], p) for t in range(p)]
-            present = [w for w in on_line if w in members]
-            mask = loops
-            for w in present:
-                mask |= members[w]
-            for pair in itertools.permutations(present, 2):
-                line[pair] = mask
-        rank2: dict[tuple[int, int], int] = {}
         closure: dict[tuple[int, int], int] = {}
         for a, b in itertools.combinations(self.labels, 2):
-            pa, pb = point_of[a], point_of[b]
-            if pa is None and pb is None:
-                r, c = 0, loops
-            elif pa is None or pb is None or pa == pb:
-                r, c = 1, loops | members[pb if pa is None else pa]
-            else:
-                r, c = 2, line[pa, pb]
-            rank2[a, b] = rank2[b, a] = r
-            closure[a, b] = closure[b, a] = c
-        self.rank2 = rank2
+            if (a, b) in closure:
+                continue
+            u, v = point_of[a], point_of[b]
+            on_line = [v] + [_normalize([(c + t * d) % p for c, d in zip(u, v)], p) for t in range(p)]
+            present = [label_at[w] for w in on_line if w in label_at]
+            mask = sum(self.bit[x] for x in present)
+            for pair in itertools.permutations(present, 2):
+                closure[pair] = mask
         self.closure = closure
         self._through: dict[int, tuple[int, ...]] | None = None
 
@@ -489,9 +474,8 @@ class _PairTable:
         return out
 
     def through(self) -> dict[int, tuple[int, ...]]:
-        """x -> sizes, descending, of the pair closures of >= 3 points holding
-        x; in a simple matroid these are the lines through x.  Computed once
-        per table."""
+        """x -> sizes, descending, of the lines of >= 3 points through x.
+        Computed once per table."""
         if self._through is None:
             lines = {c for c in self.closure.values() if c.bit_count() >= 3}
             self._through = {
@@ -506,9 +490,10 @@ class _PairTable:
         return next((ab for ab in itertools.combinations(placed, 2) if self.closure[ab] & bx), None)
 
 
-def _search_order(table: _PairTable, through: Mapping[int, tuple[int, ...]]) -> list[int]:
+def _search_order(table: _PairTable) -> list[int]:
     """Element order where each element sits on a line with two placed ones
     whenever possible; otherwise the most line-covered element comes next."""
+    through = table.through()
     order: list[int] = []
     remaining = list(table.labels)
     while remaining:
@@ -520,10 +505,14 @@ def _search_order(table: _PairTable, through: Mapping[int, tuple[int, ...]]) -> 
     return order
 
 
-def _dominates(want: tuple[int, ...], have: tuple[int, ...]) -> bool:
-    """Can y, with line sizes have, take x, with line sizes want (both
-    descending)?  Each line through x needs its own line through y."""
-    return len(have) >= len(want) and all(h >= w for h, w in zip(have, want))
+def _dominates(want: tuple, have: tuple) -> bool:
+    """Can y, keyed have, take x, keyed want, in an embedding?  Keys are
+    (line sizes, descending; class size): each line through x needs its own
+    line through y, and y's class must be at least as large as x's."""
+    (want_lines, want_size), (have_lines, have_size) = want, have
+    return have_size >= want_size and len(have_lines) >= len(want_lines) and all(
+        h >= w for h, w in zip(have_lines, want_lines)
+    )
 
 
 # -- host symmetry -----------------------------------------------------------------------
@@ -672,16 +661,23 @@ def _orbit_minima(gens: Sequence[_Monomial]) -> dict[int, int]:
 class _RankPreservingSearch:
     """Backtracking search for rank-preserving injections m -> n.
 
-    bijective=True additionally requires equal sizes and equal line profiles
-    and yields the lexicographically least bijection by iterating m's labels
-    and n's candidates in sorted order.
+    Such an injection maps loops to loops and each parallel class into a
+    class, and induces one between the simplifications, whose labels are the
+    classes' least labels.  So ``run`` searches si(m) -> si(n), keying each
+    point by its line sizes and class size, and the leaf expands the map:
+    m's loops in sorted order onto n's least loops, each class in sorted
+    order onto the least members of its image's class.  The leaf check runs
+    on m and n.
+
+    bijective=True additionally requires equal sizes, loop counts and keys,
+    and yields the lexicographically least bijection by iterating si(m)'s
+    labels and si(n)'s candidates in sorted order.
     """
 
     def __init__(self, m: LinearMatroid, n: LinearMatroid, bijective: bool):
         self.m = m
         self.n = n
         self.bijective = bijective
-        self.simple = m.is_simple() and n.is_simple()
 
     def run(self) -> dict[int, int] | None:
         m, n = self.m, self.n
@@ -691,45 +687,41 @@ class _RankPreservingSearch:
             return None
         if m.size == 0:
             return {}
-        tm = self.table_m = _PairTable.of(m)
-        self.table_n = _PairTable.of(n)
-        self.anchors: dict[int, tuple[int, int] | None] = {}
-        if self.simple:
-            # keys are line profiles: sizes of the lines through each element
-            key_m, key_n = tm.through(), self.table_n.through()
-            if self.bijective:
-                if sorted(key_m.values()) != sorted(key_n.values()):
-                    return None
-                self.order = tm.labels
-            else:
-                self.order = _search_order(tm, key_m)
-            self.anchors = {x: tm.anchor(self.order[:i], x) for i, x in enumerate(self.order)}
-            # every line through x needs its own line through y
-            fits = _dominates
+        loops_m, loops_n = m.loops(), n.loops()
+        if len(loops_m) > len(loops_n) or self.bijective and len(loops_m) != len(loops_n):
+            return None
+        self.loop_map = dict(zip(sorted(loops_m), sorted(loops_n)))
+        self.class_m = {cls[0]: cls for cls in m.parallel_classes()}
+        self.class_n = {cls[0]: cls for cls in n.parallel_classes()}
+        sm, self.sn = m.simplify(), n.simplify()
+        tm = self.table_m = _PairTable.of(sm)
+        self.table_n = _PairTable.of(self.sn)
+        through_m, through_n = tm.through(), self.table_n.through()
+        key_m = {x: (through_m[x], len(cls)) for x, cls in self.class_m.items()}
+        key_n = {y: (through_n[y], len(cls)) for y, cls in self.class_n.items()}
+        if self.bijective:
+            if sorted(key_m.values()) != sorted(key_n.values()):
+                return None
+            self.order = tm.labels
         else:
-            self.order = self._generic_order()
-            # keys say which elements are loops; needed: a loop of n on an
-            # element parallel to a placed one passes both the pair check and
-            # the prefix rank
-            key_m = {x: pt is None for x, pt in m._point_map().items()}
-            key_n = {y: pt is None for y, pt in n._point_map().items()}
-            fits = lambda x_loop, y_loop: y_loop or not x_loop
-        self.admissible = self._admissible(key_m, key_n, operator.eq if self.bijective else fits)
-        self.prefix_rank = [m.rank(self.order[: i + 1]) for i in range(len(self.order))]
+            self.order = _search_order(tm)
+        self.anchors = {x: tm.anchor(self.order[:i], x) for i, x in enumerate(self.order)}
+        self.admissible = self._admissible(key_m, key_n, operator.eq if self.bijective else _dominates)
+        self.prefix_rank = [sm.rank(self.order[: i + 1]) for i in range(len(self.order))]
         self.checks = [self._pair_checks(depth) for depth in range(len(self.order))]
         self.nodes = 0
         # the host's generators are built once failed depth-0 subtrees have
         # taken more nodes than r! * n, a bound on the build's steps, so the
         # build never costs much more than the search has already spent
         self.build_after = math.inf
-        if self.simple and not self.bijective:
-            self.build_after = math.factorial(n.matrix.nrows) * n.size
+        if not self.bijective:
+            self.build_after = math.factorial(n.matrix.nrows) * self.sn.size
         return self._dfs(0, {}, 0, [], ())
 
     def _admissible(self, key_m: Mapping, key_n: Mapping, fits) -> dict[int, int]:
-        """x -> bitmask of the y in n with fits(key_m[x], key_n[y]).  The keys
-        depend on x and y alone, so each candidate's key test is decided once
-        per search."""
+        """x -> bitmask of the y in si(n) with fits(key_m[x], key_n[y]).  The
+        keys depend on x and y alone, so each candidate's key test is decided
+        once per search."""
         tn = self.table_n
         by_key: dict = {}
         for y in tn.labels:
@@ -739,68 +731,58 @@ class _RankPreservingSearch:
             mask_of[want] = sum(mask for have, mask in by_key.items() if fits(want, have))
         return {x: mask_of[key_m[x]] for x in key_m}
 
-    def _pair_checks(self, depth: int) -> list[tuple[int, int, tuple[int, ...]]]:
-        """(p, r(p, x), placed labels of cl(p, x)) for each placed p, where
-        x = order[depth].  In the simple case only the first p on each line
-        through x is kept: distinct lines through x share no placed point,
-        and in a simple n any two placed images on cl(f(p), y) span that same
-        line, so the test for a second p on the line repeats the first."""
+    def _host_generators(self) -> list[_Monomial]:
+        """si(n)'s generators that map each class of n onto one of the same
+        size; for the others g . f need not embed m."""
+        size = {y: len(cls) for y, cls in self.class_n.items()}
+        return [g for g in _monomial_generators(self.sn) if all(size[y] == size[z] for y, z in g.moves.items())]
+
+    def _pair_checks(self, depth: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(p, placed labels of the line through p and x) for the first placed
+        p on each line through x = order[depth].  Distinct lines through x
+        share no placed point, and in the simple si(n) any two placed images
+        on the line through f(p) and y span that same line, so the test for a
+        second p on the line repeats the first."""
         tm = self.table_m
         x = self.order[depth]
         placed = self.order[:depth]
-        placed_mask = 0
-        for p in placed:
-            placed_mask |= tm.bit[p]
+        placed_mask = sum(tm.bit[p] for p in placed)
         checks = []
         lines_seen = set()
         for p in placed:
             line = tm.closure[p, x]
-            if self.simple:
-                if line in lines_seen:
-                    continue
+            if line not in lines_seen:
                 lines_seen.add(line)
-            checks.append((p, tm.rank2[p, x], tuple(tm.members(line & placed_mask))))
+                checks.append((p, tuple(tm.members(line & placed_mask))))
         return checks
-
-    def _generic_order(self) -> list[int]:
-        m = self.m
-        loops = set(m.loops())
-        class_of = {}
-        for cls in m.parallel_classes():
-            for x in cls:
-                class_of[x] = len(cls)
-        return sorted(m.labels, key=lambda x: (x not in loops, -class_of.get(x, 0), x))
 
     def _candidates(self, x: int, assignment: dict[int, int], used_mask: int) -> list[int]:
         tn = self.table_n
         pool = self.admissible[x] & ~used_mask
-        anchor = self.anchors.get(x)
+        anchor = self.anchors[x]
         if anchor is not None:
             a, b = anchor
             pool &= tn.closure[assignment[a], assignment[b]]
         return tn.members(pool)
 
     def _consistent(self, depth: int, y: int, assignment: dict[int, int], used_mask: int) -> bool:
-        """Does placing x = order[depth] at y keep every pair and triple rank
-        through x?
+        """Does placing x = order[depth] at y keep every triple rank through x?
 
-        For each row (p, r, qs) of the depth's pair checks: r(f(p), y) = r,
-        and f carries the placed points qs of cl(p, x) exactly onto the
-        images in cl(f(p), y).  Since r(S + e) = r(S) + [e not in cl(S)], the
-        second test equals r(p, q, x) = r(f(p), f(q), y) for every other
-        placed q.  In the simple case the rows keep one p per line through
-        x, which decides the same as testing every placed p.
+        For each row (p, qs) of the depth's pair checks, f must carry the
+        placed points qs of the line through p and x exactly onto the placed
+        images on the line through f(p) and y.  Since r(S + e) = r(S) + [e
+        not in cl(S)], that equals r(p, q, x) = r(f(p), f(q), y) for every
+        other placed q; the rows keep one p per line through x, which
+        decides the same as testing every placed p.  Every pair of a simple
+        matroid has rank 2.
         """
         tn = self.table_n
         bit = tn.bit
-        for p, r, qs in self.checks[depth]:
-            fp = assignment[p]
-            if tn.rank2[fp, y] != r:
-                return False
+        for p, qs in self.checks[depth]:
             image = 0
             for q in qs:
                 image |= bit[assignment[q]]
-            if image != tn.closure[fp, y] & used_mask:
+            if image != tn.closure[assignment[p], y] & used_mask:
                 return False
         return True
 
@@ -814,15 +796,17 @@ class _RankPreservingSearch:
         self.nodes += 1
         if depth == len(self.order):
             # pruning along the way is heuristic; the leaf check is the proof
-            found = dict(assignment)
-            if self.bijective:
-                return found if verify_bijection(self.m, self.n, found) else None
-            return found if verify_embedding(self.m, self.n, found) else None
+            found = {}
+            for x, y in assignment.items():
+                found.update(zip(self.class_m[x], self.class_n[y]))
+            found.update(self.loop_map)
+            verify = verify_bijection if self.bijective else verify_embedding
+            return found if verify(self.m, self.n, found) else None
         x = self.order[depth]
         # an anchored x lies in cl(a, b) of placed a, b, and its candidates in
         # cl(f(a), f(b)): neither side's rank grows, so the prefix-rank test
         # would always pass
-        test_rank = self.anchors.get(x) is None
+        test_rank = self.anchors[x] is None
         least = _orbit_minima(stab) if stab else {}
         for y in self._candidates(x, assignment, used_mask):
             if least.get(y, y) != y:
@@ -831,7 +815,7 @@ class _RankPreservingSearch:
                 continue
             grew = False
             if test_rank:
-                grew = _insert_into_basis(self.n.column_of(y), basis, self.n.p)
+                grew = _insert_into_basis(self.sn.column_of(y), basis, self.sn.p)
                 if len(basis) != self.prefix_rank[depth]:
                     if grew:
                         basis.pop()
@@ -845,7 +829,7 @@ class _RankPreservingSearch:
             if grew:
                 basis.pop()
             if depth == 0 and not stab and self.nodes > self.build_after:
-                stab = _monomial_generators(self.n)
+                stab = self._host_generators()
                 least = _orbit_minima(stab)
         return None
 

@@ -79,14 +79,21 @@ def _tables_isomorphic(labels_a, table_a, labels_b, table_b):
     return None
 
 
-def naive_is_isomorphic(m, n) -> bool:
+def naive_find_isomorphism(m, n):
+    """The first bijection of m's sorted labels, taken in
+    itertools.permutations(sorted(n.labels)) order, that carries every subset
+    rank of m onto n: the lexicographically least isomorphism, or None."""
     if len(m.labels) > 8:
         raise ValueError("naive isomorphism oracle is limited to 8 elements")
     ta = subset_rank_table(m)
     tb = subset_rank_table(n)
     if sorted(ta.values()) != sorted(tb.values()):
-        return False
-    return _tables_isomorphic(tuple(m.labels), ta, tuple(n.labels), tb) is not None
+        return None
+    return _tables_isomorphic(tuple(sorted(m.labels)), ta, tuple(sorted(n.labels)), tb)
+
+
+def naive_is_isomorphic(m, n) -> bool:
+    return naive_find_isomorphism(m, n) is not None
 
 
 def naive_is_restriction(m, n) -> bool:

@@ -61,3 +61,11 @@ def test_unequal_run_counts_exit_2(bench_file, tmp_path, capsys):
     assert bench_file.main(["--out", str(out), *runs]) == 2
     assert "workload w: 3 parent runs but 2 change runs" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unwritable_out_exit_2(bench_file, tmp_path, capsys):
+    runs = [f"{side}:w:{_result(tmp_path / side, {'wall_s': 1.0})}" for side in ("parent", "change")]
+    out = tmp_path / "missing" / "b.json"
+    assert bench_file.main(["--out", str(out), *runs]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    assert not out.exists()

@@ -27,6 +27,7 @@ from matroidlab.matroid import _PairTable, _RankPreservingSearch
 
 from .naive import (
     _minor_rank_table,
+    naive_find_isomorphism,
     naive_has_minor,
     naive_is_isomorphic,
     naive_is_restriction,
@@ -196,9 +197,10 @@ def test_iso_matches_naive_on_random_pairs():
         for j in range(m.size):
             copy = copy.scale_col(j, rng.randrange(1, 3))
         family.append(LinearMatroid(copy))
+    # the witness is the lexicographically least isomorphism
     for ma, mb in itertools.product(family, repeat=2):
         iso = find_isomorphism(ma, mb)
-        assert (iso is not None) == naive_is_isomorphic(ma, mb)
+        assert iso == naive_find_isomorphism(ma, mb)
         if iso is not None:
             assert verify_bijection(ma, mb, iso)
 
@@ -225,15 +227,14 @@ def test_embedding_matches_naive_on_nonsimple_matroids():
 
 
 def _check_pair_table(m):
-    """rank2, closure, loops() and parallel_classes() of m against the
-    brute-force subset ranks."""
+    """loops(), parallel_classes() and is_simple() of m, and for a simple m
+    the pair table's closures, against the brute-force subset ranks."""
     ranks = subset_rank_table(m)
-    table = _PairTable(m)
-    for a, b in itertools.permutations(m.labels, 2):
-        r = ranks[frozenset((a, b))]
-        assert table.rank2[a, b] == r
-        closure = [c for c in sorted(m.labels) if ranks[frozenset((a, b, c))] == r]
-        assert table.members(table.closure[a, b]) == closure
+    if m.is_simple():
+        table = _PairTable(m)
+        for a, b in itertools.permutations(m.labels, 2):
+            closure = [c for c in sorted(m.labels) if ranks[frozenset((a, b, c))] == 2]
+            assert table.members(table.closure[a, b]) == closure
     points = [x for x in m.labels if ranks[frozenset((x,))] == 1]
     assert m.loops() == tuple(x for x in m.labels if x not in points)
     classes = {tuple(y for y in sorted(points) if ranks[frozenset((x, y))] == 1) for x in points}
@@ -548,6 +549,10 @@ def test_verify_witness_matches_minor_rank_tables_on_mutations():
     ("deleted", (3,)),  # repeated
     ("contracted", (10,)),  # repeated
     ("contracted", (999,)),  # not a label of M
+    # mapping entries that are not pairs
+    ("mapping", ((0,),)),
+    ("mapping", ((0, 1, 2),)),
+    ("mapping", (5,)),
 ])
 def test_verify_witness_rejects_malformed_witnesses(field, value):
     x = named("FORBIDDEN_A").matrix
@@ -656,7 +661,8 @@ def test_symmetry_pruning_changes_no_answer(monkeypatch):
     # every 0-5-point subset of PG(2, 3) into PG(2, 3) and into DOWLING3, the
     # 3-5-point subsets into the arc host (598 negatives), and has_minor(., AG23E)
     # on the table hosts M([I | D | X]) but the rank-7 X = G, once with the
-    # host generators and once with none
+    # host generators and once with none; and non-simple hosts, whose
+    # generators must keep class sizes
     arc = m_cols(E0, E1, E2, (1, 1, 1), (1, 1, 0), E12)
     hosts = [(m_cols(*PG23), range(6)), (named("DOWLING3").matroid(), range(6)), (arc, (3, 4, 5))]
     pairs = [
@@ -684,6 +690,23 @@ def test_symmetry_pruning_changes_no_answer(monkeypatch):
     monkeypatch.setattr(matroid_module, "find_embedding", counting_embedding)
     pruned = [matroid_module.find_embedding(m, n) for m, n in pairs]
     pruned_minors = [has_minor(t, ag) for t in tables]
+    # DOWLING3 plus 2h, labelled 9, for each of its columns h, and its
+    # restrictions to h, 9 and 3-6 other points (1,890 positives): a
+    # generator that moves the class {h, 9} onto a single point would skip
+    # the only candidates that take the class
+    dowling3 = named("DOWLING3").matroid()
+    cols = list(dowling3.matrix.columns)
+    doubled = []
+    for h in dowling3.labels:
+        twice = cols + [[2 * c % 3 for c in cols[h]]]
+        host = LinearMatroid(GFMatrix.from_columns(3, twice, nrows=3), dowling3.labels + (9,))
+        others = [x for x in dowling3.labels if x != h]
+        doubled += [(host.restrict({h, 9, *s}), host) for k in range(3, 7) for s in itertools.combinations(others, k)]
+    before = len(built)
+    for m, n in doubled:
+        found = matroid_module.find_embedding(m, n)
+        assert found is not None and verify_embedding(m, n, found)
+    assert len(doubled) == 1890 and len(built) - before >= 100
     monkeypatch.setattr(matroid_module, "_monomial_generators", lambda n: ())
     assert [real_embedding(m, n) for m, n in pairs] == pruned
     assert [has_minor(t, ag) for t in tables] == pruned_minors
@@ -750,11 +773,11 @@ def test_certificate_rejects_swapped_images():
 
 def test_nonsimple_loop_test_prunes_search(monkeypatch):
     # m = [e1, 2e1, e2] and n = [e1, 0, e2] over GF(3): placing n's loop on
-    # m's second parallel element passes both the pair check and the prefix
-    # rank, so only the loop test in _candidates stops it (5 nodes without it)
+    # m's second parallel element would pass both the pair check and the
+    # prefix rank; the loop counts (0 and 1) decide before any search node
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
     m = m_of([[1, 2, 0], [0, 0, 1]])
     n = m_of([[1, 0, 0], [0, 0, 1]])
     assert find_isomorphism(m, n) is None
-    assert counts["_dfs"] == 3
+    assert counts["_dfs"] == 0

@@ -161,7 +161,11 @@ def main(argv=None) -> int:
         "machine": machine(),
         "workloads": workloads,
     }
-    Path(args.out).write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    try:
+        Path(args.out).write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out}")
     return 0
 
