@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
+from typing import NoReturn
 
 import click
 
@@ -29,7 +30,7 @@ from .suites import _fmt_map, _fmt_set, run_suite, suite_names
 from .templates import CONTAINS_AG23E, classify_Y_template, verify_classification
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(message, err=True)
     sys.exit(code)
 
@@ -39,7 +40,6 @@ def _read_matrix(path: str) -> gf.GFMatrix:
         return gf.read_file(path)
     except (OSError, ValueError) as exc:
         _fail(2, f"error: cannot read matrix file {path}: {exc}")
-        raise AssertionError  # unreachable
 
 
 def _entry_or_die(id_: str, field: int):
@@ -47,7 +47,6 @@ def _entry_or_die(id_: str, field: int):
         return named(id_, field)
     except KeyError:
         _fail(2, f"unknown catalog id: {id_}")
-        raise AssertionError
 
 
 _FIELD_SUFFIX = {"GF3": 3, "GF5": 5}
@@ -126,7 +125,6 @@ def minor_cmd(matroid_file: str, target_id: str, contract: str | None, expect: s
     except (KeyError, ValueError) as exc:
         # str() of a KeyError is the repr of its message
         _fail(2, f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}")
-        raise AssertionError
     if witness is None:
         if hint:
             # a search seeded by a hint says nothing about the unhinted host
@@ -173,7 +171,6 @@ def classify_cmd(payload_file: str) -> None:
         cls = classify_Y_template(payload)
     except ValueError as exc:
         _fail(2, f"error: {exc}")
-        raise AssertionError
     ok, why = verify_classification(payload, cls)
     if not ok:
         _fail(1, f"certificate failed re-verification: {why}")

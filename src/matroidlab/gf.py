@@ -155,25 +155,6 @@ class GFMatrix:
             ncols=self.ncols,
         )
 
-    def permute_cols(self, order: Sequence[int]) -> "GFMatrix":
-        order = list(order)
-        if sorted(order) != list(range(self.ncols)):
-            raise ValueError("column order is not a permutation")
-        return GFMatrix(self.p, [[row[j] for j in order] for row in self.rows], ncols=len(order))
-
-    def delete_rows(self, indices: Iterable[int]) -> "GFMatrix":
-        drop = set(indices)
-        if any(not 0 <= i < self.nrows for i in drop):
-            raise IndexError("row index out of range")
-        return GFMatrix(self.p, [row for i, row in enumerate(self.rows) if i not in drop], ncols=self.ncols)
-
-    def delete_cols(self, indices: Iterable[int]) -> "GFMatrix":
-        drop = set(indices)
-        if any(not 0 <= j < self.ncols for j in drop):
-            raise IndexError("column index out of range")
-        keep = [j for j in range(self.ncols) if j not in drop]
-        return GFMatrix(self.p, [[row[j] for j in keep] for row in self.rows], ncols=len(keep))
-
     def take_cols(self, indices: Sequence[int]) -> "GFMatrix":
         if any(not 0 <= j < self.ncols for j in indices):
             raise IndexError("column index out of range")

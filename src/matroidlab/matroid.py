@@ -332,21 +332,11 @@ def _same_independent_sets(a_cols: Sequence, a_p: int, b_cols: Sequence, b_p: in
 def verify_bijection(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, int]) -> bool:
     """Full check that mapping (labels of m -> labels of n) is an isomorphism.
 
-    Independence of subsets of size at most rank determines every rank value,
-    so comparing those subsets' independence on both sides is a complete
-    test.  The subsets are walked depth first, each prefix eliminated once
-    per side, so each one-element extension is a zero test of a reduced
-    column; a prefix dependent on both sides has only dependent supersets on
-    both sides, so skipping its subtree leaves no subset unchecked.  Uses the
-    columns alone, never the search's points or pair table.
+    An isomorphism is an embedding onto all of n, and at equal sizes an
+    embedding's distinct images inside n are all of n, so this is
+    verify_embedding under the size test.
     """
-    if set(mapping.keys()) != set(m.labels) or set(mapping.values()) != set(n.labels):
-        return False
-    if m.size != n.size or m.rank() != n.rank():
-        return False
-    return _same_independent_sets(
-        [m.column_of(x) for x in m.labels], m.p, [n.column_of(mapping[x]) for x in m.labels], n.p, m.rank()
-    )
+    return m.size == n.size and verify_embedding(m, n, mapping)
 
 
 def verify_embedding(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, int]) -> bool:

@@ -94,7 +94,7 @@ def remove_row(P: GFMatrix, i: int) -> GFMatrix:
         raise ValueError("row index out of range")
     if any(sum(col) % P.p for col in P.columns):
         raise ValueError("row removal needs vanishing column sums")
-    return P.delete_rows([i])
+    return P.take_rows([k for k in range(P.nrows) if k != i])
 
 
 def strip_graphic_columns(P: GFMatrix) -> GFMatrix:
@@ -231,7 +231,12 @@ def find_submatrix(haystack: GFMatrix, needle: GFMatrix) -> SubmatrixHit | None:
     Row scaling is deliberately not among the allowed identifications.
     The search is deterministic: needle columns are placed left to
     right, candidate haystack columns, scalars and rows are tried in
-    ascending order, and the first complete placement wins.
+    ascending order, and the first complete placement wins.  Placing
+    column j places the needle rows first nonzero there; the rows zero in
+    every needle column are placed last.  One rule places every row:
+    haystack row r may play needle row i when r is free and every placed
+    column agrees on it, hay[h][r] = s * needle[i][j] for each needle
+    column j placed at haystack column h with scalar s.
     """
     if haystack.p != needle.p:
         raise ValueError("field mismatch between haystack and needle")
@@ -243,82 +248,48 @@ def find_submatrix(haystack: GFMatrix, needle: GFMatrix) -> SubmatrixHit | None:
     ndl_cols = needle.columns
     ndl_w = [weight(col) for col in ndl_cols]
 
+    # rows_at[h][v]: the haystack rows where column h holds v
+    rows_at = [[{r for r, x in enumerate(col) if x == v} for v in range(p)] for col in hay_cols]
+
     row_of: list[int | None] = [None] * needle.nrows
-    used_row = [False] * haystack.nrows
-    used_col = [False] * haystack.ncols
     col_map: list[int] = []
     col_scalar: list[int] = []
-    # haystack columns that must vanish on rows not yet assigned
-    pins: list[list[int]] = [[] for _ in range(needle.nrows)]
 
-    def place_rows(pend: list[int], target: tuple[int, ...], h: int, k: int, after) -> bool:
+    def place_rows(pend: list[int], k: int, j: int) -> bool:
         if k == len(pend):
-            return after()
+            return j == needle.ncols or place_col(j + 1)
         i = pend[k]
-        want = target[i]
-        for r in range(haystack.nrows):
-            if used_row[r] or hay_cols[h][r] != want:
-                continue
-            if any(hay_cols[h2][r] for h2 in pins[i]):
-                continue
+        # the free rows where every placed column agrees with needle row i;
+        # a row unplaced so far is zero in the earlier needle columns, so
+        # there those columns must vanish
+        fits = set(range(haystack.nrows)).difference(row_of)
+        for c, (h, s) in enumerate(zip(col_map, col_scalar)):
+            fits &= rows_at[h][s * ndl_cols[c][i] % p]
+        for r in sorted(fits):
             row_of[i] = r
-            used_row[r] = True
-            if place_rows(pend, target, h, k + 1, after):
+            if place_rows(pend, k + 1, j):
                 return True
-            row_of[i] = None
-            used_row[r] = False
+        row_of[i] = None
         return False
 
     def place_col(j: int) -> bool:
         if j == needle.ncols:
-            return finish()
+            # the rows left are zero in every needle column
+            return place_rows([i for i in range(needle.nrows) if row_of[i] is None], 0, j)
         col = ndl_cols[j]
         for h in range(haystack.ncols):
-            if used_col[h] or hay_w[h] < ndl_w[j]:
+            if h in col_map or hay_w[h] < ndl_w[j]:
                 continue
             for s in range(1, p):
-                target = tuple((s * x) % p for x in col)
-                if any(row_of[i] is not None and hay_cols[h][row_of[i]] != target[i] for i in range(needle.nrows)):
+                if any(r is not None and hay_cols[h][r] != s * x % p for r, x in zip(row_of, col)):
                     continue
-                pend = [i for i in range(needle.nrows) if row_of[i] is None and target[i]]
-                fresh_pins = [i for i in range(needle.nrows) if row_of[i] is None and not target[i]]
-                used_col[h] = True
                 col_map.append(h)
                 col_scalar.append(s)
-                for i in fresh_pins:
-                    pins[i].append(h)
-
-                def after() -> bool:
-                    return place_col(j + 1)
-
-                if place_rows(pend, target, h, 0, after):
+                if place_rows([i for i in range(needle.nrows) if row_of[i] is None and col[i]], 0, j):
                     return True
-                for i in fresh_pins:
-                    pins[i].pop()
                 col_scalar.pop()
                 col_map.pop()
-                used_col[h] = False
         return False
-
-    def finish() -> bool:
-        leftover = [i for i in range(needle.nrows) if row_of[i] is None]
-
-        def fill(k: int) -> bool:
-            if k == len(leftover):
-                return True
-            i = leftover[k]
-            for r in range(haystack.nrows):
-                if used_row[r] or any(hay_cols[h][r] for h in pins[i]):
-                    continue
-                row_of[i] = r
-                used_row[r] = True
-                if fill(k + 1):
-                    return True
-                row_of[i] = None
-                used_row[r] = False
-            return False
-
-        return fill(0)
 
     if not place_col(0):
         return None
@@ -335,17 +306,17 @@ class ScanHit:
     hit: SubmatrixHit
 
 
-def forbidden_scan(P: GFMatrix, ids: Sequence[str] | None = None) -> tuple[ScanHit, ...]:
-    """Every catalog forbidden matrix occurring in P, in catalog order.
+def forbidden_scan(P: GFMatrix) -> tuple[ScanHit, ...]:
+    """Every catalog forbidden matrix A-O occurring in P, in catalog order.
 
-    A matrix that occurs several times is still reported once, with its
-    first placement.
+    A matrix that occurs several times is still reported once, with the
+    first placement find_submatrix finds.
     """
     if P.p != 3:
         raise ValueError("the forbidden catalog lives over GF(3)")
     out = []
-    for key in ids if ids is not None else FORBIDDEN.keys():
-        hit = find_submatrix(P, GFMatrix(3, FORBIDDEN[key][0]))
+    for key, (rows, _) in FORBIDDEN.items():
+        hit = find_submatrix(P, GFMatrix(3, rows))
         if hit is not None:
             out.append(ScanHit(key, hit))
     return tuple(out)

@@ -52,6 +52,12 @@ def test_bad_run_spec_and_missing_result(bench_file, tmp_path, capsys):
     empty.write_text("")
     assert bench_file.main(["--out", str(tmp_path / "b.json"), f"parent:w:{empty}"]) == 2
     assert "empty output" in capsys.readouterr().err
+    partial = {"correct": True, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+    for i, last in enumerate(["5", "null", json.dumps(partial)]):
+        bad = tmp_path / f"bad{i}.txt"
+        bad.write_text("workload ...\n" + last + "\n")
+        assert bench_file.main(["--out", str(tmp_path / "b.json"), f"parent:w:{bad}"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: last line is not a perfbench result\n"
 
 
 def test_unequal_run_counts_exit_2(bench_file, tmp_path, capsys):

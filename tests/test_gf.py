@@ -82,14 +82,11 @@ def test_column_ops():
         m.scale_col(0, 0)
     assert m.column(1) == (2, 1)
     assert m.take_cols([1, 0]).columns == ((2, 1), (1, 0))
-    assert m.delete_cols([0]).ncols == 1
-    assert m.permute_cols([1, 0]) == m.take_cols([1, 0])
 
 
 def test_row_ops():
     m = GFMatrix(3, [[1, 0], [1, 1], [0, 2]])
     assert m.take_rows([2, 0]).rows == ((0, 2), (1, 0))
-    assert m.delete_rows([1]).nrows == 2
     assert m.add_row_to(0, 1, coeff=2).rows[1] == (0, 1)
     bumped = m.append_rows([[2, 2]])
     assert bumped.nrows == 4 and bumped.rows[3] == (2, 2)
@@ -154,5 +151,5 @@ def test_rank_invariant_under_row_and_column_moves():
         assert m.scale_col(rng.randrange(6), rng.randrange(1, p)).rank() == r
         order = list(range(6))
         rng.shuffle(order)
-        assert m.permute_cols(order).rank() == r
+        assert m.take_cols(order).rank() == r
         assert m.transpose().rank() == r

@@ -182,7 +182,7 @@ def test_iso_matches_naive_on_random_pairs():
         a = random_matrix(rng, 3, 4, 6)
         order = list(range(6))
         rng.shuffle(order)
-        b = a.permute_cols(order)
+        b = a.take_cols(order)
         for j in range(6):
             b = b.scale_col(j, rng.randrange(1, 3))
         iso = find_isomorphism(LinearMatroid(a), LinearMatroid(b))
@@ -193,7 +193,7 @@ def test_iso_matches_naive_on_random_pairs():
     for m in NONSIMPLE_FAMILY:
         order = list(range(m.size))
         rng.shuffle(order)
-        copy = m.matrix.permute_cols(order)
+        copy = m.matrix.take_cols(order)
         for j in range(m.size):
             copy = copy.scale_col(j, rng.randrange(1, 3))
         family.append(LinearMatroid(copy))
@@ -458,6 +458,15 @@ def test_verify_bijection_matches_rank_tables_on_swapped_maps():
         verdicts.append(want)
     # no transposition of OMEGA5's image labels is an isomorphism
     assert verdicts == [True] + [False] * 153
+
+
+def test_verify_bijection_rejects_embedding_into_larger_matroid():
+    # F7MINUS has rank 3 on 7 elements, DOWLING3 rank 3 on 9: the map is a
+    # rank-preserving embedding but misses two of DOWLING3's elements
+    f7, dowling3 = named("F7MINUS").matroid(), named("DOWLING3").matroid()
+    emb = find_embedding(f7, dowling3)
+    assert emb is not None and verify_embedding(f7, dowling3, emb)
+    assert not verify_bijection(f7, dowling3, emb)
 
 
 def test_walk_matches_rank_tables_on_all_four_column_matroids():

@@ -2,6 +2,7 @@
 the Y-template classifier with certificate replay, and the respects and
 conforms predicates."""
 
+import hashlib
 import random
 
 import pytest
@@ -114,8 +115,11 @@ def test_scanner_self_hits():
 
 
 def test_scanner_agrees_with_naive():
-    """Boolean agreement with the brute-force reference on random haystacks."""
+    """Boolean agreement with the brute-force reference on random haystacks;
+    the digest pins every first placement, which the determinism contract
+    fixes."""
     rng = random.Random(424242)
+    placements = []
     for _ in range(60):
         hay = GFMatrix(3, [[rng.randrange(-1, 2) for _ in range(4)] for _ in range(6)])
         for key, (rows, _) in FORBIDDEN.items():
@@ -123,8 +127,28 @@ def test_scanner_agrees_with_naive():
             mine = tp.find_submatrix(hay, needle)
             ref = naive_find_submatrix(hay, needle)
             assert (mine is None) == (ref is None), (key, hay.rows)
+            placements.append(None if mine is None else (mine.row_map, mine.col_map, mine.scalars))
             if mine is not None:
                 assert tp.check_submatrix_hit(hay, needle, mine)
+    assert len(placements) == 900 and sum(x is not None for x in placements) == 63
+    assert hashlib.sha256(repr(placements).encode()).hexdigest().startswith("9b4ffab15aea2772")
+
+
+@pytest.mark.parametrize(
+    "hay, needle, want",
+    [
+        # needle row 1 is zero in both columns: it needs a free row where
+        # both placed columns vanish, which only haystack row 3 is
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, 0]], [[1, 0], [0, 0], [1, 1]], ((1, 3, 2), (0, 1), (1, 1))),
+        # needle row 2 is zero in both columns, and haystack row 3 is the
+        # only free row where columns 0 and 2 both vanish
+        ([[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 1, 0]], [[1, 1], [0, 1], [0, 0]], ((0, 1, 3), (0, 2), (1, 1))),
+    ],
+)
+def test_scanner_places_zero_rows_where_placed_columns_vanish(hay, needle, want):
+    hit = tp.find_submatrix(gf3(hay), gf3(needle))
+    assert (hit.row_map, hit.col_map, hit.scalars) == want
+    assert tp.check_submatrix_hit(gf3(hay), gf3(needle), hit)
 
 
 def test_scanner_no_row_scaling():

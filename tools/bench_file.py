@@ -57,12 +57,13 @@ def machine() -> dict:
 
 
 def read_result(path: str) -> dict:
-    """The JSON result on the last non-empty line of a run's stdout."""
+    """The JSON result on the last non-empty line of a run's stdout: an
+    object with at least ``metrics``, ``correct`` and ``failed``."""
     lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty output")
     result = json.loads(lines[-1])
-    if "metrics" not in result:
+    if not isinstance(result, dict) or not {"metrics", "correct", "failed"} <= result.keys():
         raise ValueError(f"{path}: last line is not a perfbench result")
     return result
 
