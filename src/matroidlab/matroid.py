@@ -30,11 +30,12 @@ lexicographically least isomorphism.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .gf import GFMatrix
 
@@ -59,9 +60,10 @@ def _insert_into_basis(v: Sequence[int], basis: list, p: int) -> bool:
     return False
 
 
-def _normalize(v: Sequence[int], p: int) -> tuple[int, ...] | None:
+@functools.lru_cache(maxsize=1 << 16)  # every vector of GF(5)^6 fits
+def _normalize(v: tuple[int, ...], p: int) -> tuple[int, ...] | None:
     """v scaled so its first nonzero entry is 1: its projective point, or
-    None for the zero vector."""
+    None for the zero vector.  Memoized per (v, p)."""
     lead = next((c for c in v if c), 0)
     if not lead:
         return None
@@ -85,6 +87,7 @@ class LinearMatroid:
         self._col_of = {lab: j for j, lab in enumerate(labels)}
         self._rank_memo: dict[tuple[int, ...], int] = {}
         self._points: dict[int, tuple[int, ...] | None] | None = None
+        self._simple: LinearMatroid | None = None
         self._pair_table: _PairTable | None = None
         self._generators: tuple[_Monomial, ...] | None = None
 
@@ -155,33 +158,29 @@ class LinearMatroid:
         return child
 
     def contract(self, labels: Iterable[int]) -> "LinearMatroid":
-        """Contract by pivoting: each contracted non-loop removes one row."""
-        todo = sorted(set(labels))
-        for x in todo:
-            self._col_index(x)
-        work = [list(row) for row in self.matrix.rows]
-        live = list(self.labels)
+        """Contract one label at a time, in sorted order."""
+        return functools.reduce(LinearMatroid._contract_one, sorted(set(labels)), self)
+
+    def _contract_one(self, x: int) -> "LinearMatroid":
+        """M/x by pivoting on x's column: the pivot row, the first with a
+        nonzero entry there, is scaled to 1 and cleared from the others, then
+        it and the column are removed.  A loop is deleted."""
+        j = self._col_index(x)
+        rows = self.matrix.rows
+        pivot = next((i for i, row in enumerate(rows) if row[j]), None)
+        if pivot is None:
+            return self.delete([x])
         p = self.p
-        for x in todo:
-            j = live.index(x)
-            col = [work[i][j] for i in range(len(work))]
-            pivot = next((i for i, c in enumerate(col) if c), None)
-            if pivot is None:
-                # loop: contraction equals deletion
-                for row in work:
-                    del row[j]
-                del live[j]
-                continue
-            inv = pow(work[pivot][j], p - 2, p)
-            work[pivot] = [(c * inv) % p for c in work[pivot]]
-            for i in range(len(work)):
-                if i != pivot and work[i][j]:
-                    f = work[i][j]
-                    work[i] = [(a - f * b) % p for a, b in zip(work[i], work[pivot])]
-            del work[pivot]
-            for row in work:
-                del row[j]
-            del live[j]
+        inv = pow(rows[pivot][j], p - 2, p)
+        top = [c * inv % p for c in rows[pivot]]
+        work = []
+        for i, row in enumerate(rows):
+            if i != pivot:
+                f = row[j]
+                if f:
+                    row = [(a - f * b) % p for a, b in zip(row, top)]
+                work.append(row[:j] + row[j + 1:])
+        live = self.labels[:j] + self.labels[j + 1:]
         return LinearMatroid(GFMatrix(p, work, ncols=len(live)), live)
 
     def minor(self, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "LinearMatroid":
@@ -213,11 +212,13 @@ class LinearMatroid:
         return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: min(g)))
 
     def simplify(self) -> "LinearMatroid":
-        """The restriction to the least label of each parallel class; self
-        when already simple, so that what is cached on it is kept."""
+        """The restriction to the least label of each parallel class, built
+        once; self when already simple, so that what is cached on it is kept."""
         if self.is_simple():
             return self
-        return self.restrict(min(cls) for cls in self.parallel_classes())
+        if self._simple is None:
+            self._simple = self.restrict(min(cls) for cls in self.parallel_classes())
+        return self._simple
 
     def is_simple(self) -> bool:
         pts = self._point_map().values()
@@ -446,7 +447,7 @@ class _PairTable:
             if (a, b) in closure:
                 continue
             u, v = point_of[a], point_of[b]
-            on_line = [v] + [_normalize([(c + t * d) % p for c, d in zip(u, v)], p) for t in range(p)]
+            on_line = [v] + [_normalize(tuple((c + t * d) % p for c, d in zip(u, v)), p) for t in range(p)]
             present = [label_at[w] for w in on_line if w in label_at]
             mask = sum(self.bit[x] for x in present)
             for pair in itertools.permutations(present, 2):
@@ -854,29 +855,59 @@ def _minor_witness_from_embedding(
     return MinorWitness(tuple(sorted(contracted)), deleted, mapping)
 
 
+def _flat_stages(m: LinearMatroid, k: int) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
+    """(T, M/T) for each independent k-set T of m, in lexicographic order,
+    whose closure no earlier T spans: M/T and M/T' differ only in loops when
+    cl(T) = cl(T'), so their simplifications are equal, labels included.
+
+    The k-sets are walked as a prefix tree, each child contracting one more
+    label of its parent.  x extends an independent prefix P independently
+    exactly when x is not a loop of M/P, and cl(P + x) is P plus the loops
+    of M/P and x's parallel class there, read off M/P's points.
+    """
+    labels = sorted(m.labels)
+    seen: set[frozenset[int]] = set()
+
+    def walk(node: LinearMatroid, prefix: tuple[int, ...], start: int):
+        if len(prefix) == k:
+            yield prefix, node
+            return
+        points = node._point_map()
+        for i in range(start, len(labels) - k + len(prefix) + 1):
+            x = labels[i]
+            if points[x] is None:
+                continue
+            if len(prefix) + 1 == k:
+                # a leaf is contracted only when its flat is new
+                flat = frozenset(prefix).union(y for y, pt in points.items() if pt in (None, points[x]))
+                if flat in seen:
+                    continue
+                seen.add(flat)
+            yield from walk(node._contract_one(x), prefix + (x,), i + 1)
+
+    yield from walk(m, (), 0)
+
+
 def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = None) -> MinorWitness | None:
     """Search for an n-minor of m; n must be simple (and is, for every target
     used here: all are 3-connected).
 
     With a hint, that set is contracted first and the search continues in the
     simplification, mirroring how the original computations were expedited.
-    Candidate contract sets are enumerated in lexicographic order, so the
-    returned witness is deterministic.
+    Candidate contract sets T, independent of the spare rank, are taken in
+    lexicographic order, and each flat they span is searched once, at its
+    first T, which gives the same si(M/T) as every other: so the witness is
+    deterministic, and the same as if every T were searched.
     """
     if not n.is_simple():
         raise ValueError("minor search targets must be simple")
     hint = tuple(sorted(set(hint))) if hint else ()
-    for x in hint:
-        m._col_index(x)
-    start = m.contract(hint) if hint else m
-    base = start.simplify()
+    base = m.contract(hint).simplify()
     spare_rank = base.rank() - n.rank()
     if spare_rank < 0 or base.size < n.size:
         return None
-    for extra in itertools.combinations(sorted(base.labels), spare_rank):
-        if not base.is_independent(extra):
-            continue
-        stage = base.contract(extra).simplify() if extra else base
+    for extra, stage in _flat_stages(base, spare_rank):
+        stage = stage.simplify()
         if stage.size < n.size:
             continue
         embedding = find_embedding(n, stage)
@@ -889,13 +920,4 @@ def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = N
 def has_u24_minor(m: LinearMatroid) -> bool:
     """True iff some independent contraction to rank 2 leaves >= 4 points."""
     r = m.rank()
-    if r < 2:
-        return False
-    if r == 2:
-        return len(m.simplify().labels) >= 4
-    for t in itertools.combinations(sorted(m.labels), r - 2):
-        if not m.is_independent(t):
-            continue
-        if len(m.contract(t).simplify().labels) >= 4:
-            return True
-    return False
+    return r >= 2 and any(len(stage.simplify().labels) >= 4 for _, stage in _flat_stages(m, r - 2))

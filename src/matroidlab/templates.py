@@ -812,13 +812,7 @@ def conforms_step(A: GFMatrix, pl: Placement, z_assignment: Mapping[int, int]) -
 def conforming_matroid(A: GFMatrix, pl: Placement, labels: Sequence[int] | None = None) -> LinearMatroid:
     """Matroid of A with the C columns contracted and Y1 deleted."""
     m = LinearMatroid(A, labels)
-    contracted = [m.labels[j] for j in pl.c_cols]
-    deleted = [m.labels[j] for j in pl.y1_cols]
-    if contracted:
-        m = m.contract(contracted)
-    if deleted:
-        m = m.delete(deleted)
-    return m
+    return m.minor([m.labels[j] for j in pl.c_cols], [m.labels[j] for j in pl.y1_cols])
 
 
 # -- reduced and lifted shape --------------------------------------------------------

@@ -53,7 +53,10 @@ def test_bad_run_spec_and_missing_result(bench_file, tmp_path, capsys):
     assert bench_file.main(["--out", str(tmp_path / "b.json"), f"parent:w:{empty}"]) == 2
     assert "empty output" in capsys.readouterr().err
     partial = {"correct": True, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
-    for i, last in enumerate(["5", "null", json.dumps(partial)]):
+    # metrics that are not an object of {"value", "unit"} objects
+    bare = {"correct": True, "failed": 0, "metrics": {"wall_s": 1.0}}
+    listed = {"correct": True, "failed": 0, "metrics": [1]}
+    for i, last in enumerate(["5", "null", json.dumps(partial), json.dumps(bare), json.dumps(listed)]):
         bad = tmp_path / f"bad{i}.txt"
         bad.write_text("workload ...\n" + last + "\n")
         assert bench_file.main(["--out", str(tmp_path / "b.json"), f"parent:w:{bad}"]) == 2

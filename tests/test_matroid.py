@@ -388,6 +388,102 @@ def test_minor_matches_naive_on_random_instances():
                 assert verify_witness(m, n, got)
 
 
+def _lexicographic_has_minor(m, n, hint=None):
+    """has_minor as one plain loop: every independent set of the spare rank,
+    in lexicographic order, each stage contracted and simplified anew."""
+    hint = tuple(sorted(set(hint))) if hint else ()
+    base = m.contract(hint).simplify()
+    spare_rank = base.rank() - n.rank()
+    if spare_rank < 0 or base.size < n.size:
+        return None
+    for extra in itertools.combinations(sorted(base.labels), spare_rank):
+        if not base.is_independent(extra):
+            continue
+        stage = base.contract(extra).simplify()
+        if stage.size < n.size:
+            continue
+        embedding = find_embedding(n, stage)
+        if embedding is not None:
+            contracted = tuple(sorted(hint + extra))
+            deleted = tuple(sorted(set(m.labels) - set(contracted) - set(embedding.values())))
+            return MinorWitness(contracted, deleted, tuple(sorted(embedding.items())))
+    return None
+
+
+def test_flat_walk_matches_lexicographic_loop():
+    # the same witness, or None, as trying every independent contraction set:
+    # on the table hosts M([I | D | X]) but the rank-7 X = G, on four family
+    # hosts, and on seeded GF(3) and GF(5) hosts, some hinted, some non-simple
+    tables = [named(f"FORBIDDEN_{key}").matrix for key in "ABCDEFHIJKLMNO"]
+    cases = [(LinearMatroid(universal_matrix(x, x.nrows)), None) for x in tables]
+    cases += [(named(key).matroid(), None) for key in ("PI4", "SIGMA4", "OMEGA5", "DOWLING4")]
+    rng = random.Random(4096)
+    for p in (3, 5):
+        for i in range(12):
+            nrows = rng.randint(3, 4)
+            if i % 2:
+                m = _with_loops_and_classes(p, rng, nrows, rng.randint(7, 10))
+            else:
+                m = LinearMatroid(random_matrix(rng, p, nrows, rng.randint(6, 9)))
+            cases.append((m, (rng.choice(m.labels),) if i % 3 == 0 else None))
+    found = nonsimple = 0
+    for m, hint in cases:
+        targets = [named(key, m.p).matroid() for key in ("AG23E", "F7MINUS", "U24")]
+        nonsimple += not m.is_simple()
+        for n in targets:
+            got = has_minor(m, n, hint=hint)
+            assert got == _lexicographic_has_minor(m, n, hint=hint)
+            found += got is not None
+    assert len(cases) == 42 and nonsimple >= 8 and found >= 30
+
+
+def test_minor_matches_naive_on_pg23_restrictions():
+    # every 5- and 6-point restriction of PG(2, 3), against U24 and M(K3)
+    targets = (u24(), m_of([[1, 0, 1], [0, 1, 1]]))
+    negatives = 0
+    for k in (5, 6):
+        for cols in itertools.combinations(PG23, k):
+            m = m_cols(*cols)
+            for n in targets:
+                got = has_minor(m, n)
+                assert (got is not None) == naive_has_minor(m, n)
+                negatives += got is None
+    assert negatives == 936
+
+
+def test_flat_walk_yields_the_first_set_of_each_flat():
+    # against closures from rank calls: the lexicographically first
+    # independent k-set of each rank-k flat, in order, with M/T as its stage
+    rng = random.Random(77)
+    for p in (3, 5):
+        for _ in range(4):
+            m = _with_loops_and_classes(p, rng, 4, 12)
+            for k in range(m.rank() + 1):
+                want, flats = [], set()
+                for t in itertools.combinations(sorted(m.labels), k):
+                    flat = frozenset(x for x in m.labels if m.rank(t + (x,)) == k)
+                    if m.is_independent(t) and flat not in flats:
+                        flats.add(flat)
+                        want.append(t)
+                got = list(matroid_module._flat_stages(m, k))
+                assert [t for t, _ in got] == want
+                for t, stage in got:
+                    assert (stage.labels, stage.matrix) == (tuple(x for x in m.labels if x not in t), m.contract(t).matrix)
+    # PG(3, 3) has 40 points, 130 lines and 40 planes
+    pg33 = [v for v in itertools.product(range(3), repeat=4) if any(v) and next(x for x in v if x) == 1]
+    pg = LinearMatroid(GFMatrix.from_columns(3, pg33, nrows=4))
+    assert [sum(1 for _ in matroid_module._flat_stages(pg, k)) for k in range(5)] == [1, 40, 130, 40, 1]
+
+
+@pytest.mark.parametrize("host, searches", [("PI5", 76), ("OMEGA5", 61)])
+def test_minor_search_tries_each_flat_once(monkeypatch, host, searches):
+    # the loop over every independent contraction set made 98 and 87 searches
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, counts, matroid_module, "find_embedding")
+    assert has_minor(named(host).matroid(), named("AG23E").matroid()) is None
+    assert counts["find_embedding"] == searches
+
+
 def test_has_u24_minor():
     assert not has_u24_minor(mk4())
     assert has_u24_minor(u24())
@@ -681,20 +777,28 @@ def test_symmetry_pruning_changes_no_answer(monkeypatch):
     tables = [LinearMatroid(universal_matrix(x, x.nrows)) for x in tables]
     ag = named("AG23E").matroid()
     real_generators, real_embedding = matroid_module._monomial_generators, matroid_module.find_embedding
-    built: list = []
+    real_host_generators = _RankPreservingSearch._host_generators
+    pruning: list = []  # searches that pruned with the host's generators
+    built: list = []  # hosts whose generators were built, not read from the cache
     pruned_by_outcome = {"no": 0, "yes": 0}
 
+    def counting_host_generators(search):
+        pruning.append(search.n)
+        return real_host_generators(search)
+
     def counting_generators(n):
-        built.append(n)
+        if n._generators is None:
+            built.append(n)
         return real_generators(n)
 
     def counting_embedding(m, n):
-        before = len(built)
+        before = len(pruning)
         found = real_embedding(m, n)
-        if len(built) > before:
+        if len(pruning) > before:
             pruned_by_outcome["no" if found is None else "yes"] += 1
         return found
 
+    monkeypatch.setattr(_RankPreservingSearch, "_host_generators", counting_host_generators)
     monkeypatch.setattr(matroid_module, "_monomial_generators", counting_generators)
     monkeypatch.setattr(matroid_module, "find_embedding", counting_embedding)
     pruned = [matroid_module.find_embedding(m, n) for m, n in pairs]
@@ -711,11 +815,12 @@ def test_symmetry_pruning_changes_no_answer(monkeypatch):
         host = LinearMatroid(GFMatrix.from_columns(3, twice, nrows=3), dowling3.labels + (9,))
         others = [x for x in dowling3.labels if x != h]
         doubled += [(host.restrict({h, 9, *s}), host) for k in range(3, 7) for s in itertools.combinations(others, k)]
-    before = len(built)
+    searches, builds = len(pruning), len(built)
     for m, n in doubled:
         found = matroid_module.find_embedding(m, n)
         assert found is not None and verify_embedding(m, n, found)
-    assert len(doubled) == 1890 and len(built) - before >= 100
+    # each host's simplification, and with it its generators, is built once
+    assert len(doubled) == 1890 and len(pruning) - searches >= 100 and len(built) - builds <= 9
     monkeypatch.setattr(matroid_module, "_monomial_generators", lambda n: ())
     assert [real_embedding(m, n) for m, n in pairs] == pruned
     assert [has_minor(t, ag) for t in tables] == pruned_minors
@@ -750,7 +855,8 @@ def test_verifiers_never_read_search_structures():
     # the independent re-checks name none of the search's structures, in
     # their own code or in any function nested in it
     search_names = {"_PairTable", "_RankPreservingSearch", "_monomial_generators", "_orbit_minima", "_certified",
-                    "_point_map", "_pair_table", "_generators", "_points"}
+                    "_point_map", "_pair_table", "_generators", "_points", "_flat_stages", "_contract_one",
+                    "contract"}
 
     def names(code):
         out = set(code.co_names)

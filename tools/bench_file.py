@@ -58,12 +58,18 @@ def machine() -> dict:
 
 def read_result(path: str) -> dict:
     """The JSON result on the last non-empty line of a run's stdout: an
-    object with at least ``metrics``, ``correct`` and ``failed``."""
+    object with at least ``correct``, ``failed`` and ``metrics``, an object
+    whose every entry is an object with ``value`` and ``unit``."""
     lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty output")
     result = json.loads(lines[-1])
-    if not isinstance(result, dict) or not {"metrics", "correct", "failed"} <= result.keys():
+    metrics = result.get("metrics") if isinstance(result, dict) else None
+    if not (
+        isinstance(metrics, dict)
+        and {"correct", "failed"} <= result.keys()
+        and all(isinstance(m, dict) and {"value", "unit"} <= m.keys() for m in metrics.values())
+    ):
         raise ValueError(f"{path}: last line is not a perfbench result")
     return result
 
