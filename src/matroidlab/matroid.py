@@ -856,9 +856,10 @@ def _minor_witness_from_embedding(
 
 
 def _flat_stages(m: LinearMatroid, k: int) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
-    """(T, M/T) for each independent k-set T of m, in lexicographic order,
-    whose closure no earlier T spans: M/T and M/T' differ only in loops when
-    cl(T) = cl(T'), so their simplifications are equal, labels included.
+    """(T, si(M/T)) for each independent k-set T of m, in lexicographic
+    order, whose closure no earlier T spans: M/T and M/T' differ only in
+    loops when cl(T) = cl(T'), so their simplifications are equal, labels
+    included.
 
     The k-sets are walked as a prefix tree, each child contracting one more
     label of its parent.  x extends an independent prefix P independently
@@ -870,7 +871,7 @@ def _flat_stages(m: LinearMatroid, k: int) -> Iterator[tuple[tuple[int, ...], Li
 
     def walk(node: LinearMatroid, prefix: tuple[int, ...], start: int):
         if len(prefix) == k:
-            yield prefix, node
+            yield prefix, node.simplify()
             return
         points = node._point_map()
         for i in range(start, len(labels) - k + len(prefix) + 1):
@@ -907,7 +908,6 @@ def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = N
     if spare_rank < 0 or base.size < n.size:
         return None
     for extra, stage in _flat_stages(base, spare_rank):
-        stage = stage.simplify()
         if stage.size < n.size:
             continue
         embedding = find_embedding(n, stage)
@@ -920,4 +920,4 @@ def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = N
 def has_u24_minor(m: LinearMatroid) -> bool:
     """True iff some independent contraction to rank 2 leaves >= 4 points."""
     r = m.rank()
-    return r >= 2 and any(len(stage.simplify().labels) >= 4 for _, stage in _flat_stages(m, r - 2))
+    return r >= 2 and any(stage.size >= 4 for _, stage in _flat_stages(m, r - 2))

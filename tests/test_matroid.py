@@ -453,7 +453,7 @@ def test_minor_matches_naive_on_pg23_restrictions():
 
 def test_flat_walk_yields_the_first_set_of_each_flat():
     # against closures from rank calls: the lexicographically first
-    # independent k-set of each rank-k flat, in order, with M/T as its stage
+    # independent k-set of each rank-k flat, in order, with si(M/T) as its stage
     rng = random.Random(77)
     for p in (3, 5):
         for _ in range(4):
@@ -468,7 +468,8 @@ def test_flat_walk_yields_the_first_set_of_each_flat():
                 got = list(matroid_module._flat_stages(m, k))
                 assert [t for t, _ in got] == want
                 for t, stage in got:
-                    assert (stage.labels, stage.matrix) == (tuple(x for x in m.labels if x not in t), m.contract(t).matrix)
+                    simple = m.contract(t).simplify()
+                    assert (stage.labels, stage.matrix) == (simple.labels, simple.matrix)
     # PG(3, 3) has 40 points, 130 lines and 40 planes
     pg33 = [v for v in itertools.product(range(3), repeat=4) if any(v) and next(x for x in v if x) == 1]
     pg = LinearMatroid(GFMatrix.from_columns(3, pg33, nrows=4))
