@@ -25,6 +25,7 @@ from .matroid import (
     find_embedding,
     find_isomorphism,
     has_minor,
+    verify_witness,
 )
 from .suites import _fmt_map, _fmt_set, run_suite, suite_names
 from .templates import CONTAINS_AG23E, classify_Y_template, verify_classification
@@ -120,8 +121,9 @@ def minor_cmd(matroid_file: str, target_id: str, contract: str | None, expect: s
             hint = tuple(int(x) for x in contract.split(",") if x.strip())
         except ValueError:
             _fail(2, f"error: bad --contract list: {contract}")
+    target = entry.matroid()
     try:
-        witness = has_minor(m, entry.matroid(), hint=hint)
+        witness = has_minor(m, target, hint=hint)
     except (KeyError, ValueError) as exc:
         # str() of a KeyError is the repr of its message
         _fail(2, f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}")
@@ -132,6 +134,9 @@ def minor_cmd(matroid_file: str, target_id: str, contract: str | None, expect: s
             sys.exit(1)
         click.echo("no minor")
         sys.exit(0 if expect == "no" else 1)
+    # the search's leaf check ran on si(M/T), built by contraction code
+    if not verify_witness(m, target, witness):
+        _fail(1, "witness failed re-verification")
     click.echo(f"contract {_fmt_set(witness.contracted)}")
     click.echo(f"delete {_fmt_set(witness.deleted)}")
     click.echo(f"map {_fmt_map(witness.as_dict())}")

@@ -341,28 +341,10 @@ def verify_bijection(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, i
 
 
 def verify_embedding(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, int]) -> bool:
-    """Full check that mapping embeds m into n preserving every subset rank.
-
-    The image must have m's rank, and every subset of m of size at most
-    that rank must be independent exactly when its image is.  The subsets
-    are walked depth first, each prefix eliminated once per side, so each
-    one-element extension is a zero test of a reduced column; a prefix
-    dependent on both sides has only dependent supersets on both sides, so
-    skipping its subtree leaves no subset unchecked.  Uses the columns
-    alone, never the search's points or pair table.
-    """
-    if set(mapping.keys()) != set(m.labels):
-        return False
-    image = list(mapping.values())
-    if len(set(image)) != len(image) or not set(image) <= set(n.labels):
-        return False
-    r = m.rank()
-    if n.rank(image) != r:
-        # ranks above r inside the image would otherwise go unnoticed
-        return False
-    return _same_independent_sets(
-        [m.column_of(x) for x in m.labels], m.p, [n.column_of(mapping[x]) for x in m.labels], n.p, r
-    )
+    """Full check that mapping embeds m into n preserving every subset rank:
+    a restriction is the minor of n that contracts nothing."""
+    deleted = tuple(set(n.labels) - set(mapping.values()))
+    return verify_witness(n, m, MinorWitness((), deleted, tuple(mapping.items())))
 
 
 def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) -> bool:
@@ -406,10 +388,11 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
     t_rank, images = _reduce_modulo(
         [m.column_of(x) for x in sorted(contracted)], [m.column_of(mapping[x]) for x in n.labels], m.p
     )
-    if m.rank(image | contracted) - t_rank != n.rank():
+    r = n.rank()
+    if m.rank(image | contracted) - t_rank != r:
         # ranks above n's inside the image would otherwise go unnoticed
         return False
-    return _same_independent_sets([n.column_of(x) for x in n.labels], n.p, images, m.p, n.rank())
+    return _same_independent_sets([n.column_of(x) for x in n.labels], n.p, images, m.p, r)
 
 
 # -- pair table for the rank-preserving search -----------------------------------------
@@ -916,8 +899,3 @@ def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = N
             return _minor_witness_from_embedding(m, contracted, embedding)
     return None
 
-
-def has_u24_minor(m: LinearMatroid) -> bool:
-    """True iff some independent contraction to rank 2 leaves >= 4 points."""
-    r = m.rank()
-    return r >= 2 and any(stage.size >= 4 for _, stage in _flat_stages(m, r - 2))

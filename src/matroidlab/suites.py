@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .catalog import named, table_rows, universal_matrix
+from .catalog import named, table_rows, universal_block_labels, universal_matrix, universal_matroid
 from .matroid import (
     LinearMatroid,
     find_embedding,
@@ -145,7 +145,7 @@ def _tables_checks() -> list[Check]:
     checks = []
     for row in table_rows():
         def run(row=row):
-            m = LinearMatroid(universal_matrix(row.matrix, row.matrix.nrows))
+            m = universal_matroid(row.matrix, row.matrix.nrows)
             return _minor_check(m, named("AG23E").matroid(), row.contract_hint)
 
         checks.append(
@@ -231,7 +231,7 @@ def _nearreg_checks() -> list[Check]:
 
     def col4_contract():
         entry = named("FORBIDDEN_A")
-        m = LinearMatroid(universal_matrix(entry.matrix, entry.matrix.nrows))
+        m = universal_matroid(entry.matrix, entry.matrix.nrows)
         ok, witness = _minor_check(m, named("F7MINUS").matroid(), entry.contract_hint)
         # restriction claim: nothing beyond the payload column may be contracted
         if ok and not witness.startswith(f"contract={_fmt_set(entry.contract_hint)} "):
@@ -241,7 +241,7 @@ def _nearreg_checks() -> list[Check]:
     def payload_minor(id_):
         def run():
             entry = named(id_)
-            m = LinearMatroid(universal_matrix(entry.matrix, entry.matrix.nrows))
+            m = universal_matroid(entry.matrix, entry.matrix.nrows)
             return _minor_check(m, named("F7MINUS").matroid(), entry.contract_hint)
 
         return run
@@ -304,19 +304,6 @@ def _classify_check(payload_id: str, want: str) -> Callable[[], tuple[bool, str]
     return run
 
 
-def _pi5_block_labels(mid: bool) -> tuple[int, ...]:
-    # clique block: the identity and difference columns; mid block: the columns
-    # supported on the payload's four rows, payload included
-    mat = named("PI5").matrix
-    if not mid:
-        return tuple(range(mat.nrows * (mat.nrows + 1) // 2))
-    return tuple(
-        j
-        for j in range(mat.ncols)
-        if all(mat.entry(i, j) == 0 for i in range(4, mat.nrows))
-    )
-
-
 def _templates_checks() -> list[Check]:
     def y0_respects():
         rep = respects(
@@ -338,13 +325,14 @@ def _templates_checks() -> list[Check]:
     def x_iso():
         return _iso_check(named("AG23E_X").matroid(), named("AG23E").matroid())
 
+    # the clique block [I|D] and the [I4|D4|T1] block on PI5's first four rows
+    clique, mid = universal_block_labels(5, 4, 3)
+
     def pi5_clique():
-        block = named("PI5").matroid().restrict(_pi5_block_labels(mid=False))
-        return _iso_check(block, named("MK6").matroid())
+        return _iso_check(named("PI5").matroid().restrict(clique), named("MK6").matroid())
 
     def pi5_midblock():
-        block = named("PI5").matroid().restrict(_pi5_block_labels(mid=True))
-        return _iso_check(block, named("PI4").matroid())
+        return _iso_check(named("PI5").matroid().restrict(mid), named("PI4").matroid())
 
     return [
         Check(

@@ -19,7 +19,6 @@ from matroidlab.matroid import (
     find_embedding,
     find_isomorphism,
     has_minor,
-    has_u24_minor,
     verify_bijection,
     verify_embedding,
     verify_witness,
@@ -170,7 +169,6 @@ def test_criterion_8_oracle_equivalence():
         m = LinearMatroid(random_matrix(rng, 3, nrows, ncols))
         fast = has_minor(m, u24)
         assert (fast is not None) == naive_has_minor(m, u24)
-        assert has_u24_minor(m) == (fast is not None)
         if fast is not None:
             assert verify_witness(m, u24, fast)
         if m.rank() >= 3 and m.size >= ag.size:

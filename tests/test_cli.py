@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 from click.testing import CliRunner
 
-from matroidlab import gf
+from matroidlab import cli, gf
 from matroidlab import suites
 from matroidlab.catalog import named
 from matroidlab.cli import main
@@ -155,6 +156,19 @@ def test_minor_hinted_negative_names_scope_exit_1(runner, tmp_path):
         )
         assert result.exit_code == 1
         assert result.output == "no minor of M/{1,2}\n"
+
+
+def test_minor_rechecks_witness_on_host(runner, tmp_path, monkeypatch):
+    path = emit(runner, tmp_path, "AG23E_Y0")
+    host, target = LinearMatroid(gf.read_file(path)), named("AG23E").matroid()
+    w = cli.has_minor(host, target)
+    (a, x), (b, y) = w.mapping[:2]
+    swapped = dataclasses.replace(w, mapping=((a, y), (b, x)) + w.mapping[2:])
+    assert verify_witness(host, target, w) and not verify_witness(host, target, swapped)
+    monkeypatch.setattr(cli, "has_minor", lambda *args, **kwargs: swapped)
+    result = runner.invoke(main, ["minor", "-m", path, "-n", "AG23E"])
+    assert result.exit_code == 1
+    assert result.output == "witness failed re-verification\n"
 
 
 # -- classify --------------------------------------------------------------------

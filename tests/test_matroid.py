@@ -15,7 +15,6 @@ from matroidlab.matroid import (
     find_embedding,
     find_isomorphism,
     has_minor,
-    has_u24_minor,
     is_isomorphic,
     is_restriction_of,
     verify_bijection,
@@ -486,11 +485,20 @@ def test_minor_search_tries_each_flat_once(monkeypatch, host, searches):
 
 
 def test_has_u24_minor():
-    assert not has_u24_minor(mk4())
-    assert has_u24_minor(u24())
-    # 4-point line plus a spanning element in rank 3
-    m = m_of([[1, 0, 1, 1, 0], [0, 1, 1, -1, 0], [0, 0, 0, 0, 1]])
-    assert has_u24_minor(m)
+    u = named("U24").matroid()
+    # 4-point line plus a spanning element in rank 3; over GF(5), the
+    # 6-point line plus a spanning element
+    hosts = [
+        (mk4(), False),
+        (u24(), True),
+        (m_of([[1, 0, 1, 1, 0], [0, 1, 1, -1, 0], [0, 0, 0, 0, 1]]), True),
+        (m_of([[1, 0, 1, 1, 1, 1, 0], [0, 1, 1, 2, 3, 4, 0], [0, 0, 0, 0, 0, 0, 1]], p=5), True),
+    ]
+    for m, want in hosts:
+        w = has_minor(m, u)
+        assert (w is not None) == want
+        if w is not None:
+            assert verify_witness(m, u, w)
 
 
 def test_minor_commutation_randomized():
@@ -669,6 +677,20 @@ def test_verify_witness_rejects_malformed_witnesses(field, value):
     old = getattr(w, field)
     bad = dataclasses.replace(w, **{field: value + old if field == "mapping" else old + value})
     assert verify_witness(m, n, bad) is False
+
+
+@pytest.mark.parametrize("mapping", [
+    {0: 0, 1: 1, 2: 2},  # missing key
+    {0: 0, 1: 1, 2: 2, 3: 3, 4: 4},  # extra key
+    {0: 0, 1: 1, 2: 2, 3: 2},  # repeated image
+    {0: 0, 1: 1, 2: 2, 3: 9},  # image outside n
+    {0: 0, 1: 1, 2: 2, "3": 3},  # non-int key
+])
+def test_verify_embedding_rejects_malformed_mappings(mapping):
+    m, n = u24(), m_of([[1, 0, 1, 1, 0], [0, 1, 1, -1, 0], [0, 0, 0, 0, 1]])
+    assert verify_embedding(m, n, {0: 0, 1: 1, 2: 2, 3: 3})
+    assert verify_embedding(m, n, mapping) is False
+    assert verify_embedding(LinearMatroid(GFMatrix(3, [[], []], ncols=0)), n, {}) is True
 
 
 def test_verify_embedding_matches_subset_ranks_with_loops_and_classes():
