@@ -90,6 +90,7 @@ class LinearMatroid:
         self._simple: LinearMatroid | None = None
         self._pair_table: _PairTable | None = None
         self._generators: tuple[_Monomial, ...] | None = None
+        self._patterns: dict[bool, _Pattern] = {}
 
     # -- basics ---------------------------------------------------------------
 
@@ -632,6 +633,48 @@ def _orbit_minima(gens: Sequence[_Monomial]) -> dict[int, int]:
     return {x: find(x) for x in root}
 
 
+class _Pattern:
+    """m's half of a search, which no host changes: loops, classes, keys,
+    element order (sorted for an isomorphism, ``_search_order``'s otherwise),
+    anchors, pair checks and, on first use, prefix ranks.  ``of`` builds it
+    once per matroid and order kind and caches it on m."""
+
+    @classmethod
+    def of(cls, m: LinearMatroid, bijective: bool) -> "_Pattern":
+        if bijective not in m._patterns:
+            m._patterns[bijective] = cls(m, bijective)
+        return m._patterns[bijective]
+
+    def __init__(self, m: LinearMatroid, bijective: bool):
+        self.loops = sorted(m.loops())
+        self.classes = {c[0]: c for c in m.parallel_classes()}
+        self.table = _PairTable.of(m.simplify())
+        through = self.table.through()
+        self.keys = {x: (through[x], len(c)) for x, c in self.classes.items()}
+        self.order = self.table.labels if bijective else _search_order(self.table)
+        self.anchors = {x: self.table.anchor(self.order[:i], x) for i, x in enumerate(self.order)}
+        self.checks = [self._pair_checks(depth) for depth in range(len(self.order))]
+        self._prefix_rank: list[int] | None = None
+
+    def prefix_rank(self, sm: LinearMatroid) -> list[int]:
+        if self._prefix_rank is None:  # sm = si(m) is passed in: holding it would make a cycle with m
+            self._prefix_rank = [sm.rank(self.order[: i + 1]) for i in range(len(self.order))]
+        return self._prefix_rank
+
+    def _pair_checks(self, depth: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(p, placed labels of the line through p and x) for the first placed
+        p on each line through x = order[depth].  Distinct lines through x
+        share no placed point, and in the simple si(n) any two placed images
+        on the line through f(p) and y span that same line, so the test for a
+        second p on the line repeats the first."""
+        tm, x, placed = self.table, self.order[depth], self.order[:depth]
+        placed_mask = sum(tm.bit[p] for p in placed)
+        first_on: dict[int, int] = {}  # line -> its first placed p
+        for p in placed:
+            first_on.setdefault(tm.closure[p, x], p)
+        return [(p, tuple(tm.members(line & placed_mask))) for line, p in first_on.items()]
+
+
 class _RankPreservingSearch:
     """Backtracking search for rank-preserving injections m -> n.
 
@@ -641,7 +684,13 @@ class _RankPreservingSearch:
     point by its line sizes and class size, and the leaf expands the map:
     m's loops in sorted order onto n's least loops, each class in sorted
     order onto the least members of its image's class.  The leaf check runs
-    on m and n.
+    on m and n.  m's side is read from its cached ``_Pattern``.
+
+    The prefix-rank test (the placed images span as much as the placed
+    elements) runs only in hosts of rank >= 4: in the simple si(n), once the
+    pair checks pass, an unanchored x's image y grows a prefix of rank <= 2 as
+    x does (y is nonzero, a second point, or off the images' line), and at
+    rank r(n) neither side grows; so it can fail only at ranks 3 to r(n) - 1.
 
     bijective=True additionally requires equal sizes, loop counts and keys,
     and yields the lexicographically least bijection by iterating si(m)'s
@@ -655,34 +704,29 @@ class _RankPreservingSearch:
 
     def run(self) -> dict[int, int] | None:
         m, n = self.m, self.n
-        if m.rank() > n.rank() or m.size > n.size:
+        rank_m, rank_n = m.rank(), n.rank()
+        if rank_m > rank_n or m.size > n.size:
             return None
-        if self.bijective and (m.size != n.size or m.rank() != n.rank()):
+        if self.bijective and (m.size != n.size or rank_m != rank_n):
             return None
         if m.size == 0:
             return {}
-        loops_m, loops_n = m.loops(), n.loops()
-        if len(loops_m) > len(loops_n) or self.bijective and len(loops_m) != len(loops_n):
+        pattern = _Pattern.of(m, self.bijective)
+        loops_n = n.loops()
+        if len(pattern.loops) > len(loops_n) or self.bijective and len(pattern.loops) != len(loops_n):
             return None
-        self.loop_map = dict(zip(sorted(loops_m), sorted(loops_n)))
-        self.class_m = {cls[0]: cls for cls in m.parallel_classes()}
+        self.loop_map = dict(zip(pattern.loops, sorted(loops_n)))
+        self.class_m, self.order, self.anchors, self.checks = (
+            pattern.classes, pattern.order, pattern.anchors, pattern.checks)
         self.class_n = {cls[0]: cls for cls in n.parallel_classes()}
-        sm, self.sn = m.simplify(), n.simplify()
-        tm = self.table_m = _PairTable.of(sm)
+        self.sn = n.simplify()
         self.table_n = _PairTable.of(self.sn)
-        through_m, through_n = tm.through(), self.table_n.through()
-        key_m = {x: (through_m[x], len(cls)) for x, cls in self.class_m.items()}
+        through_n = self.table_n.through()
         key_n = {y: (through_n[y], len(cls)) for y, cls in self.class_n.items()}
-        if self.bijective:
-            if sorted(key_m.values()) != sorted(key_n.values()):
-                return None
-            self.order = tm.labels
-        else:
-            self.order = _search_order(tm)
-        self.anchors = {x: tm.anchor(self.order[:i], x) for i, x in enumerate(self.order)}
-        self.admissible = self._admissible(key_m, key_n, operator.eq if self.bijective else _dominates)
-        self.prefix_rank = [sm.rank(self.order[: i + 1]) for i in range(len(self.order))]
-        self.checks = [self._pair_checks(depth) for depth in range(len(self.order))]
+        if self.bijective and sorted(pattern.keys.values()) != sorted(key_n.values()):
+            return None
+        self.admissible = self._admissible(pattern.keys, key_n, operator.eq if self.bijective else _dominates)
+        self.prefix_rank = pattern.prefix_rank(m.simplify()) if rank_n >= 4 else None
         self.nodes = 0
         # the host's generators are built once failed depth-0 subtrees have
         # taken more nodes than r! * n, a bound on the build's steps, so the
@@ -710,25 +754,6 @@ class _RankPreservingSearch:
         size; for the others g . f need not embed m."""
         size = {y: len(cls) for y, cls in self.class_n.items()}
         return [g for g in _monomial_generators(self.sn) if all(size[y] == size[z] for y, z in g.moves.items())]
-
-    def _pair_checks(self, depth: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(p, placed labels of the line through p and x) for the first placed
-        p on each line through x = order[depth].  Distinct lines through x
-        share no placed point, and in the simple si(n) any two placed images
-        on the line through f(p) and y span that same line, so the test for a
-        second p on the line repeats the first."""
-        tm = self.table_m
-        x = self.order[depth]
-        placed = self.order[:depth]
-        placed_mask = sum(tm.bit[p] for p in placed)
-        checks = []
-        lines_seen = set()
-        for p in placed:
-            line = tm.closure[p, x]
-            if line not in lines_seen:
-                lines_seen.add(line)
-                checks.append((p, tuple(tm.members(line & placed_mask))))
-        return checks
 
     def _candidates(self, x: int, assignment: dict[int, int], used_mask: int) -> list[int]:
         tn = self.table_n
@@ -779,8 +804,8 @@ class _RankPreservingSearch:
         x = self.order[depth]
         # an anchored x lies in cl(a, b) of placed a, b, and its candidates in
         # cl(f(a), f(b)): neither side's rank grows, so the prefix-rank test
-        # would always pass
-        test_rank = self.anchors[x] is None
+        # would always pass; in a host of rank <= 3 it always passes too
+        test_rank = self.prefix_rank is not None and self.anchors[x] is None
         least = _orbit_minima(stab) if stab else {}
         for y in self._candidates(x, assignment, used_mask):
             if least.get(y, y) != y:

@@ -111,17 +111,19 @@ def naive_is_restriction(m, n) -> bool:
     return False
 
 
-def _minor_rank_table(m, contract: frozenset, keep: Sequence) -> dict[frozenset, int]:
+def _minor_rank_table(m, contract: frozenset, keep: Sequence, full: dict | None = None) -> dict[frozenset, int]:
     """Rank table of the minor m / contract restricted to keep.
 
     Uses only the rank axiom identity r_{M/T}(X) = r_M(X + T) - r_M(T), no
-    contraction code from the package.
+    contraction code from the package.  full, m's subset-rank table, is
+    read in place of m.rank when given.
     """
-    base = m.rank(contract)
+    rank = m.rank if full is None else lambda s: full[frozenset(s)]
+    base = rank(contract)
     table = {}
     for k in range(len(keep) + 1):
         for sub in itertools.combinations(keep, k):
-            table[frozenset(sub)] = m.rank(set(sub) | contract) - base
+            table[frozenset(sub)] = rank(set(sub) | contract) - base
     return table
 
 
@@ -134,12 +136,13 @@ def naive_has_minor(m, n) -> bool:
         raise ValueError("naive minor oracle is limited to 8-element targets")
     tn = subset_rank_table(n)
     target_profile = sorted(tn.values())
+    full = subset_rank_table(m)  # every minor table is read from it
     ground = tuple(m.labels)
     for removed in itertools.combinations(ground, spare):
         keep = tuple(x for x in ground if x not in removed)
         for t_size in range(spare + 1):
             for contract in itertools.combinations(removed, t_size):
-                tm = _minor_rank_table(m, frozenset(contract), keep)
+                tm = _minor_rank_table(m, frozenset(contract), keep, full)
                 if sorted(tm.values()) != target_profile:
                     continue
                 if _tables_isomorphic(keep, tm, tuple(n.labels), tn) is not None:

@@ -1,9 +1,11 @@
 """Matroid layer: minors, duality, simplification, isomorphism, embedding,
 minor search.  Structure checks run against the brute-force oracles."""
 
+import collections
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -477,11 +479,73 @@ def test_flat_walk_yields_the_first_set_of_each_flat():
 
 @pytest.mark.parametrize("host, searches", [("PI5", 76), ("OMEGA5", 61)])
 def test_minor_search_tries_each_flat_once(monkeypatch, host, searches):
-    # the loop over every independent contraction set made 98 and 87 searches
+    # the loop over every independent contraction set made 98 and 87
+    # searches; the target's element order is built once for all of them
+    # (once per search before the pattern cache), and no stage, all of rank
+    # 3, runs the prefix-rank test
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, counts, matroid_module, "find_embedding")
-    assert has_minor(named(host).matroid(), named("AG23E").matroid()) is None
-    assert counts["find_embedding"] == searches
+    _count_calls(monkeypatch, counts, matroid_module, "_search_order")
+    callers = _count_insertion_callers(monkeypatch)
+    assert has_minor(named(host).matroid(), LinearMatroid(named("AG23E").matrix)) is None
+    assert (counts["find_embedding"], counts["_search_order"]) == (searches, 1)
+    assert callers["_dfs"] == 0
+
+
+def _scrambled(m, rng):
+    """An isomorphic copy of m, built like perfbench's seeded_copy: columns
+    permuted and scaled, rows mixed, labels drawn at random."""
+    p, r, n = m.p, m.matrix.nrows, m.size
+    order = list(range(n))
+    rng.shuffle(order)
+    cols = []
+    for j in order:
+        s = rng.randrange(1, p)
+        cols.append([c * s % p for c in m.matrix.columns[j]])
+    rows = [[cols[k][i] for k in range(n)] for i in range(r)]
+    for _ in range(2 * r):
+        a, b = rng.sample(range(r), 2)
+        c = rng.randrange(1, p)
+        rows[b] = [(x + c * y) % p for x, y in zip(rows[b], rows[a])]
+    return LinearMatroid(GFMatrix(p, rows, ncols=n), rng.sample(range(2 * n), n))
+
+
+def test_prefix_rank_test_prunes_rank5_isomorphism_search(monkeypatch):
+    # OMEGA5 has rank 5, so the prefix-rank test runs and rejects candidates
+    # that pass every pair check: without it the search visits 819 nodes
+    m = named("OMEGA5").matroid()
+    copy = _scrambled(m, random.Random(1))
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
+    callers = _count_insertion_callers(monkeypatch)
+    found = find_isomorphism(m, copy)
+    assert found is not None and verify_bijection(m, copy, found)
+    assert (counts["_dfs"], callers["_dfs"]) == (687, 766)
+
+
+def test_pattern_cache_keeps_the_two_orders_apart():
+    # one pattern object, searched by find_isomorphism (sorted order) and
+    # find_embedding (line-covering order) in either sequence, gives the
+    # answers of fresh objects
+    def pattern():
+        return m_cols(E2, E1, (1, 0, 2), (1, 1, 0), (1, 1, 1), (1, 2, 0))
+
+    copy, host = _scrambled(pattern(), random.Random(3)), m_cols(*PG23)
+    iso, emb = find_isomorphism(pattern(), copy), find_embedding(pattern(), host)
+    assert iso is not None and emb is not None
+    m = pattern()
+    assert (find_isomorphism(m, copy), find_embedding(m, host)) == (iso, emb)
+    m = pattern()
+    assert (find_embedding(m, host), find_isomorphism(m, copy)) == (emb, iso)
+    # a cache keeping one order for both searches would change both answers
+    m = pattern()
+    matroid_module._Pattern.of(m, True)
+    m._patterns[False] = m._patterns[True]
+    assert find_embedding(m, host) != emb
+    m = pattern()
+    matroid_module._Pattern.of(m, False)
+    m._patterns[True] = m._patterns[False]
+    assert find_isomorphism(m, copy) != iso
 
 
 def test_has_u24_minor():
@@ -728,6 +792,19 @@ def _count_calls(monkeypatch, counts, owner, name):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+def _count_insertion_callers(monkeypatch) -> collections.Counter:
+    """Count the _insert_into_basis calls by the name of the calling function."""
+    callers: collections.Counter = collections.Counter()
+    real = matroid_module._insert_into_basis
+
+    def wrapper(*args):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(matroid_module, "_insert_into_basis", wrapper)
+    return callers
+
+
 def _search_effort(monkeypatch, m, n):
     """find_embedding(m, n) and its counts of _dfs, _consistent,
     _insert_into_basis and _eliminate calls."""
@@ -879,7 +956,7 @@ def test_verifiers_never_read_search_structures():
     # their own code or in any function nested in it
     search_names = {"_PairTable", "_RankPreservingSearch", "_monomial_generators", "_orbit_minima", "_certified",
                     "_point_map", "_pair_table", "_generators", "_points", "_flat_stages", "_contract_one",
-                    "contract"}
+                    "contract", "_Pattern", "_patterns"}
 
     def names(code):
         out = set(code.co_names)
