@@ -692,9 +692,12 @@ class _RankPreservingSearch:
     x does (y is nonzero, a second point, or off the images' line), and at
     rank r(n) neither side grows; so it can fail only at ranks 3 to r(n) - 1.
 
-    bijective=True additionally requires equal sizes, loop counts and keys,
-    and yields the lexicographically least bijection by iterating si(m)'s
-    labels and si(n)'s candidates in sorted order.
+    Equal sizes make the injection a bijection, so ``run`` then requires
+    equal ranks, loop counts and key multisets, and admits only equal keys.
+    It also stops when the admissible images of si(m)'s points number fewer
+    than the points.  bijective=True requires equal sizes and yields the
+    lexicographically least bijection by iterating si(m)'s labels and
+    si(n)'s candidates in sorted order.
     """
 
     def __init__(self, m: LinearMatroid, n: LinearMatroid, bijective: bool):
@@ -705,15 +708,14 @@ class _RankPreservingSearch:
     def run(self) -> dict[int, int] | None:
         m, n = self.m, self.n
         rank_m, rank_n = m.rank(), n.rank()
-        if rank_m > rank_n or m.size > n.size:
-            return None
-        if self.bijective and (m.size != n.size or rank_m != rank_n):
+        exact = m.size == n.size  # then a rank-preserving injection is an isomorphism
+        if rank_m > rank_n or m.size > n.size or exact and rank_m != rank_n or self.bijective and not exact:
             return None
         if m.size == 0:
             return {}
         pattern = _Pattern.of(m, self.bijective)
         loops_n = n.loops()
-        if len(pattern.loops) > len(loops_n) or self.bijective and len(pattern.loops) != len(loops_n):
+        if len(pattern.loops) > len(loops_n) or exact and len(pattern.loops) != len(loops_n):
             return None
         self.loop_map = dict(zip(pattern.loops, sorted(loops_n)))
         self.class_m, self.order, self.anchors, self.checks = (
@@ -723,9 +725,12 @@ class _RankPreservingSearch:
         self.table_n = _PairTable.of(self.sn)
         through_n = self.table_n.through()
         key_n = {y: (through_n[y], len(cls)) for y, cls in self.class_n.items()}
-        if self.bijective and sorted(pattern.keys.values()) != sorted(key_n.values()):
+        if exact and sorted(pattern.keys.values()) != sorted(key_n.values()):
             return None
-        self.admissible = self._admissible(pattern.keys, key_n, operator.eq if self.bijective else _dominates)
+        self.admissible = self._admissible(pattern.keys, key_n, operator.eq if exact else _dominates)
+        # si(m) -> si(n) is injective, so each point of si(m) needs its own image
+        if functools.reduce(operator.or_, self.admissible.values(), 0).bit_count() < len(self.order):
+            return None
         self.prefix_rank = pattern.prefix_rank(m.simplify()) if rank_n >= 4 else None
         self.nodes = 0
         # the host's generators are built once failed depth-0 subtrees have

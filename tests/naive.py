@@ -3,8 +3,9 @@
 Nothing here shares algorithm structure with the package: rank goes through
 determinant expansion instead of elimination, isomorphism and minor tests are
 plain brute force over bijections and ordered partitions, and the submatrix
-scanner enumerates every row injection.  Keep these dumb; their only job is
-to disagree with the fast code when the fast code is wrong.
+scanner enumerates every row injection, once per needle height.  Keep these
+dumb; their only job is to disagree with the fast code when the fast code is
+wrong.
 """
 
 from __future__ import annotations
@@ -153,50 +154,70 @@ def naive_has_minor(m, n) -> bool:
 # -- exhaustive scaled-submatrix search ------------------------------------------
 
 
-def naive_find_submatrix(haystack: GFMatrix, needle: GFMatrix):
-    """Search for needle inside haystack up to row injection, column injection
-    and column scaling.  Entries must match exactly, zeros included.
+def naive_find_submatrices(haystack: GFMatrix, needles: Sequence[GFMatrix]) -> list:
+    """Search for each needle inside haystack up to row injection, column
+    injection and column scaling.  Entries must match exactly, zeros included.
 
-    Returns (row_map, col_map, scalars) or None.  row_map[i] is the haystack
-    row playing needle row i; col_map[j] the haystack column playing needle
-    column j; scalars[j] the nonzero factor applied to that haystack column.
+    Returns one (row_map, col_map, scalars) or None per needle, in order.
+    row_map[i] is the haystack row playing needle row i; col_map[j] the
+    haystack column playing needle column j; scalars[j] the nonzero factor
+    applied to that haystack column.  The hit is the first in
+    itertools.permutations order of row injections, then in haystack column
+    order.  Every row injection is enumerated once per needle height: its
+    projected columns are indexed by their scaled values, and each needle of
+    that height not yet found tries to place its columns from the index.
     """
     p = haystack.p
-    if needle.p != p:
+    if any(needle.p != p for needle in needles):
         raise ValueError("field mismatch")
-    if needle.nrows > haystack.nrows or needle.ncols > haystack.ncols:
-        return None
-    units = [s for s in range(1, p)]
-    for rows in itertools.permutations(range(haystack.nrows), needle.nrows):
-        projected = [tuple(haystack.rows[i][j] for i in rows) for j in range(haystack.ncols)]
-        used: list[int] = []
-        scalars: list[int] = []
-
-        def place(j: int) -> bool:
-            if j == needle.ncols:
-                return True
-            want = needle.column(j)
+    found: list = [None] * len(needles)
+    by_height: dict[int, list[int]] = {}
+    for k, needle in enumerate(needles):
+        if needle.nrows <= haystack.nrows and needle.ncols <= haystack.ncols:
+            by_height.setdefault(needle.nrows, []).append(k)
+    for height, waiting in by_height.items():
+        for rows in itertools.permutations(range(haystack.nrows), height):
+            # scaled projected column -> [(haystack column, scalar)] in column
+            # order; a nonzero column matches under at most one scalar, and an
+            # all-zero one is listed once, under s = 1
+            matches: dict[tuple, list[tuple[int, int]]] = {}
             for cand in range(haystack.ncols):
-                if cand in used:
-                    continue
-                col = projected[cand]
-                for s in units:
-                    if all((x * s) % p == w for x, w in zip(col, want)):
-                        used.append(cand)
-                        scalars.append(s)
-                        if place(j + 1):
-                            return True
-                        used.pop()
-                        scalars.pop()
-                        break  # other scalars can't also match unless column is zero
-            return False
+                col = [haystack.rows[i][cand] for i in rows]
+                for s in range(1, p):
+                    bucket = matches.setdefault(tuple((x * s) % p for x in col), [])
+                    if not bucket or bucket[-1][0] != cand:
+                        bucket.append((cand, s))
+            for k in list(waiting):
+                hit = _place_columns(needles[k], matches)
+                if hit is not None:
+                    found[k] = (tuple(rows), *hit)
+                    waiting.remove(k)
+            if not waiting:
+                break
+    return found
 
-        # the inner break assumes a nonzero column matches under at most one
-        # scalar, which holds; all-zero needle columns match any scalar, and
-        # taking s=1 first is enough for existence
-        if place(0):
-            return tuple(rows), tuple(used), tuple(scalars)
-    return None
+
+def _place_columns(needle: GFMatrix, matches: dict) -> tuple[tuple, tuple] | None:
+    """First (col_map, scalars), by depth-first search in haystack column
+    order, that gives every needle column its own matching haystack column."""
+    used: list[int] = []
+    scalars: list[int] = []
+
+    def place(j: int) -> bool:
+        if j == needle.ncols:
+            return True
+        for cand, s in matches.get(needle.column(j), ()):
+            if cand in used:
+                continue
+            used.append(cand)
+            scalars.append(s)
+            if place(j + 1):
+                return True
+            used.pop()
+            scalars.pop()
+        return False
+
+    return (tuple(used), tuple(scalars)) if place(0) else None
 
 
 # -- random generators -----------------------------------------------------------

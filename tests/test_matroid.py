@@ -482,13 +482,17 @@ def test_minor_search_tries_each_flat_once(monkeypatch, host, searches):
     # the loop over every independent contraction set made 98 and 87
     # searches; the target's element order is built once for all of them
     # (once per search before the pattern cache), and no stage, all of rank
-    # 3, runs the prefix-rank test
+    # 3, runs the prefix-rank test; every stage is rejected by its key
+    # counts before a search node (3,804 and 6,662 _dfs calls without the
+    # equal-size and image-count rules)
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, counts, matroid_module, "find_embedding")
     _count_calls(monkeypatch, counts, matroid_module, "_search_order")
+    _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
     callers = _count_insertion_callers(monkeypatch)
     assert has_minor(named(host).matroid(), LinearMatroid(named("AG23E").matrix)) is None
     assert (counts["find_embedding"], counts["_search_order"]) == (searches, 1)
+    assert counts["_dfs"] == 0
     assert callers["_dfs"] == 0
 
 
@@ -595,8 +599,10 @@ def test_pg23_subsets_into_arc_host_match_naive():
     # the arc e0, e1, e2, (1,1,1) plus (1,1,0) and (0,1,1): holds two
     # 3-point lines, so both answers occur
     host = m_cols(E0, E1, E2, (1, 1, 1), (1, 1, 0), E12)
+    # with k = 6 both have six elements, so an embedding is an isomorphism
+    # and the search's equal-size rule decides
     yes = no = 0
-    for k in (3, 4, 5):
+    for k in (3, 4, 5, 6):
         for cols in itertools.combinations(PG23, k):
             m = m_cols(*cols)
             emb = find_embedding(m, host)
@@ -606,7 +612,7 @@ def test_pg23_subsets_into_arc_host_match_naive():
             else:
                 assert verify_embedding(m, host, emb)
                 yes += 1
-    assert (yes, no) == (1690, 598)
+    assert (yes, no) == (1690 + 234, 598 + 1482)
 
 
 def test_verify_bijection_matches_rank_tables_on_swapped_maps():
@@ -996,3 +1002,28 @@ def test_nonsimple_loop_test_prunes_search(monkeypatch):
     n = m_of([[1, 0, 0], [0, 0, 1]])
     assert find_isomorphism(m, n) is None
     assert counts["_dfs"] == 0
+
+
+def test_equal_size_key_test_prunes_embedding_search(monkeypatch):
+    # m = [e0, e1, e2, (1,1,1)] has no 3-point line, n = [e0, e1, e2, e12]
+    # has one: equal sizes, ranks and loop counts, but their key multisets
+    # differ, so no bijection preserves rank; every point of m dominates
+    # every point of n, so without the equal-size rule the search visits
+    # 32 nodes
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
+    assert find_embedding(m_cols(E0, E1, E2, (1, 1, 1)), m_cols(E0, E1, E2, E12)) is None
+    assert counts["_dfs"] == 0
+
+
+def test_image_count_prunes_embedding_search(monkeypatch):
+    # each of AG23E's 8 points lies on three 3-point lines; in this 9-point
+    # host, the line x = 0 plus five points, only 6 points lie on three
+    # lines of 3 or more, so the 8 points have too few admissible images
+    # between them: without the image count the search visits 181 nodes
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
+    host = m_cols(E2, E1, E12, (0, 1, 2), E0, (1, 0, 1), (1, 1, 1), (1, 1, 2), (1, 2, 1))
+    assert find_embedding(named("AG23E").matroid(), host) is None
+    assert counts["_dfs"] == 0
+    assert not naive_is_restriction(named("AG23E").matroid(), host)
