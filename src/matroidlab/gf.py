@@ -56,14 +56,13 @@ class GFMatrix:
 
     @classmethod
     def from_columns(cls, p: int, columns: Sequence[Sequence[int]], nrows: int | None = None) -> "GFMatrix":
-        cols = [tuple(int(x) for x in c) for c in columns]
+        cols = [tuple(c) for c in columns]
         if cols:
             height = len(cols[0])
             if any(len(c) != height for c in cols):
                 raise ValueError("columns have unequal lengths")
-        else:
-            height = int(nrows) if nrows is not None else 0
-        return cls(p, [[cols[j][i] for j in range(len(cols))] for i in range(height)], ncols=len(cols))
+            return cls(p, zip(*cols), ncols=len(cols))
+        return cls(p, [()] * (int(nrows) if nrows is not None else 0), ncols=0)
 
     # -- basic accessors -------------------------------------------------------
 

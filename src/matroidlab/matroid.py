@@ -60,6 +60,31 @@ def _insert_into_basis(v: Sequence[int], basis: list, p: int) -> bool:
     return False
 
 
+def _contract_columns(columns: Mapping[int, tuple[int, ...]], x: int, p: int) -> dict[int, tuple[int, ...]]:
+    """label -> column of M/x, from label -> column of M, in the same order.
+
+    Each other column loses the multiple of x's column that zeroes its
+    entry at x's lead (x's first nonzero entry), then that entry.  Row by
+    row this pivots on x's column at its first nonzero row, so the entries
+    are the same.  A loop x is dropped and nothing else changes.
+    """
+    pivot = columns[x]
+    lead = next((i for i, c in enumerate(pivot) if c), None)
+    if lead is None:
+        return {y: w for y, w in columns.items() if y != x}
+    inv = pow(pivot[lead], p - 2, p)
+    rest = pivot[lead + 1:]
+    out = {}
+    for y, w in columns.items():
+        if y != x:
+            f = w[lead] * inv % p
+            if f:
+                out[y] = w[:lead] + tuple((a - f * b) % p for a, b in zip(w[lead + 1:], rest))
+            else:
+                out[y] = w[:lead] + w[lead + 1:]
+    return out
+
+
 @functools.lru_cache(maxsize=1 << 16)  # every vector of GF(5)^6 fits
 def _normalize(v: tuple[int, ...], p: int) -> tuple[int, ...] | None:
     """v scaled so its first nonzero entry is 1: its projective point, or
@@ -69,6 +94,13 @@ def _normalize(v: tuple[int, ...], p: int) -> tuple[int, ...] | None:
         return None
     inv = pow(lead, p - 2, p)
     return tuple((c * inv) % p for c in v)
+
+
+@functools.lru_cache(maxsize=1 << 14)  # catalog-sized inputs use at most about 1,300 point pairs
+def _line_rest(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
+    """The points of the line through the points u and v other than u and
+    v: u + t*v for t = 1 .. p - 1, normalized.  Memoized per (u, v, p)."""
+    return tuple(_normalize(tuple((c + t * d) % p for c, d in zip(u, v)), p) for t in range(1, p))
 
 
 class LinearMatroid:
@@ -159,30 +191,19 @@ class LinearMatroid:
         return child
 
     def contract(self, labels: Iterable[int]) -> "LinearMatroid":
-        """Contract one label at a time, in sorted order."""
-        return functools.reduce(LinearMatroid._contract_one, sorted(set(labels)), self)
-
-    def _contract_one(self, x: int) -> "LinearMatroid":
-        """M/x by pivoting on x's column: the pivot row, the first with a
-        nonzero entry there, is scaled to 1 and cleared from the others, then
-        it and the column are removed.  A loop is deleted."""
-        j = self._col_index(x)
-        rows = self.matrix.rows
-        pivot = next((i for i, row in enumerate(rows) if row[j]), None)
-        if pivot is None:
-            return self.delete([x])
-        p = self.p
-        inv = pow(rows[pivot][j], p - 2, p)
-        top = [c * inv % p for c in rows[pivot]]
-        work = []
-        for i, row in enumerate(rows):
-            if i != pivot:
-                f = row[j]
-                if f:
-                    row = [(a - f * b) % p for a, b in zip(row, top)]
-                work.append(row[:j] + row[j + 1:])
-        live = self.labels[:j] + self.labels[j + 1:]
-        return LinearMatroid(GFMatrix(p, work, ncols=len(live)), live)
+        """Contract one label at a time, in sorted order, by
+        ``_contract_columns``; each label that is not a loop when its turn
+        comes takes one row with it.  self when labels is empty."""
+        labels = sorted(set(labels))
+        if not labels:
+            return self
+        columns = dict(zip(self.labels, self.matrix.columns))
+        height = self.matrix.nrows
+        for x in labels:
+            self._col_index(x)
+            height -= any(columns[x])
+            columns = _contract_columns(columns, x, self.p)
+        return LinearMatroid(GFMatrix.from_columns(self.p, list(columns.values()), nrows=height), list(columns))
 
     def minor(self, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "LinearMatroid":
         contract = set(contract)
@@ -314,21 +335,24 @@ def _same_independent_sets(a_cols: Sequence, a_p: int, b_cols: Sequence, b_p: in
     is dropped from the subtree; every subset of size at most r is therefore
     decided, and the test is complete.
     """
+    return r == 0 or _same_below(r, [list(v) for v in a_cols], a_p, [list(w) for w in b_cols], b_p)
 
-    def walk(a: list, b: list, depth: int) -> bool:
-        live = [any(v) for v in a]
-        if live != [any(w) for w in b]:
-            return False
-        if depth + 1 == r:
-            return True
-        a = [v for v, keep in zip(a, live) if keep]
-        b = [w for w, keep in zip(b, live) if keep]
-        for j in range(len(a)):
-            if not walk(_eliminate(a[j], a[j + 1:], a_p), _eliminate(b[j], b[j + 1:], b_p), depth + 1):
-                return False
+
+def _same_below(r: int, a: list, a_p: int, b: list, b_p: int) -> bool:
+    """``_same_independent_sets`` at one node, with r more elements to
+    place: a and b are both sides' later columns reduced modulo the
+    prefix."""
+    live = [any(v) for v in a]
+    if live != [any(w) for w in b]:
+        return False
+    if r == 1:
         return True
-
-    return r == 0 or walk([list(v) for v in a_cols], [list(w) for w in b_cols], 0)
+    a = [v for v, keep in zip(a, live) if keep]
+    b = [w for w, keep in zip(b, live) if keep]
+    for j in range(len(a)):
+        if not _same_below(r - 1, _eliminate(a[j], a[j + 1:], a_p), a_p, _eliminate(b[j], b[j + 1:], b_p), b_p):
+            return False
+    return True
 
 
 def verify_bijection(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, int]) -> bool:
@@ -400,17 +424,22 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
 
 
 class _PairTable:
-    """The lines of a simple matroid, as the closure of every pair.
+    """The lines of a simple matroid, and on first use the closure of every
+    pair.
 
-    For distinct labels a, b, closure[a, b] is cl({a, b}), the elements on
-    the line through a and b, as an int bitmask, where bit[x] marks label x
-    and bits run in sorted label order.  Both key orders are stored.  The
-    search reads everything it prunes with from here.
+    lines lists each line, the elements on it, once, as an int bitmask,
+    where bit[x] marks label x and bits run in sorted label order.  For
+    distinct labels a, b, closure[a, b] is cl({a, b}), the line through a
+    and b; both key orders are stored.  The search reads everything it
+    prunes with from here: the keys from ``through``, which reads the
+    lines, and the pair checks and candidates from closure, which is built
+    when a search first reads it.  A search its key counts reject never
+    does.
 
     The lines come from the projective points of the columns, with no rank
-    calls: the line through points u and v holds v and u + t*v for t in
-    GF(p), and its closure is every element on one of those points.  Use
-    ``of(m)``, which builds the table once per matroid.
+    calls: the line through points u and v holds u, v and u + t*v for t = 1
+    .. p - 1, and is every element on one of those points.  Use ``of(m)``,
+    which builds the table once per matroid.
     """
 
     @classmethod
@@ -421,23 +450,34 @@ class _PairTable:
 
     def __init__(self, m: LinearMatroid):
         self.labels = sorted(m.labels)
-        self.bit = {x: 1 << i for i, x in enumerate(self.labels)}
-        self._label_of = {b: x for x, b in self.bit.items()}
+        self.bit = bit = {x: 1 << i for i, x in enumerate(self.labels)}
+        self._label_of = {b: x for x, b in bit.items()}
         point_of = m._point_map()
         label_at = {point_of[x]: x for x in self.labels}
         p = m.p
-        closure: dict[tuple[int, int], int] = {}
+        met = dict.fromkeys(self.labels, 0)  # x -> the elements on a line found through x
+        self.lines: list[int] = []
         for a, b in itertools.combinations(self.labels, 2):
-            if (a, b) in closure:
+            if met[a] & bit[b]:
                 continue
-            u, v = point_of[a], point_of[b]
-            on_line = [v] + [_normalize(tuple((c + t * d) % p for c, d in zip(u, v)), p) for t in range(p)]
-            present = [label_at[w] for w in on_line if w in label_at]
-            mask = sum(self.bit[x] for x in present)
-            for pair in itertools.permutations(present, 2):
-                closure[pair] = mask
-        self.closure = closure
+            on_line = [a, b]
+            for w in _line_rest(point_of[a], point_of[b], p):
+                x = label_at.get(w)
+                if x is not None:
+                    on_line.append(x)
+            line = sum(bit[x] for x in on_line)
+            for x in on_line:
+                met[x] |= line
+            self.lines.append(line)
         self._through: dict[int, tuple[int, ...]] | None = None
+
+    @functools.cached_property
+    def closure(self) -> dict[tuple[int, int], int]:
+        closure = {}
+        for line in self.lines:
+            for pair in itertools.permutations(self.members(line), 2):
+                closure[pair] = line
+        return closure
 
     def members(self, mask: int) -> list[int]:
         """Labels whose bits are set in mask, in sorted order."""
@@ -452,11 +492,13 @@ class _PairTable:
         """x -> sizes, descending, of the lines of >= 3 points through x.
         Computed once per table."""
         if self._through is None:
-            lines = {c for c in self.closure.values() if c.bit_count() >= 3}
-            self._through = {
-                x: tuple(sorted((l.bit_count() for l in lines if l & self.bit[x]), reverse=True))
-                for x in self.labels
-            }
+            sizes: dict[int, list[int]] = {x: [] for x in self.labels}
+            for line in self.lines:
+                size = line.bit_count()
+                if size >= 3:
+                    for x in self.members(line):
+                        sizes[x].append(size)
+            self._through = {x: tuple(sorted(s, reverse=True)) for x, s in sizes.items()}
         return self._through
 
     def anchor(self, placed: Sequence[int], x: int) -> tuple[int, int] | None:
@@ -565,54 +607,60 @@ def _monomial_generators(m: LinearMatroid) -> tuple[_Monomial, ...]:
     for s in support_rows:
         ends[s[-1]].add(tuple(s))
 
-    def permutations(rows: list[int]):
-        i = len(rows)
-        if i == r:
-            yield tuple(rows)
-            return
-        for t in range(r):
-            if t in rows:
-                continue
-            rows.append(t)
-            if all(sum(1 << rows[k] for k in s) in host_supports for s in ends[i]):
-                yield from permutations(rows)
-            rows.pop()
-
-    def scalings(rows: tuple[int, ...]):
-        """(scalars, image label of each column) for every working choice."""
+    found: dict[tuple, _Monomial] = {}
+    for rows in _row_permutations([], r, ends, host_supports):
         ready: list[list[int]] = [[] for _ in range(r)]  # image row -> columns fixed there
         for j, s in enumerate(support_rows):
             ready[max(map(rows.__getitem__, s))].append(j)
-        scalars = [0] * r
-        images: list[int | None] = [None] * len(cols)
-
-        def walk(t: int):
-            if t == r:
-                yield tuple(scalars), tuple(images)
-                return
-            for c in range(1, 2 if t == 0 else p):
-                scalars[t] = c
-                for j in ready[t]:
-                    w = [0] * r
-                    for i, a in entries[j]:
-                        w[rows[i]] = scalars[rows[i]] * a % p
-                    images[j] = label_of.get(tuple(w))
-                    if images[j] is None:
-                        break
-                else:
-                    yield from walk(t + 1)
-
-        return walk(0)
-
-    found: dict[tuple, _Monomial] = {}
-    for rows in permutations([]):
-        every = scalings(rows)
+        every = _row_scalings(0, rows, [0] * r, [None] * len(cols), ready, entries, label_of, p)
         for scalars, images in every if rows == tuple(range(r)) else itertools.islice(every, 1):
             moves = {x: y for x, y in zip(m.labels, images) if x != y}
             if moves:
                 found.setdefault(tuple(sorted(moves.items())), _Monomial(rows, scalars, moves))
     m._generators = _certified(m, found.values())
     return m._generators
+
+
+def _row_permutations(rows: list[int], r: int, ends: Sequence[set], host_supports: set) -> Iterator[tuple[int, ...]]:
+    """The row permutations that extend rows (source row -> image row) and
+    send each column's support, once placed, onto some column's support:
+    ends[i] holds the supports whose last row is i, and host_supports every
+    support as a bitmask of rows."""
+    i = len(rows)
+    if i == r:
+        yield tuple(rows)
+        return
+    for t in range(r):
+        if t in rows:
+            continue
+        rows.append(t)
+        if all(sum(1 << rows[k] for k in s) in host_supports for s in ends[i]):
+            yield from _row_permutations(rows, r, ends, host_supports)
+        rows.pop()
+
+
+def _row_scalings(t: int, rows: tuple[int, ...], scalars: list[int], images: list, ready: Sequence[list[int]],
+                  entries: Sequence, label_of: Mapping, p: int) -> Iterator[tuple[tuple, tuple]]:
+    """(scalars, image label of each column) for every working choice of
+    the scalars of image rows t, t + 1, ... under the permutation rows:
+    ready[t] holds the columns whose image support is fixed once row t is
+    scaled, entries each column's nonzero (row, entry) pairs and label_of
+    every nonzero multiple of each column's label."""
+    r = len(rows)
+    if t == r:
+        yield tuple(scalars), tuple(images)
+        return
+    for c in range(1, 2 if t == 0 else p):
+        scalars[t] = c
+        for j in ready[t]:
+            w = [0] * r
+            for i, a in entries[j]:
+                w[rows[i]] = scalars[rows[i]] * a % p
+            images[j] = label_of.get(tuple(w))
+            if images[j] is None:
+                break
+        else:
+            yield from _row_scalings(t + 1, rows, scalars, images, ready, entries, label_of, p)
 
 
 def _orbit_minima(gens: Sequence[_Monomial]) -> dict[int, int]:
@@ -868,38 +916,56 @@ def _minor_witness_from_embedding(
     return MinorWitness(tuple(sorted(contracted)), deleted, mapping)
 
 
-def _flat_stages(m: LinearMatroid, k: int) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
+def _flat_stages(m: LinearMatroid, k: int, min_size: int = 0) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
     """(T, si(M/T)) for each independent k-set T of m, in lexicographic
-    order, whose closure no earlier T spans: M/T and M/T' differ only in
-    loops when cl(T) = cl(T'), so their simplifications are equal, labels
-    included.
+    order, whose closure no earlier T spans and whose si(M/T) has at least
+    min_size points: M/T and M/T' differ only in loops when cl(T) = cl(T'),
+    so their simplifications are equal, labels included.
 
-    The k-sets are walked as a prefix tree, each child contracting one more
-    label of its parent.  x extends an independent prefix P independently
-    exactly when x is not a loop of M/P, and cl(P + x) is P plus the loops
-    of M/P and x's parallel class there, read off M/P's points.
+    The k-sets are walked as a prefix tree of label -> column dicts, each
+    child contracting one more label of its parent by ``_contract_columns``,
+    the arithmetic of ``contract``, so each stage's matrix is the same.  x
+    extends an independent prefix P independently exactly when x is not a
+    loop of M/P, and cl(P + x) is P plus the loops of M/P and x's parallel
+    class there, read off M/P's points.  A leaf is built only when its
+    flat is new and it has min_size points: one LinearMatroid on the least
+    label of each point, in m's label order.  It is given its points, but
+    no rank: the search reads the stage's rank from the stage's own oracle.
     """
-    labels = sorted(m.labels)
-    seen: set[frozenset[int]] = set()
+    columns = dict(zip(m.labels, m.matrix.columns))
+    return _walk_flats(m.p, sorted(m.labels), k, min_size, set(), columns, m.matrix.nrows, (), 0)
 
-    def walk(node: LinearMatroid, prefix: tuple[int, ...], start: int):
-        if len(prefix) == k:
-            yield prefix, node.simplify()
+
+def _walk_flats(p: int, labels: list[int], k: int, min_size: int, seen: set, columns: dict, height: int,
+                prefix: tuple[int, ...], start: int) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
+    """``_flat_stages`` below the node M/prefix, whose columns are columns
+    with height rows, extending prefix by labels[start:]; seen holds the
+    flats of the leaves already reached."""
+    points = {y: _normalize(w, p) for y, w in columns.items()}
+    if len(prefix) == k:
+        least: dict[tuple[int, ...], int] = {}
+        for y, pt in points.items():
+            if pt is not None and least.get(pt, y) >= y:
+                least[pt] = y
+        if len(least) < min_size:
             return
-        points = node._point_map()
-        for i in range(start, len(labels) - k + len(prefix) + 1):
-            x = labels[i]
-            if points[x] is None:
+        keep = [y for y, pt in points.items() if least.get(pt) == y]
+        stage = LinearMatroid(GFMatrix.from_columns(p, [columns[y] for y in keep], nrows=height), keep)
+        stage._points = {y: points[y] for y in keep}
+        yield prefix, stage
+        return
+    for i in range(start, len(labels) - k + len(prefix) + 1):
+        x = labels[i]
+        if points[x] is None:
+            continue
+        if len(prefix) + 1 == k:
+            # a leaf is contracted only when its flat is new
+            flat = frozenset(prefix).union(y for y, pt in points.items() if pt in (None, points[x]))
+            if flat in seen:
                 continue
-            if len(prefix) + 1 == k:
-                # a leaf is contracted only when its flat is new
-                flat = frozenset(prefix).union(y for y, pt in points.items() if pt in (None, points[x]))
-                if flat in seen:
-                    continue
-                seen.add(flat)
-            yield from walk(node._contract_one(x), prefix + (x,), i + 1)
-
-    yield from walk(m, (), 0)
+            seen.add(flat)
+        child = _contract_columns(columns, x, p)
+        yield from _walk_flats(p, labels, k, min_size, seen, child, height - 1, prefix + (x,), i + 1)
 
 
 def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = None) -> MinorWitness | None:
@@ -911,7 +977,8 @@ def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = N
     Candidate contract sets T, independent of the spare rank, are taken in
     lexicographic order, and each flat they span is searched once, at its
     first T, which gives the same si(M/T) as every other: so the witness is
-    deterministic, and the same as if every T were searched.
+    deterministic, and the same as if every T were searched.  A stage with
+    fewer points than n holds no copy of n and is not built.
     """
     if not n.is_simple():
         raise ValueError("minor search targets must be simple")
@@ -920,9 +987,7 @@ def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = N
     spare_rank = base.rank() - n.rank()
     if spare_rank < 0 or base.size < n.size:
         return None
-    for extra, stage in _flat_stages(base, spare_rank):
-        if stage.size < n.size:
-            continue
+    for extra, stage in _flat_stages(base, spare_rank, n.size):
         embedding = find_embedding(n, stage)
         if embedding is not None:
             contracted = tuple(sorted(hint + extra))

@@ -3,6 +3,7 @@ minor search.  Structure checks run against the brute-force oracles."""
 
 import collections
 import dataclasses
+import gc
 import itertools
 import random
 import sys
@@ -312,6 +313,42 @@ def test_pair_table_is_cached_and_makes_no_rank_calls(monkeypatch):
     assert table.through() is table.through()
 
 
+def test_pair_table_lines_are_the_distinct_closures():
+    # each line is listed once, and the line sizes through each point are
+    # those of the closures, which _check_pair_table tests against ranks
+    rng = random.Random(9)
+    simple = 0
+    for p in (3, 5):
+        for _ in range(30):
+            m = LinearMatroid(random_matrix(rng, p, rng.randint(3, 4), rng.randint(4, 14))).simplify()
+            table = _PairTable(m)
+            assert "closure" not in vars(table)
+            lines = set(table.closure.values())
+            assert len(table.lines) == len(lines) and set(table.lines) == lines
+            for x in m.labels:
+                sizes = sorted((c.bit_count() for c in lines if c & table.bit[x] and c.bit_count() >= 3), reverse=True)
+                assert table.through()[x] == tuple(sizes)
+            simple += m.size >= 6
+    assert simple >= 30
+
+
+def test_stage_closures_are_built_only_when_searched(monkeypatch):
+    # has_minor(PI5, AG23E) rejects all 76 stages by their key counts, so
+    # only the target's pattern reads a table's pair closures
+    tables = []
+    real_init = _PairTable.__init__
+
+    def recording_init(self, m):
+        tables.append((self, m))
+        real_init(self, m)
+
+    monkeypatch.setattr(_PairTable, "__init__", recording_init)
+    target = named("AG23E").matroid()
+    assert has_minor(named("PI5").matroid(), target) is None
+    assert len(tables) == 77
+    assert [m for table, m in tables if "closure" in vars(table)] == [target]
+
+
 def test_restrict_and_delete_reuse_computed_points(monkeypatch):
     rows = [[1, 0, 2, 0, 1, 1], [0, 0, 0, 0, 1, 2], [2, 0, 1, 0, 0, 1]]
     m = m_of(rows)  # loops 1, 3; class {0, 2}
@@ -475,6 +512,53 @@ def test_flat_walk_yields_the_first_set_of_each_flat():
     pg33 = [v for v in itertools.product(range(3), repeat=4) if any(v) and next(x for x in v if x) == 1]
     pg = LinearMatroid(GFMatrix.from_columns(3, pg33, nrows=4))
     assert [sum(1 for _ in matroid_module._flat_stages(pg, k)) for k in range(5)] == [1, 40, 130, 40, 1]
+
+
+def test_flat_walk_min_size_skips_only_smaller_stages(monkeypatch):
+    # the walk with min_size yields exactly the unfiltered walk's stages of
+    # at least that many points, in the same order, and builds no other
+    # matroid; no stage comes with a rank already in its memo
+    rng = random.Random(78)
+    built: list = []
+    real_init = LinearMatroid.__init__
+
+    def counting_init(self, matrix, labels=None):
+        built.append(self)
+        real_init(self, matrix, labels)
+
+    skipped = 0
+    for p in (3, 5):
+        for _ in range(4):
+            m = _with_loops_and_classes(p, rng, 4, 12)
+            for k in range(m.rank() + 1):
+                every = [(t, s.labels, s.matrix) for t, s in matroid_module._flat_stages(m, k)]
+                for size in range(1, 8):
+                    monkeypatch.setattr(LinearMatroid, "__init__", counting_init)
+                    built.clear()
+                    got = list(matroid_module._flat_stages(m, k, size))
+                    monkeypatch.undo()
+                    assert [(t, s.labels, s.matrix) for t, s in got] == [e for e in every if len(e[1]) >= size]
+                    assert built == [s for _, s in got]
+                    assert all(s._rank_memo == {} for s in built)
+                    skipped += len(every) - len(got)
+    assert skipped >= 100
+
+
+def test_minor_search_leaves_no_cyclic_garbage():
+    # the walk, the search and the verifier build no reference cycles, so
+    # everything they allocate is freed by reference counting alone
+    for host in ("PI5", "DOWLING4"):
+        for target in ("AG23E", "F7MINUS"):
+            m, n = named(host).matroid(), named(target).matroid()
+            gc.collect()
+            gc.disable()
+            try:
+                witness = has_minor(m, n)
+                assert (witness is not None) == (target == "F7MINUS")
+                assert witness is None or verify_witness(m, n, witness)
+                assert gc.collect() == 0, (host, target)
+            finally:
+                gc.enable()
 
 
 @pytest.mark.parametrize("host, searches", [("PI5", 76), ("OMEGA5", 61)])
@@ -962,7 +1046,8 @@ def test_verifiers_never_read_search_structures():
     # their own code or in any function nested in it
     search_names = {"_PairTable", "_RankPreservingSearch", "_monomial_generators", "_orbit_minima", "_certified",
                     "_point_map", "_pair_table", "_generators", "_points", "_flat_stages", "_contract_one",
-                    "contract", "_Pattern", "_patterns"}
+                    "contract", "_Pattern", "_patterns", "_contract_columns", "_walk_flats", "_line_rest",
+                    "_row_permutations", "_row_scalings"}
 
     def names(code):
         out = set(code.co_names)
@@ -972,7 +1057,8 @@ def test_verifiers_never_read_search_structures():
         return out
 
     verifiers = (verify_bijection, verify_embedding, verify_witness, matroid_module._same_independent_sets,
-                 matroid_module._eliminate, matroid_module._reduce_modulo, matroid_module._insert_into_basis)
+                 matroid_module._same_below, matroid_module._eliminate, matroid_module._reduce_modulo,
+                 matroid_module._insert_into_basis)
     for fn in verifiers:
         assert names(fn.__code__).isdisjoint(search_names), fn.__name__
 
