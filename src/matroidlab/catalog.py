@@ -125,8 +125,7 @@ def build_D(r: int, p: int = 3) -> GFMatrix:
 def clique_matrix(n: int, p: int = 3) -> GFMatrix:
     if n < 1:
         raise ValueError("clique needs n >= 1")
-    r = n - 1
-    return hstack(GFMatrix.identity(p, r), build_D(r, p)) if r else GFMatrix(p, [], ncols=0)
+    return universal_matrix((), n - 1, p)
 
 
 def clique(n: int, p: int = 3) -> LinearMatroid:
@@ -137,17 +136,8 @@ def clique(n: int, p: int = 3) -> LinearMatroid:
 def dowling_matrix(r: int, p: int = 3) -> GFMatrix:
     if r < 1:
         raise ValueError("rank must be at least 1")
-    plus_cols = []
-    for i, j in itertools.combinations(range(r), 2):
-        col = [0] * r
-        col[i] = 1
-        col[j] = 1
-        plus_cols.append(col)
-    return hstack(
-        GFMatrix.identity(p, r),
-        build_D(r, p),
-        GFMatrix.from_columns(p, plus_cols, nrows=r),
-    )
+    pairs = list(itertools.combinations(range(r), 2))
+    return universal_matrix([[int(k in pair) for pair in pairs] for k in range(r)], r, p)
 
 
 def dowling(r: int, p: int = 3) -> LinearMatroid:
@@ -213,14 +203,7 @@ def t_r_1(r: int, p: int = 3) -> LinearMatroid:
     """[I_r | D_r | ones-row over I_{r-1}]: column j of the payload is e_0 + e_{j+1}."""
     if r < 2:
         raise ValueError("rank must be at least 2")
-    cols = []
-    for j in range(1, r):
-        col = [0] * r
-        col[0] = 1
-        col[j] = 1
-        cols.append(col)
-    payload = GFMatrix.from_columns(p, cols, nrows=r)
-    return LinearMatroid(hstack(GFMatrix.identity(p, r), build_D(r, p), payload))
+    return universal_matroid([[1] * (r - 1)] + [[int(i == j) for j in range(r - 1)] for i in range(r - 1)], r, p)
 
 
 # -- the catalog --------------------------------------------------------------------------
@@ -247,6 +230,10 @@ class TableRow:
 
 
 _PARAM = re.compile(r"^(MK|DOWLING|PI|SIGMA|OMEGA|T1_)(\d+)$")
+# the largest family parameter ``named`` builds; larger ones are unknown ids,
+# so that a mistyped MK99999 fails at once instead of building a 99,998-row
+# identity block
+MAX_FAMILY_PARAM = 12
 
 
 @functools.cache
@@ -301,11 +288,12 @@ def _fixed_entries(p: int) -> Mapping[str, NamedEntry]:
 
 def named(id_: str, field: int = 3) -> NamedEntry:
     """Catalog lookup; parameterized families accept MK<n>, DOWLING<r>, PI<r>,
-    SIGMA<r>, OMEGA<r>, T1_<r>."""
+    SIGMA<r>, OMEGA<r>, T1_<r> up to MAX_FAMILY_PARAM."""
     fixed = _fixed_entries(field)
     if id_ in fixed:
         return fixed[id_]
-    if _PARAM.match(id_):
+    m = _PARAM.match(id_)
+    if m and int(m.group(2)) <= MAX_FAMILY_PARAM:
         return _family_entry(id_, field)
     raise KeyError(f"unknown catalog id {id_!r}")
 

@@ -1,10 +1,11 @@
 """Exact dense linear algebra over the prime fields GF(3) and GF(5).
 
 Everything in this module is immutable: each operation returns a new matrix.
-Entries are kept as least non-negative residues; ``signed_rows`` produces the
-balanced form (2 mod 3 prints as -1) used when displaying matrices.  Matrices
-with zero rows or zero columns are legal everywhere and stand for empty
-blocks.
+Entries are kept, and written by ``to_text``, as least non-negative residues;
+``signed_rows`` gives the balanced form (2 mod 3 as -1), which the tests use
+to compare one integer matrix reduced into two fields.  Matrices with zero
+rows or zero columns are legal everywhere, the text format included, and
+stand for empty blocks.
 """
 
 from __future__ import annotations
@@ -222,12 +223,14 @@ def vstack(*mats: GFMatrix) -> GFMatrix:
 #   cols 3
 #   0 1 2
 #   1 0 1
+#
+# Blank lines are skipped, so a matrix with no columns has no data lines.
 
 
 def to_text(m: GFMatrix) -> str:
     lines = [f"field {m.p}", f"rows {m.nrows}", f"cols {m.ncols}"]
-    for row in m.rows:
-        lines.append(" ".join(str(x) for x in row))
+    if m.ncols:
+        lines.extend(" ".join(str(x) for x in row) for row in m.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -246,16 +249,19 @@ def from_text(text: str) -> GFMatrix:
     p = header(lines[0], "field")
     nrows = header(lines[1], "rows")
     ncols = header(lines[2], "cols")
+    if nrows < 0 or ncols < 0:
+        raise ValueError("rows and cols must be non-negative")
     data = lines[3:]
-    if len(data) != nrows:
-        raise ValueError(f"expected {nrows} data lines, got {len(data)}")
+    want = nrows if ncols else 0
+    if len(data) != want:
+        raise ValueError(f"expected {want} data lines, got {len(data)}")
     rows = []
     for ln in data:
         vals = [int(tok) for tok in ln.split()]
         if len(vals) != ncols:
             raise ValueError(f"expected {ncols} entries per row, got {len(vals)}")
         rows.append(vals)
-    return GFMatrix(p, rows, ncols=ncols)
+    return GFMatrix(p, rows if ncols else [()] * nrows, ncols=ncols)
 
 
 def write_file(m: GFMatrix, path: str) -> None:

@@ -10,17 +10,18 @@ modulo the prefix's span, so each one-element extension is a zero test.
 Results are matroid-level statements even though all the arithmetic is
 exact linear algebra.
 
-The embedding search also prunes by the host's symmetry, the orbit pruning
-of McKay and Piperno (Practical graph isomorphism, II, J. Symb. Comput.
-2014): at each depth it tries only the candidates that are the least label
-of their orbit under the host's monomial automorphisms that fix every placed
-image and map each parallel class of the host onto one of the same size.  If
-f is an embedding that extends the placed images and sends x to y, then for
-each such automorphism g, g . f is an embedding that extends the same placed
-images and sends x to g(y).  So skipping every candidate but the least of
-its orbit loses no answer: a negative stays a proof, and the first embedding
-in the search's order, which takes the least label of an orbit at every
-depth, is still the one found, byte for byte.
+The search also prunes by the host's symmetry, the orbit pruning of McKay
+and Piperno (Practical graph isomorphism, II, J. Symb. Comput. 2014), at
+its root only: for the first element it tries only the candidates that are
+the least label of their orbit under the host's monomial automorphisms that
+map each parallel class of the host onto one of the same size.  If f is an
+embedding that sends the first element to y, then for each such
+automorphism g, g . f is an embedding that sends it to g(y).  So if a
+candidate has an embedding, so has the least label of its orbit, which is
+tried first and whose subtree is searched in full.  Skipping every other
+label of the orbit therefore loses no answer: a negative stays a proof, and
+the first embedding in the search's order, the lexicographically least
+isomorphism when sizes are equal, is still the one found, byte for byte.
 
 Determinism contract: every search in this module iterates labels and
 candidates in a fixed order, so repeated runs agree byte for byte; the
@@ -745,7 +746,15 @@ class _RankPreservingSearch:
     It also stops when the admissible images of si(m)'s points number fewer
     than the points.  bijective=True requires equal sizes and yields the
     lexicographically least bijection by iterating si(m)'s labels and
-    si(n)'s candidates in sorted order.
+    si(n)'s candidates in sorted order; it picks nothing else, so the
+    symmetry pruning and the leaf check are those of every search.
+
+    The host's generators are built, once, when the failed subtrees of the
+    first element's candidates have taken more nodes than r! * n (r rows
+    and n points of si(n)), a bound on the build's steps, so the build
+    never costs much more than the search has already spent; from then on
+    the first element skips every candidate that is not the least label of
+    its orbit (see the module docstring).
     """
 
     def __init__(self, m: LinearMatroid, n: LinearMatroid, bijective: bool):
@@ -781,13 +790,9 @@ class _RankPreservingSearch:
             return None
         self.prefix_rank = pattern.prefix_rank(m.simplify()) if rank_n >= 4 else None
         self.nodes = 0
-        # the host's generators are built once failed depth-0 subtrees have
-        # taken more nodes than r! * n, a bound on the build's steps, so the
-        # build never costs much more than the search has already spent
-        self.build_after = math.inf
-        if not self.bijective:
-            self.build_after = math.factorial(n.matrix.nrows) * self.sn.size
-        return self._dfs(0, {}, 0, [], ())
+        self.build_after = math.factorial(n.matrix.nrows) * self.sn.size
+        self.least: dict[int, int] = {}  # orbit minima under the host's generators, once built
+        return self._dfs(0, {}, 0, [])
 
     def _admissible(self, key_m: Mapping, key_n: Mapping, fits) -> dict[int, int]:
         """x -> bitmask of the y in si(n) with fits(key_m[x], key_n[y]).  The
@@ -838,13 +843,11 @@ class _RankPreservingSearch:
                 return False
         return True
 
-    def _dfs(self, depth: int, assignment: dict[int, int], used_mask: int, basis: list, stab: Sequence):
+    def _dfs(self, depth: int, assignment: dict[int, int], used_mask: int, basis: list):
         """basis is an echelon basis of the placed images; it is shared down
-        the whole search, each insertion popped again on backtracking.  stab
-        holds the host's generators that fix every placed image: a candidate
-        that is not the least label of its orbit under them is skipped (see
-        the module docstring).  It is empty until ``run``'s build rule first
-        holds at depth 0."""
+        the whole search, each insertion popped again on backtracking.  At
+        depth 0, a candidate that is not the least label of its orbit is
+        skipped once ``run``'s build rule has held."""
         self.nodes += 1
         if depth == len(self.order):
             # pruning along the way is heuristic; the leaf check is the proof
@@ -852,16 +855,14 @@ class _RankPreservingSearch:
             for x, y in assignment.items():
                 found.update(zip(self.class_m[x], self.class_n[y]))
             found.update(self.loop_map)
-            verify = verify_bijection if self.bijective else verify_embedding
-            return found if verify(self.m, self.n, found) else None
+            return found if verify_embedding(self.m, self.n, found) else None
         x = self.order[depth]
         # an anchored x lies in cl(a, b) of placed a, b, and its candidates in
         # cl(f(a), f(b)): neither side's rank grows, so the prefix-rank test
         # would always pass; in a host of rank <= 3 it always passes too
         test_rank = self.prefix_rank is not None and self.anchors[x] is None
-        least = _orbit_minima(stab) if stab else {}
         for y in self._candidates(x, assignment, used_mask):
-            if least.get(y, y) != y:
+            if depth == 0 and self.least.get(y, y) != y:
                 continue
             if not self._consistent(depth, y, assignment, used_mask):
                 continue
@@ -873,16 +874,15 @@ class _RankPreservingSearch:
                         basis.pop()
                     continue
             assignment[x] = y
-            fixing = [g for g in stab if y not in g.moves]
-            hit = self._dfs(depth + 1, assignment, used_mask | self.table_n.bit[y], basis, fixing)
+            hit = self._dfs(depth + 1, assignment, used_mask | self.table_n.bit[y], basis)
             if hit is not None:
                 return hit
             del assignment[x]
             if grew:
                 basis.pop()
-            if depth == 0 and not stab and self.nodes > self.build_after:
-                stab = self._host_generators()
-                least = _orbit_minima(stab)
+            if depth == 0 and self.nodes > self.build_after:
+                self.build_after = math.inf
+                self.least = _orbit_minima(self._host_generators())
         return None
 
 

@@ -25,7 +25,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .catalog import FORBIDDEN, T1, T2, T3, build_D, named, universal_matrix, universal_matroid
-from .gf import GFMatrix, from_text, hstack, vstack, weight
+from .gf import GFMatrix, from_text, hstack, to_text, vstack, weight
 from .matroid import LinearMatroid, MinorWitness, has_minor, verify_witness
 
 # classifier verdicts
@@ -921,30 +921,23 @@ def complete_lifted(P: GFMatrix) -> YTemplate:
 
 
 _SETS_RE = re.compile(r"^sets C=(\d+) X=(\d+) Y0=(\d+) Y1=(\d+)$")
+_BLOCKS = ("A1", "delta", "lambda")
 
 
 def write_template(t: FrameTemplate) -> str:
-    """Serialize a template; labels are not stored, only set sizes."""
+    """Serialize a template; labels are not stored, only set sizes.  Each
+    block is its name line, then the block in ``to_text``'s format."""
     g = "{1}" if t.gamma == frozenset({1}) else "{1,-1}"
-    parts = [
-        "template",
-        f"gamma {g}",
-        f"sets C={len(t.c)} X={len(t.x)} Y0={len(t.y0)} Y1={len(t.y1)}",
-    ]
-    for name, mat in (("A1", t.a1), ("delta", t.delta_basis), ("lambda", t.lambda_basis)):
-        parts.append(name)
-        parts.append(f"field {mat.p}")
-        parts.append(f"rows {mat.nrows}")
-        parts.append(f"cols {mat.ncols}")
-        if mat.ncols:
-            # zero-column rows would serialize as blank lines, so skip them
-            parts.extend(" ".join(str(x) for x in row) for row in mat.rows)
-    return "\n".join(parts) + "\n"
+    text = f"template\ngamma {g}\nsets C={len(t.c)} X={len(t.x)} Y0={len(t.y0)} Y1={len(t.y1)}\n"
+    for name, mat in zip(_BLOCKS, (t.a1, t.delta_basis, t.lambda_basis)):
+        text += f"{name}\n" + to_text(mat)
+    return text
 
 
 def read_template(text: str) -> FrameTemplate:
     """Parse write_template output; labels are synthesized as consecutive
-    integers in C, X, Y0, Y1 order."""
+    integers in C, X, Y0, Y1 order.  Each block runs from its name line to
+    the next block's, and ``from_text`` parses it."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != "template":
@@ -962,26 +955,16 @@ def read_template(text: str) -> FrameTemplate:
     if not m:
         raise ValueError("missing sets line")
     nc, nx, ny0, ny1 = (int(x) for x in m.groups())
-    idx = 3
-    mats: dict[str, GFMatrix] = {}
-    for want in ("A1", "delta", "lambda"):
-        if idx >= len(lines) or lines[idx] != want:
+    rest = lines[3:]
+    mats = []
+    for want, after in zip(_BLOCKS, _BLOCKS[1:] + (None,)):
+        if not rest or rest[0] != want:
             raise ValueError(f"expected the {want} block")
-        idx += 1
-        if idx + 2 >= len(lines):
-            raise ValueError(f"truncated {want} block")
-        r = int(lines[idx + 1].split()[1])
-        c = int(lines[idx + 2].split()[1])
-        if c == 0:
-            mats[want] = GFMatrix.zeros(3, r, 0)
-            idx += 3
-        else:
-            mats[want] = from_text("\n".join(lines[idx : idx + 3 + r]))
-            idx += 3 + r
-    if idx != len(lines):
-        raise ValueError("trailing content after the lambda block")
+        end = rest.index(after) if after in rest else len(rest)
+        mats.append(from_text("\n".join(rest[1:end])))
+        rest = rest[end:]
     c = tuple(range(nc))
     x = tuple(range(nc, nc + nx))
     y0 = tuple(range(nc + nx, nc + nx + ny0))
     y1 = tuple(range(nc + nx + ny0, nc + nx + ny0 + ny1))
-    return FrameTemplate(gamma, c, x, y0, y1, mats["A1"], mats["delta"], mats["lambda"])
+    return FrameTemplate(gamma, c, x, y0, y1, *mats)

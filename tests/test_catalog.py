@@ -143,6 +143,38 @@ def test_named_parameterized():
     assert named("T1_4").matroid().size == 4 + 6 + 3
 
 
+def test_family_matrices_entry_by_entry():
+    # [I | D | payload], transcribed by hand in signed form: DOWLING3's
+    # payload has the columns e_i + e_j, T1_3's e_0 + e_1 and e_0 + e_2, and
+    # MK4 has none
+    want = {
+        "DOWLING3": ((1, 0, 0, 1, 1, 0, 1, 1, 0),
+                     (0, 1, 0, -1, 0, 1, 1, 0, 1),
+                     (0, 0, 1, 0, -1, -1, 0, 1, 1)),
+        "MK4": ((1, 0, 0, 1, 1, 0),
+                (0, 1, 0, -1, 0, 1),
+                (0, 0, 1, 0, -1, -1)),
+        "T1_3": ((1, 0, 0, 1, 1, 0, 1, 1),
+                 (0, 1, 0, -1, 0, 1, 1, 0),
+                 (0, 0, 1, 0, -1, -1, 0, 1)),
+    }
+    for id_, rows in want.items():
+        for p in (3, 5):
+            entry = named(id_, p)
+            assert entry.matrix.p == p and entry.matrix.ncols == len(rows[0])
+            assert entry.matrix.rows == tuple(tuple(x % p for x in row) for row in rows), (id_, p)
+            assert entry.matroid().labels == tuple(range(len(rows[0])))
+
+
+def test_family_parameter_is_bounded():
+    for head in ("MK", "DOWLING", "PI", "SIGMA", "OMEGA", "T1_"):
+        with pytest.raises(KeyError, match="unknown catalog id"):
+            named(f"{head}{catalog.MAX_FAMILY_PARAM + 1}")
+    top = catalog.MAX_FAMILY_PARAM
+    assert named(f"DOWLING{top}").matrix.nrows == top
+    assert named(f"MK{top}").matroid().size == top * (top - 1) // 2
+
+
 def test_named_builds_each_entry_once():
     # entries are shared per (id, field); their matroids are not, so
     # per-matroid caches never leak between callers

@@ -56,6 +56,17 @@ def test_named_unknown_id_exits_2(runner):
     assert "unknown catalog id" in result.output
 
 
+def test_minor_oversized_family_id_exits_2(runner, tmp_path):
+    # MK99999 would build a 99,998-row identity block before answering
+    path = emit(runner, tmp_path, "AG23E_Y0")
+    for ref in ("MK99999", "DOWLING100@GF5"):
+        result = runner.invoke(main, ["minor", "-m", path, "-n", ref])
+        assert result.exit_code == 2
+        assert "unknown catalog id" in result.output
+    result = runner.invoke(main, ["named", "PI99999"])
+    assert result.exit_code == 2
+
+
 def test_named_field_5(runner):
     result = runner.invoke(main, ["named", "AG23E", "--field", "5"])
     assert result.exit_code == 0

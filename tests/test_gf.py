@@ -125,6 +125,19 @@ def test_text_roundtrip(tmp_path):
     assert gf.read_file(str(path)) == m
 
 
+def test_text_roundtrip_without_columns():
+    # a matrix with no columns is written with no data lines, and read back
+    for p, nrows, ncols in ((3, 2, 0), (5, 3, 0), (3, 0, 0), (3, 0, 4)):
+        m = GFMatrix.zeros(p, nrows, ncols)
+        assert gf.from_text(gf.to_text(m)) == m
+        assert gf.from_text(gf.to_text(m)).nrows == nrows
+    assert gf.to_text(GFMatrix.zeros(3, 2, 0)) == "field 3\nrows 2\ncols 0\n"
+    with pytest.raises(ValueError):
+        gf.from_text("field 3\nrows 2\ncols 0\n1 2\n")
+    with pytest.raises(ValueError):
+        gf.from_text("field 3\nrows -1\ncols 0\n")
+
+
 def test_text_parser_tolerates_comments_and_signed_entries():
     text = "# generated\nfield 3\nrows 1\n# body next\ncols 3\n-1 4 0\n"
     assert gf.from_text(text).rows == ((2, 1, 0),)

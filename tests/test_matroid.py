@@ -60,6 +60,8 @@ E0, E1, E2, ZERO = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
 # the 13 points of PG(2, 3), each scaled so its first nonzero entry is 1
 PG23 = [v for v in itertools.product(range(3), repeat=3) if any(v) and next(x for x in v if x) == 1]
 E12 = (0, 1, 1)
+# the 40 points of PG(3, 3)
+PG33 = [v for v in itertools.product(range(3), repeat=4) if any(v) and next(x for x in v if x) == 1]
 # each has a loop or a parallel class; the 3-point line is {E1, E2, E12}
 NONSIMPLE_FAMILY = (
     m_cols(E0, E1, E2, ZERO, (2, 0, 0), E12),  # loop, pair off the line
@@ -1017,6 +1019,67 @@ def test_symmetry_pruning_changes_no_answer(monkeypatch):
     # the pruning ran: in hundreds of negatives, and in positives found after
     # a failed depth-0 subtree (has_minor stages)
     assert pruned_by_outcome["no"] >= 400 and pruned_by_outcome["yes"] >= 4
+
+
+def _symmetric_pg33_subset(rng, k):
+    """At most k points of PG(3, 3), a union of orbits of one random
+    monomial map, so that its matrix has monomial automorphisms."""
+    perm, scalars = rng.sample(range(4), 4), [rng.randrange(1, 3) for _ in range(4)]
+
+    def move(v):
+        w = [scalars[i] * v[perm[i]] % 3 for i in range(4)]
+        lead = next(x for x in w if x)
+        return tuple(x * lead % 3 for x in w)
+
+    points = []
+    for v in rng.sample(PG33, len(PG33)):
+        orbit = [v]
+        while move(orbit[-1]) != v:
+            orbit.append(move(orbit[-1]))
+        if v not in points and len(points) + len(orbit) <= k:
+            points += orbit
+    return points
+
+
+def test_isomorphism_symmetry_pruning_changes_no_witness(monkeypatch):
+    # isomorphism searches from scrambled copies of 7-13-point subsets of
+    # PG(3, 3) into a subset in its own coordinates, where its monomial
+    # automorphisms show: the copy of that subset, and the copy of another
+    # subset of its size.  The subsets of 7 and 8 points are random, the
+    # larger ones unions of orbits of a monomial map.  Every search that
+    # builds the host's generators gives the witness of a search with none,
+    # and on <= 8 points the naive oracle's.  Rooting each orbit at its
+    # largest label changes 8 of these witnesses.
+    rng = random.Random(5)
+    pairs = []
+    for k in range(7, 14):
+        for _ in range(24 if k <= 8 else 16):
+            cols = [rng.sample(PG33, k) if k <= 8 else _symmetric_pg33_subset(rng, k) for _ in range(2)]
+            a, b = (LinearMatroid(GFMatrix.from_columns(3, c, nrows=4)) for c in cols)
+            if a.size == b.size == k:
+                pairs += [(_scrambled(a, rng), a), (_scrambled(b, rng), a)]
+    builds: list = []
+    real = _RankPreservingSearch._host_generators
+
+    def counting(search):
+        builds.append(search)
+        return real(search)
+
+    monkeypatch.setattr(_RankPreservingSearch, "_host_generators", counting)
+    pruned = []
+    for m, n in pairs:
+        before = len(builds)
+        found = find_isomorphism(m, n)
+        if len(builds) > before:
+            pruned.append((m, n, found))
+    monkeypatch.setattr(matroid_module, "_monomial_generators", lambda n: ())
+    for m, n, found in pruned:
+        assert find_isomorphism(m, n) == found
+        if m.size <= 8:
+            assert found == naive_find_isomorphism(m, n)
+    outcomes = collections.Counter((m.size <= 8, found is not None) for m, _, found in pruned)
+    assert len(pairs) == 214
+    assert outcomes == {(True, True): 1, (True, False): 2, (False, True): 8, (False, False): 2}
 
 
 def test_monomial_generators_are_certified_automorphisms():

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from matroidlab import gf
 from matroidlab import templates as tp
 from matroidlab.catalog import FORBIDDEN, T1, T2, T2PLUS, T3, T3PLUS, named, universal_matrix
 from matroidlab.gf import GFMatrix, weight
@@ -450,3 +451,24 @@ def test_template_file_errors():
         tp.read_template(good.replace("gamma {1,-1}", "gamma {7}"))
     with pytest.raises(ValueError):
         tp.read_template(good + "junk\n")
+
+
+def test_template_blocks_are_matrix_files():
+    # each block is its name line, then the block as gf.to_text writes it,
+    # blocks with no rows or no columns included
+    for id_ in tp.template_ids():
+        t = tp.named_template(id_)
+        blocks = "".join(f"{name}\n" + gf.to_text(mat)
+                         for name, mat in zip(("A1", "delta", "lambda"), (t.a1, t.delta_basis, t.lambda_basis)))
+        assert tp.write_template(t).endswith(blocks)
+    assert tp.named_template("PHI_X").a1.nrows == 1 and tp.named_template("PHI_X").a1.ncols == 0
+
+
+def test_template_malformed_block_header_is_value_error():
+    # a bare or non-numeric field, rows or cols line, or a missing one
+    lines = tp.write_template(tp.named_template("PHI_CX")).splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.startswith(("field", "rows", "cols")):
+            for bad in (line.split()[0] + "\n", "\n", line.split()[0] + " x\n"):
+                with pytest.raises(ValueError):
+                    tp.read_template("".join(lines[:i] + [bad] + lines[i + 1:]))
