@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -32,6 +31,10 @@ T2PLUS = T2 + ((-1, -1, -1),)
 T3PLUS = T3 + ((0, 1, 1),)
 
 # -- small payloads used by the non-Fano and classifier suites -----------------------
+#
+# [I3|D3|F7M_COL3] is F7MINUS_XY0 up to column scaling; M([I4|D4|F7M_PAIRS])
+# has a non-Fano minor; M([I3|D3|F7M_TRIPLE]) is the rank-3 ternary Dowling
+# geometry; ONES3 classifies as signed-graphic.
 
 F7M_COL3 = ((1,), (1,), (-1,))
 F7M_PAIRS = ((1, 0), (1, 0), (0, 1), (0, 1))
@@ -122,29 +125,6 @@ def build_D(r: int, p: int = 3) -> GFMatrix:
     return GFMatrix.from_columns(p, cols, nrows=r)
 
 
-def clique_matrix(n: int, p: int = 3) -> GFMatrix:
-    if n < 1:
-        raise ValueError("clique needs n >= 1")
-    return universal_matrix((), n - 1, p)
-
-
-def clique(n: int, p: int = 3) -> LinearMatroid:
-    """Cycle matroid of the complete graph on n vertices, as [I | D]."""
-    return LinearMatroid(clique_matrix(n, p))
-
-
-def dowling_matrix(r: int, p: int = 3) -> GFMatrix:
-    if r < 1:
-        raise ValueError("rank must be at least 1")
-    pairs = list(itertools.combinations(range(r), 2))
-    return universal_matrix([[int(k in pair) for pair in pairs] for k in range(r)], r, p)
-
-
-def dowling(r: int, p: int = 3) -> LinearMatroid:
-    """Rank-r frame geometry [I | D | D'] on r*r elements; D' has columns e_i + e_j."""
-    return LinearMatroid(dowling_matrix(r, p))
-
-
 def universal_matrix(P, r: int, p: int = 3) -> GFMatrix:
     """[I_r | D_r | P-over-zeros]; P occupies the first rows of its block."""
     if isinstance(P, GFMatrix):
@@ -181,59 +161,45 @@ def universal_block_labels(r: int, m: int, payload_cols: int) -> tuple[tuple[int
     return clique_labels, tuple(sub)
 
 
-def pi(r: int, p: int = 3) -> LinearMatroid:
-    if r < 4:
-        raise ValueError("this family starts at rank 4")
-    return universal_matroid(T1, r, p)
-
-
-def sigma(r: int, p: int = 3) -> LinearMatroid:
-    if r < 3:
-        raise ValueError("this family starts at rank 3")
-    return universal_matroid(T2, r, p)
-
-
-def omega(r: int, p: int = 3) -> LinearMatroid:
-    if r < 5:
-        raise ValueError("this family starts at rank 5")
-    return universal_matroid(T3, r, p)
-
-
-def t_r_1(r: int, p: int = 3) -> LinearMatroid:
-    """[I_r | D_r | ones-row over I_{r-1}]: column j of the payload is e_0 + e_{j+1}."""
-    if r < 2:
-        raise ValueError("rank must be at least 2")
-    return universal_matroid([[1] * (r - 1)] + [[int(i == j) for j in range(r - 1)] for i in range(r - 1)], r, p)
-
-
 # -- the catalog --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class NamedEntry:
     id: str
-    kind: str  # "matrix" or "matroid"
     matrix: GFMatrix
     labels: tuple[int, ...] | None = None
     contract_hint: tuple[int, ...] | None = None
-    note: str = ""
 
     def matroid(self) -> LinearMatroid:
         return LinearMatroid(self.matrix, self.labels)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    id: str
-    matrix: GFMatrix
-    contract_hint: tuple[int, ...]
-
-
-_PARAM = re.compile(r"^(MK|DOWLING|PI|SIGMA|OMEGA|T1_)(\d+)$")
 # the largest family parameter ``named`` builds; larger ones are unknown ids,
 # so that a mistyped MK99999 fails at once instead of building a 99,998-row
 # identity block
 MAX_FAMILY_PARAM = 12
+
+# head -> (least parameter n, n minus the rank r, payload of rank r): the
+# member with parameter n is M(universal_matrix(payload(r), r)).  MK<n> is
+# the clique M(K_n); DOWLING<r> the frame geometry whose payload columns are
+# e_i + e_j; T1_<r> has a ones row over I_{r-1} as its payload.
+_FAMILIES = {
+    "MK": (1, 1, lambda r: ()),
+    "DOWLING": (1, 0, lambda r: [[int(k in ij) for ij in itertools.combinations(range(r), 2)] for k in range(r)]),
+    "PI": (4, 0, lambda r: T1),
+    "SIGMA": (3, 0, lambda r: T2),
+    "OMEGA": (5, 0, lambda r: T3),
+    "T1_": (2, 0, lambda r: [[1] * (r - 1)] + [[int(i == j) for j in range(r - 1)] for i in range(r - 1)]),
+}
+
+# every family id ``named`` accepts, with its head and parameter; written
+# without leading zeros, so each member has exactly one id
+_FAMILY_IDS = {
+    f"{head}{n}": (head, n)
+    for head, (least, _, _) in _FAMILIES.items()
+    for n in range(least, MAX_FAMILY_PARAM + 1)
+}
 
 
 @functools.cache
@@ -243,87 +209,46 @@ def _fixed_entries(p: int) -> Mapping[str, NamedEntry]:
     so sharing them is safe."""
     e: dict[str, NamedEntry] = {}
 
-    def put(id_, kind, rows, labels=None, hint=None, note=""):
-        e[id_] = NamedEntry(id_, kind, GFMatrix(p, rows), labels, hint, note)
+    def put(id_, rows, labels=None, hint=None):
+        e[id_] = NamedEntry(id_, GFMatrix(p, rows), labels, hint)
 
-    put("T1", "matrix", T1, note="4x3 payload matrix behind the PI family")
-    put("T2", "matrix", T2, note="3x3 payload matrix behind the SIGMA family")
-    put("T3", "matrix", T3, note="5x3 payload matrix behind the OMEGA family")
-    put("T2PLUS", "matrix", T2PLUS, note="T2 with the appended zero-sum row [-1,-1,-1]")
-    put("T3PLUS", "matrix", T3PLUS, note="T3 with the appended zero-sum row [0,1,1]")
-    put("F7M_COL3", "matrix", F7M_COL3,
-        note="3x1 payload; [I3|D3|payload] equals F7MINUS_XY0 up to column scaling")
-    put("F7M_PAIRS", "matrix", F7M_PAIRS, hint=(10,),
-        note="4x2 payload of doubled unit columns; M([I|D|payload]) has a non-Fano minor")
-    put("F7M_TRIPLE", "matrix", F7M_TRIPLE,
-        note="3x3 payload; M([I|D|payload]) is the rank-3 ternary Dowling geometry")
-    put("ONES3", "matrix", ONES3, note="3x1 all-ones payload; classifies as signed-graphic")
+    for id_, rows in (("T1", T1), ("T2", T2), ("T3", T3), ("T2PLUS", T2PLUS), ("T3PLUS", T3PLUS),
+                      ("F7M_COL3", F7M_COL3), ("F7M_TRIPLE", F7M_TRIPLE), ("ONES3", ONES3)):
+        put(id_, rows)
+    put("F7M_PAIRS", F7M_PAIRS, hint=(10,))
     for key, (rows, hint) in FORBIDDEN.items():
-        put(
-            f"FORBIDDEN_{key}",
-            "matrix",
-            rows,
-            hint=hint,
-            note=f"forbidden payload submatrix {key}; hint indexes M([I|D|{key}])",
-        )
-    put("AG23E", "matroid", AG23E_ROWS, labels=AG23E_LABELS,
-        note="rank-3 ternary affine plane minus a point, 8 elements")
-    put("AG23E_Y0", "matroid", AG23E_Y0_ROWS, labels=AG23E_Y0_LABELS, hint=(9,),
-        note="4x9 pre-contraction form; contracting 9 gives AG23E")
-    put("AG23E_X", "matroid", AG23E_X_ROWS, labels=AG23E_X_LABELS,
-        note="3x8 form whose bottom two rows are a trivial-group frame block")
-    put("F7MINUS", "matroid", F7MINUS_ROWS,
-        note="non-Fano plane: 7 points, rank 3, six 3-point lines")
-    put("F7MINUS_XY0", "matroid", F7MINUS_XY0_ROWS,
-        note="non-Fano form with a payload top row over a frame block")
-    put("U24", "matroid", U24_ROWS, note="4-point line")
-    ag = LinearMatroid(GFMatrix(p, AG23E_ROWS), AG23E_LABELS).dual()
-    e["AG23E_DUAL"] = NamedEntry("AG23E_DUAL", "matroid", ag.matrix, ag.labels,
-                                 note="dual of AG23E, rank 5")
-    f7d = LinearMatroid(GFMatrix(p, F7MINUS_ROWS)).dual()
-    e["F7MINUS_DUAL"] = NamedEntry("F7MINUS_DUAL", "matroid", f7d.matrix, f7d.labels,
-                                   note="dual of the non-Fano plane, rank 4")
+        put(f"FORBIDDEN_{key}", rows, hint=hint)
+    put("AG23E", AG23E_ROWS, AG23E_LABELS)
+    put("AG23E_Y0", AG23E_Y0_ROWS, AG23E_Y0_LABELS, hint=(9,))
+    put("AG23E_X", AG23E_X_ROWS, AG23E_X_LABELS)
+    put("F7MINUS", F7MINUS_ROWS)
+    put("F7MINUS_XY0", F7MINUS_XY0_ROWS)
+    put("U24", U24_ROWS)
+    for id_ in ("AG23E", "F7MINUS"):
+        dual = e[id_].matroid().dual()
+        e[f"{id_}_DUAL"] = NamedEntry(f"{id_}_DUAL", dual.matrix, dual.labels)
     return MappingProxyType(e)
 
 
 def named(id_: str, field: int = 3) -> NamedEntry:
-    """Catalog lookup; parameterized families accept MK<n>, DOWLING<r>, PI<r>,
-    SIGMA<r>, OMEGA<r>, T1_<r> up to MAX_FAMILY_PARAM."""
+    """The one entry point to the catalog: the fixed entries, and the family
+    members MK<n>, DOWLING<r>, PI<r>, SIGMA<r>, OMEGA<r>, T1_<r> from each
+    family's least parameter up to MAX_FAMILY_PARAM.  Unknown ids raise
+    KeyError."""
     fixed = _fixed_entries(field)
     if id_ in fixed:
         return fixed[id_]
-    m = _PARAM.match(id_)
-    if m and int(m.group(2)) <= MAX_FAMILY_PARAM:
+    if id_ in _FAMILY_IDS:
         return _family_entry(id_, field)
     raise KeyError(f"unknown catalog id {id_!r}")
 
 
-@functools.lru_cache(maxsize=128)
+@functools.cache
 def _family_entry(id_: str, field: int) -> NamedEntry:
-    m = _PARAM.match(id_)
-    head, num = m.group(1), int(m.group(2))
-    try:
-        if head == "MK":
-            mat = clique(num, field)
-            note = f"cycle matroid of the complete graph on {num} vertices"
-        elif head == "DOWLING":
-            mat = dowling(num, field)
-            note = f"rank-{num} frame geometry on {num * num} elements"
-        elif head == "PI":
-            mat = pi(num, field)
-            note = f"rank-{num} universal matroid over the T1 payload"
-        elif head == "SIGMA":
-            mat = sigma(num, field)
-            note = f"rank-{num} universal matroid over the T2 payload"
-        elif head == "OMEGA":
-            mat = omega(num, field)
-            note = f"rank-{num} universal matroid over the T3 payload"
-        else:
-            mat = t_r_1(num, field)
-            note = f"rank-{num} member of the T^1 family"
-    except ValueError as exc:
-        raise KeyError(f"unknown catalog id {id_!r}: {exc}") from None
-    return NamedEntry(id_, "matroid", mat.matrix, mat.labels, note=note)
+    head, n = _FAMILY_IDS[id_]
+    _, shift, payload = _FAMILIES[head]
+    mat = universal_matrix(payload(n - shift), n - shift, field)
+    return NamedEntry(id_, mat, tuple(range(mat.ncols)))
 
 
 def catalog_ids() -> tuple[str, ...]:
@@ -332,9 +257,3 @@ def catalog_ids() -> tuple[str, ...]:
     families = ("MK4", "MK5", "MK6", "DOWLING3", "DOWLING4", "DOWLING5",
                 "PI4", "PI5", "SIGMA3", "SIGMA4", "OMEGA5", "T1_2", "T1_3", "T1_4")
     return fixed + families
-
-
-def table_rows(p: int = 3) -> tuple[TableRow, ...]:
-    return tuple(
-        TableRow(key, GFMatrix(p, rows), hint) for key, (rows, hint) in FORBIDDEN.items()
-    )

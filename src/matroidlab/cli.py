@@ -19,7 +19,7 @@ from typing import NoReturn
 import click
 
 from . import gf
-from .catalog import FORBIDDEN, catalog_ids, named
+from .catalog import catalog_ids, named
 from .matroid import (
     LinearMatroid,
     find_embedding,
@@ -59,12 +59,11 @@ def _load_matroid(ref: str) -> LinearMatroid:
 
     if os.path.exists(ref):
         return LinearMatroid(_read_matrix(ref))
-    id_, _, suffix = ref.partition("@")
-    field = 3
-    if suffix:
-        if suffix.upper() not in _FIELD_SUFFIX:
-            _fail(2, f"error: unknown field suffix {suffix}; use GF3 or GF5")
-        field = _FIELD_SUFFIX[suffix.upper()]
+    id_, at, suffix = ref.partition("@")
+    # an "@" with nothing after it is an unknown suffix, not GF(3)
+    field = _FIELD_SUFFIX.get(suffix.upper()) if at else 3
+    if field is None:
+        _fail(2, f"error: unknown field suffix {suffix!r}; use GF3 or GF5")
     return _entry_or_die(id_, field).matroid()
 
 
@@ -181,9 +180,8 @@ def classify_cmd(payload_file: str) -> None:
         _fail(1, f"certificate failed re-verification: {why}")
     detail = ""
     if cls.verdict == CONTAINS_AG23E:
-        name = cls.certificate[1]
-        base = cls.certificate[2]
-        detail = f" hit={name} hint={_fmt_set(FORBIDDEN[base][1])}"
+        _, name, base, *_ = cls.certificate
+        detail = f" hit={name} hint={_fmt_set(named(f'FORBIDDEN_{base}').contract_hint)}"
     click.echo(f"{cls.verdict}{detail}")
     for note in cls.notes:
         click.echo(f"  {note}")

@@ -61,6 +61,12 @@ def _insert_into_basis(v: Sequence[int], basis: list, p: int) -> bool:
     return False
 
 
+def _column_rank(cols: Iterable[Sequence[int]], p: int) -> int:
+    """The rank of the columns cols over GF(p)."""
+    basis: list = []
+    return sum(_insert_into_basis(v, basis, p) for v in cols)
+
+
 def _contract_columns(columns: Mapping[int, tuple[int, ...]], x: int, p: int) -> dict[int, tuple[int, ...]]:
     """label -> column of M/x, from label -> column of M, in the same order.
 
@@ -411,14 +417,16 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
         return False
     if len(survivors) != n.size:
         return False
-    t_rank, images = _reduce_modulo(
+    _, images = _reduce_modulo(
         [m.column_of(x) for x in sorted(contracted)], [m.column_of(mapping[x]) for x in n.labels], m.p
     )
-    r = n.rank()
-    if m.rank(image | contracted) - t_rank != r:
-        # ranks above n's inside the image would otherwise go unnoticed
+    n_cols = [n.column_of(x) for x in n.labels]
+    r = _column_rank(n_cols, n.p)
+    # the image's rank in M/T is its reduced columns' rank; ranks above n's
+    # inside the image would otherwise go unnoticed
+    if _column_rank(images, m.p) != r:
         return False
-    return _same_independent_sets([n.column_of(x) for x in n.labels], n.p, images, m.p, r)
+    return _same_independent_sets(n_cols, n.p, images, m.p, r)
 
 
 # -- pair table for the rank-preserving search -----------------------------------------

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .catalog import named, table_rows, universal_block_labels, universal_matrix, universal_matroid
+from .catalog import FORBIDDEN, named, universal_block_labels, universal_matrix, universal_matroid
 from .matroid import (
     LinearMatroid,
     find_embedding,
@@ -119,6 +119,15 @@ def _iso_check(a: LinearMatroid, b: LinearMatroid) -> tuple[bool, str]:
     return True, f"map={_fmt_map(mapping)}"
 
 
+def _embed_check(a: LinearMatroid, b: LinearMatroid) -> tuple[bool, str]:
+    mapping = find_embedding(a, b)
+    if mapping is None:
+        return False, "no embedding found"
+    if not verify_embedding(a, b, mapping):
+        return False, "embedding failed re-verification"
+    return True, f"map={_fmt_map(mapping)}"
+
+
 def _no_embedding_check(a: LinearMatroid, b: LinearMatroid) -> tuple[bool, str]:
     mapping = find_embedding(a, b)
     if mapping is None:
@@ -126,10 +135,12 @@ def _no_embedding_check(a: LinearMatroid, b: LinearMatroid) -> tuple[bool, str]:
     return False, f"unexpected embedding map={_fmt_map(mapping)}"
 
 
-def _minor_check(
-    m: LinearMatroid, target: LinearMatroid, hint: tuple[int, ...] | None
-) -> tuple[bool, str]:
-    w = has_minor(m, target, hint=hint)
+def _payload_minor_check(payload_id: str, target_id: str) -> tuple[bool, str]:
+    """M([I|D|P]) for the catalog payload P has the catalog target as a
+    minor, searched under P's contract hint."""
+    entry = named(payload_id)
+    m, target = universal_matroid(entry.matrix, entry.matrix.nrows), named(target_id).matroid()
+    w = has_minor(m, target, hint=entry.contract_hint)
     if w is None:
         return False, "no minor found"
     if not verify_witness(m, target, w):
@@ -142,21 +153,15 @@ def _minor_check(
 
 
 def _tables_checks() -> list[Check]:
-    checks = []
-    for row in table_rows():
-        def run(row=row):
-            m = universal_matroid(row.matrix, row.matrix.nrows)
-            return _minor_check(m, named("AG23E").matroid(), row.contract_hint)
-
-        checks.append(
-            Check(
-                f"tables-{row.id}",
-                f"si(M([I|D|FORBIDDEN_{row.id}])/{_fmt_set(row.contract_hint)})"
-                " has an AG23E minor",
-                run,
-            )
+    return [
+        Check(
+            f"tables-{key}",
+            f"si(M([I|D|FORBIDDEN_{key}])/{_fmt_set(named(f'FORBIDDEN_{key}').contract_hint)})"
+            " has an AG23E minor",
+            lambda key=key: _payload_minor_check(f"FORBIDDEN_{key}", "AG23E"),
         )
-    return checks
+        for key in FORBIDDEN
+    ]
 
 
 def _dyadic_checks() -> list[Check]:
@@ -230,31 +235,17 @@ def _nearreg_checks() -> list[Check]:
         return True, "scalars=" + ",".join(str(s) for s in scalars)
 
     def col4_contract():
-        entry = named("FORBIDDEN_A")
-        m = universal_matroid(entry.matrix, entry.matrix.nrows)
-        ok, witness = _minor_check(m, named("F7MINUS").matroid(), entry.contract_hint)
+        ok, witness = _payload_minor_check("FORBIDDEN_A", "F7MINUS")
         # restriction claim: nothing beyond the payload column may be contracted
-        if ok and not witness.startswith(f"contract={_fmt_set(entry.contract_hint)} "):
+        if ok and not witness.startswith(f"contract={_fmt_set(named('FORBIDDEN_A').contract_hint)} "):
             return False, "minor needed contractions beyond the payload column"
         return ok, witness
 
     def payload_minor(id_):
-        def run():
-            entry = named(id_)
-            m = universal_matroid(entry.matrix, entry.matrix.nrows)
-            return _minor_check(m, named("F7MINUS").matroid(), entry.contract_hint)
-
-        return run
+        return lambda: _payload_minor_check(id_, "F7MINUS")
 
     def dowling_restriction():
-        a = named("F7MINUS").matroid()
-        b = named("DOWLING3").matroid()
-        mapping = find_embedding(a, b)
-        if mapping is None:
-            return False, "no embedding found"
-        if not verify_embedding(a, b, mapping):
-            return False, "embedding failed re-verification"
-        return True, f"map={_fmt_map(mapping)}"
+        return _embed_check(named("F7MINUS").matroid(), named("DOWLING3").matroid())
 
     return [
         Check(
@@ -304,23 +295,19 @@ def _classify_check(payload_id: str, want: str) -> Callable[[], tuple[bool, str]
     return run
 
 
-def _templates_checks() -> list[Check]:
-    def y0_respects():
-        rep = respects(
-            named("AG23E_Y0").matrix, Placement(y0_cols=(8,)), named_template("PHI_Y0")
-        )
+def _respects_check(id_: str, placement: Placement, template_id: str) -> Callable[[], tuple[bool, str]]:
+    def run():
+        rep = respects(named(id_).matrix, placement, named_template(template_id))
         return rep.ok, rep.reason if not rep.ok else "respects"
 
+    return run
+
+
+def _templates_checks() -> list[Check]:
     def y0_contract():
         entry = named("AG23E_Y0")
         m = entry.matroid().contract(entry.contract_hint)
         return _iso_check(m, named("AG23E").matroid())
-
-    def x_respects():
-        rep = respects(
-            named("AG23E_X").matrix, Placement(x_rows=(0,)), named_template("PHI_X")
-        )
-        return rep.ok, rep.reason if not rep.ok else "respects"
 
     def x_iso():
         return _iso_check(named("AG23E_X").matroid(), named("AG23E").matroid())
@@ -378,7 +365,7 @@ def _templates_checks() -> list[Check]:
         Check(
             "templates-x-respects",
             "AG23E_X respects PHI_X with its top row placed on X",
-            x_respects,
+            _respects_check("AG23E_X", Placement(x_rows=(0,)), "PHI_X"),
         ),
         Check(
             "templates-y0-contract",
@@ -388,7 +375,7 @@ def _templates_checks() -> list[Check]:
         Check(
             "templates-y0-respects",
             "AG23E_Y0 respects PHI_Y0 with its last column placed on Y0",
-            y0_respects,
+            _respects_check("AG23E_Y0", Placement(y0_cols=(8,)), "PHI_Y0"),
         ),
     ]
 

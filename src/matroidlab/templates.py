@@ -24,7 +24,7 @@ import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .catalog import FORBIDDEN, T1, T2, T3, build_D, named, universal_matrix, universal_matroid
+from .catalog import FORBIDDEN, build_D, named, universal_matrix, universal_matroid
 from .gf import GFMatrix, from_text, hstack, to_text, vstack, weight
 from .matroid import LinearMatroid, MinorWitness, has_minor, verify_witness
 
@@ -134,46 +134,50 @@ def apply_moves(P: GFMatrix, moves: Sequence[tuple]) -> GFMatrix:
     ("scale_columns", scalars), ("drop_zero_rows", kept).  The kept
     tuples are strictly increasing index lists into the matrix at that
     point of the replay; dropped material must be droppable (graphic or
-    zero columns, duplicate columns, zero rows).  Raises ValueError on
-    any illegal step.
+    zero columns, duplicate columns, zero rows).  Raises ValueError, and
+    only ValueError, on any illegal or malformed step.
     """
     cur = P
-    for mv in moves:
-        op = mv[0]
-        if op == "append_zero_sum_row":
-            cur = add_zero_sum_row(cur)
-        elif op == "remove_row":
-            cur = remove_row(cur, mv[1])
-        elif op == "strip_columns":
-            kept = list(mv[1])
-            _check_kept(kept, cur.ncols, "column")
-            for j in range(cur.ncols):
-                if j not in kept and classify_column(cur.column(j), cur.p)[0] not in (ZERO, GRAPHIC):
-                    raise ValueError(f"column {j} is neither zero nor graphic")
-            cur = cur.take_cols(kept)
-        elif op == "dedupe_columns":
-            kept = list(mv[1])
-            _check_kept(kept, cur.ncols, "column")
-            for j in range(cur.ncols):
-                if j not in kept and not any(
-                    _scalar_multiple(cur.column(j), cur.column(k), cur.p) for k in kept
-                ):
-                    raise ValueError(f"column {j} duplicates no kept column")
-            cur = cur.take_cols(kept)
-        elif op == "scale_columns":
-            scalars = [s % cur.p for s in mv[1]]
-            if len(scalars) != cur.ncols or any(s == 0 for s in scalars):
-                raise ValueError("need one unit scalar per column")
-            cur = _scale_columns(cur, scalars)
-        elif op == "drop_zero_rows":
-            kept = list(mv[1])
-            _check_kept(kept, cur.nrows, "row")
-            for i in range(cur.nrows):
-                if i not in kept and any(cur.rows[i]):
-                    raise ValueError(f"row {i} is not zero")
-            cur = cur.take_rows(kept)
-        else:
-            raise ValueError(f"unknown move {op!r}")
+    try:
+        for mv in moves:
+            op = mv[0]
+            if op == "append_zero_sum_row":
+                cur = add_zero_sum_row(cur)
+            elif op == "remove_row":
+                cur = remove_row(cur, mv[1])
+            elif op == "strip_columns":
+                kept = list(mv[1])
+                _check_kept(kept, cur.ncols, "column")
+                for j in range(cur.ncols):
+                    if j not in kept and classify_column(cur.column(j), cur.p)[0] not in (ZERO, GRAPHIC):
+                        raise ValueError(f"column {j} is neither zero nor graphic")
+                cur = cur.take_cols(kept)
+            elif op == "dedupe_columns":
+                kept = list(mv[1])
+                _check_kept(kept, cur.ncols, "column")
+                for j in range(cur.ncols):
+                    if j not in kept and not any(
+                        _scalar_multiple(cur.column(j), cur.column(k), cur.p) for k in kept
+                    ):
+                        raise ValueError(f"column {j} duplicates no kept column")
+                cur = cur.take_cols(kept)
+            elif op == "scale_columns":
+                scalars = [s % cur.p for s in mv[1]]
+                if len(scalars) != cur.ncols or any(s == 0 for s in scalars):
+                    raise ValueError("need one unit scalar per column")
+                cur = _scale_columns(cur, scalars)
+            elif op == "drop_zero_rows":
+                kept = list(mv[1])
+                _check_kept(kept, cur.nrows, "row")
+                for i in range(cur.nrows):
+                    if i not in kept and any(cur.rows[i]):
+                        raise ValueError(f"row {i} is not zero")
+                cur = cur.take_rows(kept)
+            else:
+                raise ValueError(f"unknown move {op!r}")
+    except (IndexError, TypeError) as exc:
+        # a move of the wrong shape: missing arguments, or ones of the wrong type
+        raise ValueError(f"malformed move: {exc}") from None
     return cur
 
 
@@ -315,8 +319,8 @@ def forbidden_scan(P: GFMatrix) -> tuple[ScanHit, ...]:
     if P.p != 3:
         raise ValueError("the forbidden catalog lives over GF(3)")
     out = []
-    for key, (rows, _) in FORBIDDEN.items():
-        hit = find_submatrix(P, GFMatrix(3, rows))
+    for key in FORBIDDEN:
+        hit = find_submatrix(P, named(f"FORBIDDEN_{key}").matrix)
         if hit is not None:
             out.append(ScanHit(key, hit))
     return tuple(out)
@@ -332,30 +336,46 @@ _DERIVED: dict[str, tuple[str, tuple[tuple, ...]]] = {
 }
 
 
+def _needle(base: str, trail: tuple) -> GFMatrix:
+    return apply_moves(named(f"FORBIDDEN_{base}").matrix, trail)
+
+
 def derived_needle(name: str) -> GFMatrix:
-    base, trail = _DERIVED[name]
-    return apply_moves(GFMatrix(3, FORBIDDEN[base][0]), trail)
+    return _needle(*_DERIVED[name])
 
 
 @functools.cache
 def _classifier_needles() -> tuple[tuple[str, str, tuple, GFMatrix], ...]:
-    rows: list[tuple[str, str, tuple, GFMatrix]] = []
-    for key, (mat, _) in FORBIDDEN.items():
-        rows.append((key, key, (), GFMatrix(3, mat)))
-    for name, (base, trail) in _DERIVED.items():
-        rows.append((name, base, trail, derived_needle(name)))
-    return tuple(rows)
+    """(name, base, trail, needle) for every catalog matrix, then every
+    cropped variant."""
+    trails = {key: (key, ()) for key in FORBIDDEN} | _DERIVED
+    return tuple((name, base, trail, _needle(base, trail)) for name, (base, trail) in trails.items())
+
+
+def _table_host(base: str) -> LinearMatroid:
+    """M([I|D|X]) for the catalog matrix X, labeled as its contract hint is."""
+    mat = named(f"FORBIDDEN_{base}").matrix
+    return universal_matroid(mat, mat.nrows)
 
 
 @functools.cache
 def _table_witness(base: str) -> MinorWitness:
     """Minor witness tying a catalog matrix to the eight-point affine
     witness, computed once per letter."""
-    mat, hint = FORBIDDEN[base]
-    w = has_minor(universal_matroid(mat, len(mat)), named("AG23E").matroid(), hint)
+    hint = named(f"FORBIDDEN_{base}").contract_hint
+    w = has_minor(_table_host(base), named("AG23E").matroid(), hint)
     if w is None:
         raise RuntimeError(f"catalog matrix {base} lost its minor")
     return w
+
+
+# the family each completed T payload stands for
+_T_FAMILIES = {1: PI, 2: SIGMA, 3: OMEGA}
+
+
+def _t_target(t_index: int) -> GFMatrix:
+    """The catalog payload T<t_index> with its zero-sum row appended."""
+    return add_zero_sum_row(named(f"T{t_index}").matrix)
 
 
 # -- the classifier ----------------------------------------------------------------
@@ -488,9 +508,8 @@ def classify_Y_template(P: GFMatrix) -> Classification:
                 (*notes, f"all-ones columns share row {r}"),
             )
 
-    for t_index, rows, verdict in ((1, T1, PI), (2, T2, SIGMA), (3, T3, OMEGA)):
-        target = add_zero_sum_row(GFMatrix(3, rows))
-        sub = find_submatrix(target, cur)
+    for t_index, verdict in _T_FAMILIES.items():
+        sub = find_submatrix(_t_target(t_index), cur)
         if sub is not None:
             cert = ("t_embedding", t_index, sub)
             return Classification(
@@ -536,7 +555,8 @@ def verify_classification(P: GFMatrix, cls: Classification) -> tuple[bool, str]:
 
     Replays the move trail (every move re-validates its own legality),
     compares the outcome with cls.normalized, then re-derives whatever
-    the certificate asserts.  Returns (ok, reason).
+    the certificate asserts.  Returns (ok, reason) for every input: a
+    malformed trail or certificate is rejected, never raised.
     """
     try:
         cur = apply_moves(P, cls.moves)
@@ -544,6 +564,16 @@ def verify_classification(P: GFMatrix, cls: Classification) -> tuple[bool, str]:
         return False, f"move replay failed: {exc}"
     if cur != cls.normalized:
         return False, "replayed moves do not reproduce the normalized matrix"
+    try:
+        return _check_certificate(cur, cls)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        # a certificate of the wrong shape, or with parts of the wrong type
+        return False, f"malformed certificate: {exc!r}"
+
+
+def _check_certificate(cur: GFMatrix, cls: Classification) -> tuple[bool, str]:
+    """verify_classification's check of what cls.certificate asserts about
+    the replayed matrix cur; may raise on a malformed certificate."""
     tag = cls.certificate[0]
 
     if tag == "frame_form":
@@ -573,13 +603,10 @@ def verify_classification(P: GFMatrix, cls: Classification) -> tuple[bool, str]:
         return True, "ok"
 
     if tag == "t_embedding":
-        families = {1: PI, 2: SIGMA, 3: OMEGA}
         _, t_index, sub = cls.certificate
-        if families.get(t_index) != cls.verdict:
+        if _T_FAMILIES.get(t_index) != cls.verdict:
             return False, "embedding certificate names the wrong family"
-        payload = {1: T1, 2: T2, 3: T3}[t_index]
-        target = add_zero_sum_row(GFMatrix(3, payload))
-        if not check_submatrix_hit(target, cur, sub):
+        if not check_submatrix_hit(_t_target(t_index), cur, sub):
             return False, "embedding does not check out entry by entry"
         return True, "ok"
 
@@ -589,16 +616,15 @@ def verify_classification(P: GFMatrix, cls: Classification) -> tuple[bool, str]:
         _, name, base, trail, sub, witness = cls.certificate
         if base not in FORBIDDEN:
             return False, f"unknown catalog matrix {base!r}"
-        base_rows, _ = FORBIDDEN[base]
         try:
-            needle = apply_moves(GFMatrix(3, base_rows), trail)
+            needle = _needle(base, trail)
         except ValueError as exc:
             return False, f"needle derivation failed: {exc}"
         if not check_submatrix_hit(cur, needle, sub):
             return False, "forbidden hit does not check out entry by entry"
         if witness is None:
             return False, "missing minor witness"
-        if not verify_witness(universal_matroid(base_rows, len(base_rows)), named("AG23E").matroid(), witness):
+        if not verify_witness(_table_host(base), named("AG23E").matroid(), witness):
             return False, "minor witness fails"
         return True, "ok"
 

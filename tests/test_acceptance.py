@@ -12,7 +12,7 @@ import random
 import time
 
 from matroidlab import templates as tp
-from matroidlab.catalog import FORBIDDEN, named, table_rows, universal_matrix
+from matroidlab.catalog import FORBIDDEN, named, universal_matrix
 from matroidlab.gf import GFMatrix
 from matroidlab.matroid import (
     LinearMatroid,
@@ -54,9 +54,9 @@ def test_criterion_1_tables_force_ag23e_minors():
         assert result.passed, f"{result.check_id}: {result.witness}"
     assert elapsed < 300.0, f"tables suite took {elapsed:.1f}s"
     # the suite already re-verified each witness; spot re-derive one end to end
-    row = table_rows()[0]
-    m = LinearMatroid(universal_matrix(row.matrix, row.matrix.nrows))
-    w = has_minor(m, named("AG23E").matroid(), hint=row.contract_hint)
+    entry = named("FORBIDDEN_A")
+    m = LinearMatroid(universal_matrix(entry.matrix, entry.matrix.nrows))
+    w = has_minor(m, named("AG23E").matroid(), hint=entry.contract_hint)
     assert w is not None and verify_witness(m, named("AG23E").matroid(), w)
     _passed(1, f"15/15 minors re-verified in {elapsed:.1f}s")
 

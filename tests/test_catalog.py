@@ -2,8 +2,10 @@
 
 The .gfm files under tests/data are independent transcriptions of the
 forbidden matrices; comparing them against the in-code copies guards both
-against typos (double entry bookkeeping)."""
+against typos (double entry bookkeeping).  catalog_digests.txt pins every
+entry ``named`` builds, and every id it rejects."""
 
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -11,17 +13,11 @@ import pytest
 
 from matroidlab import catalog, gf
 from matroidlab.catalog import (
+    FORBIDDEN,
     NamedEntry,
     build_D,
     catalog_ids,
-    clique,
-    dowling,
     named,
-    omega,
-    pi,
-    sigma,
-    t_r_1,
-    table_rows,
     universal_block_labels,
     universal_matrix,
     universal_matroid,
@@ -55,25 +51,29 @@ def test_build_D_shapes_and_columns():
     assert d4.column(5) == (0, 0, 1, 2)
 
 
+def family(id_: str) -> LinearMatroid:
+    return named(id_).matroid()
+
+
 def test_clique_is_graphic_shape():
-    assert clique(2).size == 1 and clique(2).rank() == 1
-    k4 = clique(4)
+    assert family("MK2").size == 1 and family("MK2").rank() == 1
+    k4 = family("MK4")
     assert k4.size == 6 and k4.rank() == 3
-    k6 = clique(6)
+    k6 = family("MK6")
     assert k6.size == 15 and k6.rank() == 5
     assert k6.is_simple()
 
 
 def test_dowling_shape_and_frame_form():
     for r in (1, 3, 4):
-        q = dowling(r)
+        q = family(f"DOWLING{r}")
         assert q.size == r * r and q.rank() == r
         assert q.is_simple()
         assert all(gf.weight(q.column_of(x)) <= 2 for x in q.labels)
 
 
 def test_dowling3_equals_sigma3():
-    assert is_isomorphic(dowling(3), sigma(3))
+    assert is_isomorphic(family("DOWLING3"), family("SIGMA3"))
 
 
 def test_universal_matrix_layout():
@@ -87,29 +87,27 @@ def test_universal_matrix_layout():
         universal_matrix(catalog.T3, 4)
     # empty payload degenerates to the clique
     empty = universal_matroid(GFMatrix(3, [], ncols=0), 3)
-    assert is_isomorphic(empty, clique(4))
+    assert is_isomorphic(empty, family("MK4"))
 
 
 def test_family_rank_guards():
-    with pytest.raises(ValueError):
-        pi(3)
-    with pytest.raises(ValueError):
-        sigma(2)
-    with pytest.raises(ValueError):
-        omega(4)
-    with pytest.raises(ValueError):
-        t_r_1(1)
+    # each family starts at its least parameter
+    for id_ in ("MK0", "DOWLING0", "PI3", "SIGMA2", "OMEGA4", "T1_1"):
+        with pytest.raises(KeyError, match="unknown catalog id"):
+            named(id_)
+    for id_ in ("MK1", "DOWLING1", "PI4", "SIGMA3", "OMEGA5", "T1_2"):
+        assert named(id_).id == id_
 
 
 def test_families_are_simple():
-    for m in (pi(4), pi(5), sigma(3), sigma(4), omega(5), t_r_1(2), t_r_1(4)):
-        assert m.is_simple()
+    for id_ in ("PI4", "PI5", "SIGMA3", "SIGMA4", "OMEGA5", "T1_2", "T1_4"):
+        assert family(id_).is_simple()
 
 
 def test_t_r_1_shapes():
-    t3 = t_r_1(3)
+    t3 = family("T1_3")
     assert t3.size == 3 + 3 + 2 and t3.rank() == 3
-    t2 = t_r_1(2)
+    t2 = family("T1_2")
     assert t2.size == 4 and t2.rank() == 2
 
 
@@ -170,9 +168,41 @@ def test_family_parameter_is_bounded():
     for head in ("MK", "DOWLING", "PI", "SIGMA", "OMEGA", "T1_"):
         with pytest.raises(KeyError, match="unknown catalog id"):
             named(f"{head}{catalog.MAX_FAMILY_PARAM + 1}")
+        # past int()'s default 4,300-digit limit
+        with pytest.raises(KeyError, match="unknown catalog id"):
+            named(f"{head}{'9' * 5000}")
     top = catalog.MAX_FAMILY_PARAM
     assert named(f"DOWLING{top}").matrix.nrows == top
     assert named(f"MK{top}").matroid().size == top * (top - 1) // 2
+
+
+def test_family_ids_have_no_leading_zeros():
+    # one id per member, so one cache entry per member
+    for id_ in ("PI004", "MK01", "DOWLING03", "T1_02", "SIGMA00", "OMEGA+5", "PI 4", "PI4 "):
+        with pytest.raises(KeyError, match="unknown catalog id"):
+            named(id_)
+
+
+def _digest(id_: str, field: int) -> str:
+    try:
+        entry = named(id_, field)
+    except KeyError:
+        return "KeyError"
+    blob = f"{gf.to_text(entry.matrix)}|{entry.labels}|{entry.contract_hint}"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_catalog_entries_match_digests():
+    # every catalog id, and every family id with parameter 0-13, over both
+    # fields: the matrix text, labels and contract hint of each entry, or
+    # KeyError where the id is rejected
+    ids = set(catalog_ids())
+    for head in ("MK", "DOWLING", "PI", "SIGMA", "OMEGA", "T1_"):
+        ids.update(f"{head}{k}" for k in range(14))
+    got = [f"{id_} {field} {_digest(id_, field)}" for field in (3, 5) for id_ in sorted(ids)]
+    want = (DATA / "catalog_digests.txt").read_text().splitlines()
+    assert len(want) == 232 and sum(line.endswith(" KeyError") for line in want) == 44
+    assert got == want
 
 
 def test_named_builds_each_entry_once():
@@ -235,23 +265,24 @@ def test_u24():
 
 
 def test_table_rows_against_golden_files():
-    rows = {r.id: r for r in table_rows()}
-    assert sorted(rows) == list("ABCDEFGHIJKLMNO")
-    for key, row in rows.items():
+    assert sorted(FORBIDDEN) == list("ABCDEFGHIJKLMNO")
+    for key in FORBIDDEN:
+        entry = named(f"FORBIDDEN_{key}")
         path = DATA / f"forbidden_{key}.gfm"
         text = path.read_text()
         golden = gf.from_text(text)
-        assert golden == row.matrix, f"matrix {key} disagrees with its golden file"
+        assert golden == entry.matrix, f"matrix {key} disagrees with its golden file"
         hint_line = next(ln for ln in text.splitlines() if ln.startswith("# hint"))
         hint = tuple(int(tok) for tok in hint_line.removeprefix("# hint").split(","))
-        assert hint == row.contract_hint, f"hint {key} disagrees with its golden file"
+        assert hint == entry.contract_hint, f"hint {key} disagrees with its golden file"
 
 
 def test_hint_labels_in_range():
-    for row in table_rows():
-        r, c = row.matrix.nrows, row.matrix.ncols
+    for key in FORBIDDEN:
+        entry = named(f"FORBIDDEN_{key}")
+        r, c = entry.matrix.nrows, entry.matrix.ncols
         n_elements = r + r * (r - 1) // 2 + c
-        assert all(0 <= h < n_elements for h in row.contract_hint)
+        assert all(0 <= h < n_elements for h in entry.contract_hint)
 
 
 def test_cross_field_entries_reduce_consistently():

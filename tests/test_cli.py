@@ -67,6 +67,15 @@ def test_minor_oversized_family_id_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_named_family_id_with_leading_zeros_exits_2(runner):
+    for ref in ("PI004", "MK01"):
+        result = runner.invoke(main, ["named", ref])
+        assert result.exit_code == 2, ref
+        assert "unknown catalog id" in result.output
+    result = runner.invoke(main, ["iso", "PI04", "PI4"])
+    assert result.exit_code == 2
+
+
 def test_named_field_5(runner):
     result = runner.invoke(main, ["named", "AG23E", "--field", "5"])
     assert result.exit_code == 0
@@ -242,6 +251,14 @@ def test_iso_bad_field_suffix_exit_2(runner):
     assert result.exit_code == 2
 
 
+def test_iso_empty_field_suffix_exit_2(runner):
+    # an "@" with no field after it is not read as GF(3)
+    for args in (["iso", "PI4@", "PI4"], ["embed", "F7MINUS", "DOWLING3@"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert "unknown field suffix" in result.output
+
+
 def test_embed_none_and_found(runner):
     none = runner.invoke(main, ["embed", "PI4", "DOWLING4"])
     assert none.exit_code == 1
@@ -298,17 +315,13 @@ def test_verify_failure_names_first_failing_check(runner, monkeypatch):
 
 def test_verify_corrupted_catalog_entry_fails_suite(runner, monkeypatch):
     # a zeroed payload can no longer force the AG23E minor
-    real_rows = suites.table_rows()
+    def corrupted(id_, field=3):
+        entry = named(id_, field)
+        if id_ == "FORBIDDEN_B":
+            entry = dataclasses.replace(entry, matrix=gf.GFMatrix.zeros(3, 5, 2))
+        return entry
 
-    def corrupted(p=3):
-        out = []
-        for row in real_rows:
-            if row.id == "B":
-                row = type(row)(row.id, gf.GFMatrix.zeros(3, 5, 2), row.contract_hint)
-            out.append(row)
-        return tuple(out)
-
-    monkeypatch.setattr(suites, "table_rows", corrupted)
+    monkeypatch.setattr(suites, "named", corrupted)
     result = runner.invoke(main, ["verify", "--suite", "tables"])
     assert result.exit_code == 1
     assert "verification failed: tables-B" in result.output

@@ -1110,7 +1110,7 @@ def test_verifiers_never_read_search_structures():
     search_names = {"_PairTable", "_RankPreservingSearch", "_monomial_generators", "_orbit_minima", "_certified",
                     "_point_map", "_pair_table", "_generators", "_points", "_flat_stages", "_contract_one",
                     "contract", "_Pattern", "_patterns", "_contract_columns", "_walk_flats", "_line_rest",
-                    "_row_permutations", "_row_scalings"}
+                    "_row_permutations", "_row_scalings", "rank", "_rank_memo"}
 
     def names(code):
         out = set(code.co_names)

@@ -2,6 +2,7 @@
 the Y-template classifier with certificate replay, and the respects and
 conforms predicates."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -249,6 +250,31 @@ def test_classifier_certificate_tampering_detected():
     wrong_moves = tp.Classification(cls.verdict, (), cls.normalized, cls.certificate, ())
     ok, why = tp.verify_classification(P, wrong_moves)
     assert not ok
+
+
+def _t2_sigma():
+    P = gf3(T2)
+    return P, tp.classify_Y_template(P)
+
+
+@pytest.mark.parametrize("certificate", [(), ("t_embedding",), ("t_embedding", 2, "junk"), None,
+                                         ("t_embedding", [2], None), ("forbidden_hit", ["A"], (), None, None, None),
+                                         ("main_case", 0, None, None), ("frame_form",)])
+def test_verify_classification_rejects_malformed_certificates(certificate):
+    P, cls = _t2_sigma()
+    assert cls.verdict == tp.SIGMA and tp.verify_classification(P, cls) == (True, "ok")
+    ok, why = tp.verify_classification(P, dataclasses.replace(cls, certificate=certificate))
+    assert not ok and why
+
+
+@pytest.mark.parametrize("moves", [(("remove_row",),), ((),), (("scale_columns", None),), (("strip_columns",),),
+                                   (("remove_row", "x"),), (("drop_zero_rows", 5),), (None,), None])
+def test_verify_classification_rejects_malformed_moves(moves):
+    P, cls = _t2_sigma()
+    with pytest.raises(ValueError):
+        tp.apply_moves(P, moves)
+    ok, why = tp.verify_classification(P, dataclasses.replace(cls, moves=moves))
+    assert not ok and why.startswith("move replay failed")
 
 
 def test_classifier_random_sweep():
