@@ -6,13 +6,14 @@ catalog target), ``verify`` (run a suite), ``classify`` (payload classifier),
 
 Exit codes are uniform: 0 success/verified, 1 a search or suite came up
 negative, 2 usage or parse errors. Matroid arguments to ``iso`` and ``embed``
-are file paths or catalog ids; a catalog id may carry an ``@GF5`` suffix to
-select the field.
+are catalog ids or file paths; a catalog id may carry an ``@GF5`` suffix to
+select the field, and wins over a file of the same name.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import sys
 from typing import NoReturn
 
@@ -54,17 +55,19 @@ _FIELD_SUFFIX = {"GF3": 3, "GF5": 5}
 
 
 def _load_matroid(ref: str) -> LinearMatroid:
-    """File path, or catalog id with optional @GF3/@GF5 suffix."""
-    import os
-
-    if os.path.exists(ref):
-        return LinearMatroid(_read_matrix(ref))
+    """Catalog id with optional @GF3/@GF5 suffix, else a file path.  A
+    catalog id wins over a same-named file; ``./PI4`` names the file."""
     id_, at, suffix = ref.partition("@")
     # an "@" with nothing after it is an unknown suffix, not GF(3)
     field = _FIELD_SUFFIX.get(suffix.upper()) if at else 3
+    if field is not None:
+        with contextlib.suppress(KeyError):
+            return named(id_, field).matroid()
+    if os.path.exists(ref):
+        return LinearMatroid(_read_matrix(ref))
     if field is None:
         _fail(2, f"error: unknown field suffix {suffix!r}; use GF3 or GF5")
-    return _entry_or_die(id_, field).matroid()
+    _fail(2, f"unknown catalog id: {id_}")
 
 
 @click.group()

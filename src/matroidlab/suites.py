@@ -4,6 +4,8 @@ Five suites bundle the headline computations: ``tables`` (each forbidden
 payload forces an AG23E minor), ``dyadic`` (field-independence isomorphisms),
 ``signedgraphic`` (non-embeddability into Dowling geometries), ``nearreg``
 (non-Fano witnesses), and ``templates`` (respects/classifier/block checks).
+All checks live in one table; a check belongs to the suite its id starts
+with (``tables-B`` is in ``tables``).
 Every check re-verifies its own witness through an independent routine before
 reporting a pass; a check never trusts the search that produced the witness.
 
@@ -152,241 +154,115 @@ def _payload_minor_check(payload_id: str, target_id: str) -> tuple[bool, str]:
     )
 
 
-def _tables_checks() -> list[Check]:
-    return [
-        Check(
-            f"tables-{key}",
-            f"si(M([I|D|FORBIDDEN_{key}])/{_fmt_set(named(f'FORBIDDEN_{key}').contract_hint)})"
-            " has an AG23E minor",
-            lambda key=key: _payload_minor_check(f"FORBIDDEN_{key}", "AG23E"),
+def _classify_check(payload_id: str, want: str) -> tuple[bool, str]:
+    p = named(payload_id).matrix
+    cls = classify_Y_template(p)
+    if cls.verdict != want:
+        return False, f"verdict={cls.verdict} wanted={want}"
+    ok, why = verify_classification(p, cls)
+    if not ok:
+        return False, f"certificate rejected: {why}"
+    return True, f"verdict={cls.verdict} cert={cls.certificate[0]}"
+
+
+def _respects_check(id_: str, placement: Placement, template_id: str) -> tuple[bool, str]:
+    rep = respects(named(id_).matrix, placement, named_template(template_id))
+    return rep.ok, rep.reason if not rep.ok else "respects"
+
+
+def _col3_scaling() -> tuple[bool, str]:
+    u = universal_matrix(named("F7M_COL3").matrix, 3)
+    x = named("F7MINUS_XY0").matrix
+    if (u.nrows, u.ncols) != (x.nrows, x.ncols):
+        return False, "shape mismatch"
+    scalars = []
+    for j in range(u.ncols):
+        col = u.column(j)
+        s = next(
+            (s for s in (1, 2) if tuple(s * e % 3 for e in x.column(j)) == col),
+            None,
         )
-        for key in FORBIDDEN
-    ]
+        if s is None:
+            return False, f"column {j} is not a scalar multiple"
+        scalars.append(s if s == 1 else -1)
+    return True, "scalars=" + ",".join(str(s) for s in scalars)
 
 
-def _dyadic_checks() -> list[Check]:
-    def fields(id_):
-        return lambda: _iso_check(named(id_, 3).matroid(), named(id_, 5).matroid())
-
-    def sigma3():
-        return _iso_check(named("SIGMA3").matroid(), named("DOWLING3").matroid())
-
-    return [
-        Check(
-            "dyadic-omega5-gf3-gf5",
-            "OMEGA5 over GF(3) and GF(5) are isomorphic",
-            fields("OMEGA5"),
-        ),
-        Check(
-            "dyadic-pi4-gf3-gf5",
-            "PI4 over GF(3) and GF(5) are isomorphic",
-            fields("PI4"),
-        ),
-        Check(
-            "dyadic-sigma3-dowling3",
-            "SIGMA3 is the rank-3 ternary Dowling geometry",
-            sigma3,
-        ),
-    ]
+def _col4_contract() -> tuple[bool, str]:
+    ok, witness = _payload_minor_check("FORBIDDEN_A", "F7MINUS")
+    # restriction claim: nothing beyond the payload column may be contracted
+    if ok and not witness.startswith(f"contract={_fmt_set(named('FORBIDDEN_A').contract_hint)} "):
+        return False, "minor needed contractions beyond the payload column"
+    return ok, witness
 
 
-def _signedgraphic_checks() -> list[Check]:
-    def none(a, b):
-        return lambda: _no_embedding_check(named(a).matroid(), named(b).matroid())
-
-    return [
-        Check(
-            "signedgraphic-omega5-dowling5",
-            "OMEGA5 is not a restriction of DOWLING5",
-            none("OMEGA5", "DOWLING5"),
-        ),
-        Check(
-            "signedgraphic-pi4-dowling4",
-            "PI4 is not a restriction of DOWLING4",
-            none("PI4", "DOWLING4"),
-        ),
-        Check(
-            "signedgraphic-sigma4-dowling4",
-            "SIGMA4 is not a restriction of DOWLING4",
-            none("SIGMA4", "DOWLING4"),
-        ),
-    ]
+def _m(id_: str, field: int = 3) -> LinearMatroid:
+    return named(id_, field).matroid()
 
 
-def _nearreg_checks() -> list[Check]:
-    def display_iso():
-        return _iso_check(named("F7MINUS_XY0").matroid(), named("F7MINUS").matroid())
-
-    def col3_scaling():
-        u = universal_matrix(named("F7M_COL3").matrix, 3)
-        x = named("F7MINUS_XY0").matrix
-        if (u.nrows, u.ncols) != (x.nrows, x.ncols):
-            return False, "shape mismatch"
-        scalars = []
-        for j in range(u.ncols):
-            col = u.column(j)
-            s = next(
-                (s for s in (1, 2) if tuple(s * e % 3 for e in x.column(j)) == col),
-                None,
-            )
-            if s is None:
-                return False, f"column {j} is not a scalar multiple"
-            scalars.append(s if s == 1 else -1)
-        return True, "scalars=" + ",".join(str(s) for s in scalars)
-
-    def col4_contract():
-        ok, witness = _payload_minor_check("FORBIDDEN_A", "F7MINUS")
-        # restriction claim: nothing beyond the payload column may be contracted
-        if ok and not witness.startswith(f"contract={_fmt_set(named('FORBIDDEN_A').contract_hint)} "):
-            return False, "minor needed contractions beyond the payload column"
-        return ok, witness
-
-    def payload_minor(id_):
-        return lambda: _payload_minor_check(id_, "F7MINUS")
-
-    def dowling_restriction():
-        return _embed_check(named("F7MINUS").matroid(), named("DOWLING3").matroid())
-
-    return [
-        Check(
-            "nearreg-col3-scaling",
-            "[I3|D3|F7M_COL3] equals F7MINUS_XY0 up to column scaling",
-            col3_scaling,
-        ),
-        Check(
-            "nearreg-col4-contract",
-            "M([I4|D4|FORBIDDEN_A])/{10} has an F7MINUS restriction",
-            col4_contract,
-        ),
-        Check(
-            "nearreg-display-iso",
-            "M(F7MINUS_XY0) is isomorphic to F7MINUS",
-            display_iso,
-        ),
-        Check(
-            "nearreg-dowling-restriction",
-            "F7MINUS is a restriction of DOWLING3",
-            dowling_restriction,
-        ),
-        Check(
-            "nearreg-pairs-minor",
-            "M([I4|D4|F7M_PAIRS]) has an F7MINUS minor",
-            payload_minor("F7M_PAIRS"),
-        ),
-        Check(
-            "nearreg-triple-minor",
-            "M([I3|D3|F7M_TRIPLE]) has an F7MINUS minor",
-            payload_minor("F7M_TRIPLE"),
-        ),
-    ]
-
-
-def _classify_check(payload_id: str, want: str) -> Callable[[], tuple[bool, str]]:
-    def run():
-        p = named(payload_id).matrix
-        cls = classify_Y_template(p)
-        if cls.verdict != want:
-            return False, f"verdict={cls.verdict} wanted={want}"
-        ok, why = verify_classification(p, cls)
-        if not ok:
-            return False, f"certificate rejected: {why}"
-        return True, f"verdict={cls.verdict} cert={cls.certificate[0]}"
-
-    return run
-
-
-def _respects_check(id_: str, placement: Placement, template_id: str) -> Callable[[], tuple[bool, str]]:
-    def run():
-        rep = respects(named(id_).matrix, placement, named_template(template_id))
-        return rep.ok, rep.reason if not rep.ok else "respects"
-
-    return run
-
-
-def _templates_checks() -> list[Check]:
-    def y0_contract():
-        entry = named("AG23E_Y0")
-        m = entry.matroid().contract(entry.contract_hint)
-        return _iso_check(m, named("AG23E").matroid())
-
-    def x_iso():
-        return _iso_check(named("AG23E_X").matroid(), named("AG23E").matroid())
-
+def _checks() -> list[Check]:
+    """Every check of every suite; a check belongs to the suite its id
+    starts with.  Built on each call, so importing this module builds no
+    catalog entries."""
     # the clique block [I|D] and the [I4|D4|T1] block on PI5's first four rows
     clique, mid = universal_block_labels(5, 4, 3)
-
-    def pi5_clique():
-        return _iso_check(named("PI5").matroid().restrict(clique), named("MK6").matroid())
-
-    def pi5_midblock():
-        return _iso_check(named("PI5").matroid().restrict(mid), named("PI4").matroid())
-
     return [
-        Check(
-            "templates-classify-a",
-            "classify(FORBIDDEN_A) is ContainsAG23e",
-            _classify_check("FORBIDDEN_A", CONTAINS_AG23E),
+        *(
+            Check(
+                f"tables-{key}",
+                f"si(M([I|D|FORBIDDEN_{key}])/{_fmt_set(named(f'FORBIDDEN_{key}').contract_hint)})"
+                " has an AG23E minor",
+                lambda key=key: _payload_minor_check(f"FORBIDDEN_{key}", "AG23E"),
+            )
+            for key in FORBIDDEN
         ),
-        Check(
-            "templates-classify-ones",
-            "classify(ONES3) is SignedGraphic",
-            _classify_check("ONES3", SIGNED_GRAPHIC),
-        ),
-        Check(
-            "templates-classify-t1",
-            "classify(T1) is Pi",
-            _classify_check("T1", PI),
-        ),
-        Check(
-            "templates-classify-t2",
-            "classify(T2) is Sigma",
-            _classify_check("T2", SIGMA),
-        ),
-        Check(
-            "templates-classify-t3",
-            "classify(T3) is Omega",
-            _classify_check("T3", OMEGA),
-        ),
-        Check(
-            "templates-pi5-clique",
-            "PI5 restricted to its clique block is M(K6)",
-            pi5_clique,
-        ),
-        Check(
-            "templates-pi5-midblock",
-            "PI5 restricted to its mid block is PI4",
-            pi5_midblock,
-        ),
-        Check(
-            "templates-x-iso",
-            "M(AG23E_X) is isomorphic to AG23E",
-            x_iso,
-        ),
-        Check(
-            "templates-x-respects",
-            "AG23E_X respects PHI_X with its top row placed on X",
-            _respects_check("AG23E_X", Placement(x_rows=(0,)), "PHI_X"),
-        ),
-        Check(
-            "templates-y0-contract",
-            "AG23E_Y0 contracted by element 9 is AG23E",
-            y0_contract,
-        ),
-        Check(
-            "templates-y0-respects",
-            "AG23E_Y0 respects PHI_Y0 with its last column placed on Y0",
-            _respects_check("AG23E_Y0", Placement(y0_cols=(8,)), "PHI_Y0"),
-        ),
+        Check("dyadic-omega5-gf3-gf5", "OMEGA5 over GF(3) and GF(5) are isomorphic",
+              lambda: _iso_check(_m("OMEGA5"), _m("OMEGA5", 5))),
+        Check("dyadic-pi4-gf3-gf5", "PI4 over GF(3) and GF(5) are isomorphic",
+              lambda: _iso_check(_m("PI4"), _m("PI4", 5))),
+        Check("dyadic-sigma3-dowling3", "SIGMA3 is the rank-3 ternary Dowling geometry",
+              lambda: _iso_check(_m("SIGMA3"), _m("DOWLING3"))),
+        Check("signedgraphic-omega5-dowling5", "OMEGA5 is not a restriction of DOWLING5",
+              lambda: _no_embedding_check(_m("OMEGA5"), _m("DOWLING5"))),
+        Check("signedgraphic-pi4-dowling4", "PI4 is not a restriction of DOWLING4",
+              lambda: _no_embedding_check(_m("PI4"), _m("DOWLING4"))),
+        Check("signedgraphic-sigma4-dowling4", "SIGMA4 is not a restriction of DOWLING4",
+              lambda: _no_embedding_check(_m("SIGMA4"), _m("DOWLING4"))),
+        Check("nearreg-col3-scaling", "[I3|D3|F7M_COL3] equals F7MINUS_XY0 up to column scaling",
+              _col3_scaling),
+        Check("nearreg-col4-contract", "M([I4|D4|FORBIDDEN_A])/{10} has an F7MINUS restriction",
+              _col4_contract),
+        Check("nearreg-display-iso", "M(F7MINUS_XY0) is isomorphic to F7MINUS",
+              lambda: _iso_check(_m("F7MINUS_XY0"), _m("F7MINUS"))),
+        Check("nearreg-dowling-restriction", "F7MINUS is a restriction of DOWLING3",
+              lambda: _embed_check(_m("F7MINUS"), _m("DOWLING3"))),
+        Check("nearreg-pairs-minor", "M([I4|D4|F7M_PAIRS]) has an F7MINUS minor",
+              lambda: _payload_minor_check("F7M_PAIRS", "F7MINUS")),
+        Check("nearreg-triple-minor", "M([I3|D3|F7M_TRIPLE]) has an F7MINUS minor",
+              lambda: _payload_minor_check("F7M_TRIPLE", "F7MINUS")),
+        Check("templates-classify-a", "classify(FORBIDDEN_A) is ContainsAG23e",
+              lambda: _classify_check("FORBIDDEN_A", CONTAINS_AG23E)),
+        Check("templates-classify-ones", "classify(ONES3) is SignedGraphic",
+              lambda: _classify_check("ONES3", SIGNED_GRAPHIC)),
+        Check("templates-classify-t1", "classify(T1) is Pi",
+              lambda: _classify_check("T1", PI)),
+        Check("templates-classify-t2", "classify(T2) is Sigma",
+              lambda: _classify_check("T2", SIGMA)),
+        Check("templates-classify-t3", "classify(T3) is Omega",
+              lambda: _classify_check("T3", OMEGA)),
+        Check("templates-pi5-clique", "PI5 restricted to its clique block is M(K6)",
+              lambda: _iso_check(_m("PI5").restrict(clique), _m("MK6"))),
+        Check("templates-pi5-midblock", "PI5 restricted to its mid block is PI4",
+              lambda: _iso_check(_m("PI5").restrict(mid), _m("PI4"))),
+        Check("templates-x-iso", "M(AG23E_X) is isomorphic to AG23E",
+              lambda: _iso_check(_m("AG23E_X"), _m("AG23E"))),
+        Check("templates-x-respects", "AG23E_X respects PHI_X with its top row placed on X",
+              lambda: _respects_check("AG23E_X", Placement(x_rows=(0,)), "PHI_X")),
+        Check("templates-y0-contract", "AG23E_Y0 contracted by element 9 is AG23E",
+              lambda: _iso_check(_m("AG23E_Y0").contract((9,)), _m("AG23E"))),
+        Check("templates-y0-respects", "AG23E_Y0 respects PHI_Y0 with its last column placed on Y0",
+              lambda: _respects_check("AG23E_Y0", Placement(y0_cols=(8,)), "PHI_Y0")),
     ]
-
-
-_SUITES: dict[str, Callable[[], list[Check]]] = {
-    "tables": _tables_checks,
-    "dyadic": _dyadic_checks,
-    "signedgraphic": _signedgraphic_checks,
-    "nearreg": _nearreg_checks,
-    "templates": _templates_checks,
-}
 
 
 def suite_names() -> tuple[str, ...]:
@@ -415,11 +291,8 @@ def _run_one(check: Check) -> CheckResult:
 
 def run_suite(name: str) -> SuiteReport:
     """Run one suite (or "all") and return its report, ordered by check id."""
-    if name == "all":
-        checks = [c for s in SUITE_ORDER for c in _SUITES[s]()]
-    elif name in _SUITES:
-        checks = _SUITES[name]()
-    else:
+    if name not in suite_names():
         raise KeyError(f"unknown suite: {name}")
+    checks = [c for c in _checks() if name == "all" or c.check_id.startswith(f"{name}-")]
     checks.sort(key=lambda c: c.check_id)
     return SuiteReport(name, tuple(_run_one(c) for c in checks))

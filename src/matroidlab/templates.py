@@ -702,28 +702,31 @@ class FrameTemplate:
 _SIGNS = frozenset({1, 2})
 
 
+_ONE = GFMatrix(3, [[1]])
+_EMPTY = GFMatrix.zeros(3, 0, 0)
+
+# the six minimal templates, by id
+_TEMPLATES = {
+    "PHI2": FrameTemplate(_SIGNS, (), (), (), (), _EMPTY, _EMPTY, _EMPTY),
+    "PHI_C": FrameTemplate(_SIGNS, (0,), (), (), (), GFMatrix.zeros(3, 0, 1), _ONE, _EMPTY),
+    "PHI_X": FrameTemplate(_SIGNS, (), (0,), (), (), GFMatrix.zeros(3, 1, 0), _EMPTY, _ONE),
+    "PHI_Y0": FrameTemplate(_SIGNS, (), (), (0,), (), GFMatrix.zeros(3, 0, 1), _ONE, _EMPTY),
+    "PHI_CX": FrameTemplate(_SIGNS, (0,), (1,), (), (), _ONE, _ONE, _ONE),
+    "PHI_CX2": FrameTemplate(_SIGNS, (0,), (1,), (), (), GFMatrix(3, [[-1]]), _ONE, _ONE),
+}
+
+
 def named_template(id_: str) -> FrameTemplate:
     """The six minimal templates: PHI2, PHI_C, PHI_X, PHI_Y0, PHI_CX,
     PHI_CX2."""
-    one = GFMatrix(3, [[1]])
-    if id_ == "PHI2":
-        e0 = GFMatrix.zeros(3, 0, 0)
-        return FrameTemplate(_SIGNS, (), (), (), (), e0, e0, e0)
-    if id_ == "PHI_C":
-        return FrameTemplate(_SIGNS, (0,), (), (), (), GFMatrix.zeros(3, 0, 1), one, GFMatrix.zeros(3, 0, 0))
-    if id_ == "PHI_X":
-        return FrameTemplate(_SIGNS, (), (0,), (), (), GFMatrix.zeros(3, 1, 0), GFMatrix.zeros(3, 0, 0), one)
-    if id_ == "PHI_Y0":
-        return FrameTemplate(_SIGNS, (), (), (0,), (), GFMatrix.zeros(3, 0, 1), one, GFMatrix.zeros(3, 0, 0))
-    if id_ == "PHI_CX":
-        return FrameTemplate(_SIGNS, (0,), (1,), (), (), one, one, one)
-    if id_ == "PHI_CX2":
-        return FrameTemplate(_SIGNS, (0,), (1,), (), (), GFMatrix(3, [[-1]]), one, one)
-    raise KeyError(f"unknown template id {id_!r}")
+    try:
+        return _TEMPLATES[id_]
+    except KeyError:
+        raise KeyError(f"unknown template id {id_!r}") from None
 
 
 def template_ids() -> tuple[str, ...]:
-    return ("PHI2", "PHI_C", "PHI_X", "PHI_Y0", "PHI_CX", "PHI_CX2")
+    return tuple(_TEMPLATES)
 
 
 # -- respects and conforms ----------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import threading
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +16,9 @@ from matroidlab.catalog import named
 from matroidlab.cli import main
 from matroidlab.matroid import LinearMatroid, MinorWitness, verify_witness
 from matroidlab.suites import SUITE_ORDER, run_suite, suite_names, worker_count
+
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -240,6 +245,18 @@ def test_iso_catalog_ids_with_field_suffix(runner):
     assert ">" in result.output
 
 
+def test_catalog_id_wins_over_same_named_file(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "PI4").write_text("junk\n")
+    result = runner.invoke(main, ["iso", "PI4", "PI4@GF5"])
+    assert result.exit_code == 0, result.output
+    assert ">" in result.output
+    # a path that is not a catalog id still reads the file
+    result = runner.invoke(main, ["iso", "./PI4", "PI4"])
+    assert result.exit_code == 2
+    assert "cannot read matrix file ./PI4" in result.output
+
+
 def test_iso_none_exit_1(runner):
     result = runner.invoke(main, ["iso", "U24", "MK4"])
     assert result.exit_code == 1
@@ -303,14 +320,14 @@ def test_verify_report_in_missing_directory_exit_2(runner, tmp_path, monkeypatch
 def test_verify_failure_names_first_failing_check(runner, monkeypatch):
     def doctored():
         return [
-            suites.Check("zz-doctored", "forced failure", lambda: (False, "boom")),
-            suites.Check("aa-fine", "passes", lambda: (True, "ok")),
+            suites.Check("dyadic-zz-doctored", "forced failure", lambda: (False, "boom")),
+            suites.Check("dyadic-aa-fine", "passes", lambda: (True, "ok")),
         ]
 
-    monkeypatch.setitem(suites._SUITES, "dyadic", doctored)
+    monkeypatch.setattr(suites, "_checks", doctored)
     result = runner.invoke(main, ["verify", "--suite", "dyadic"])
     assert result.exit_code == 1
-    assert "verification failed: zz-doctored" in result.output
+    assert "verification failed: dyadic-zz-doctored" in result.output
 
 
 def test_verify_corrupted_catalog_entry_fails_suite(runner, monkeypatch):
@@ -329,9 +346,9 @@ def test_verify_corrupted_catalog_entry_fails_suite(runner, monkeypatch):
 
 def test_check_exception_is_reported_not_raised(monkeypatch):
     def exploding():
-        return [suites.Check("aa-raise", "raises", lambda: 1 // 0)]
+        return [suites.Check("dyadic-aa-raise", "raises", lambda: 1 // 0)]
 
-    monkeypatch.setitem(suites._SUITES, "dyadic", exploding)
+    monkeypatch.setattr(suites, "_checks", exploding)
     rep = run_suite("dyadic")
     assert not rep.ok
     assert rep.results[0].witness.startswith("error:")
@@ -367,6 +384,28 @@ def test_all_suite_is_concatenation_sorted():
     assert len(ids) > per_suite
 
 
+def test_verify_all_report_matches_pinned_file():
+    # check_id, anchor, verdict and witness of every check, as pinned in
+    # tests/data; only the millis column may differ between runs
+    pinned = (DATA / "verify_all_report.tsv").read_text(encoding="utf-8").splitlines()
+    rep = run_suite("all")
+    got = [f"{r.check_id}\t{r.anchor}\t{r.verdict}\t{r.witness}" for r in rep.results]
+    assert len(got) == len(pinned)
+    for line, want in zip(got, pinned):
+        assert line == want
+    counts = collections.Counter(r.check_id.split("-")[0] for r in rep.results)
+    assert counts == {"tables": 15, "dyadic": 3, "signedgraphic": 3, "nearreg": 6, "templates": 11}
+
+
+def test_check_ids_are_unique_and_name_their_suite():
+    ids = [c.check_id for c in suites._checks()]
+    assert len(ids) == len(set(ids))
+    assert all(id_.split("-")[0] in SUITE_ORDER for id_ in ids)
+    for name in SUITE_ORDER:
+        assert [r.check_id for r in run_suite(name).results] == sorted(
+            id_ for id_ in ids if id_.startswith(f"{name}-"))
+
+
 def test_run_suite_runs_checks_in_calling_thread(monkeypatch):
     seen = []
 
@@ -375,9 +414,9 @@ def test_run_suite_runs_checks_in_calling_thread(monkeypatch):
             seen.append(threading.get_ident())
             return True, "ok"
 
-        return [suites.Check(f"aa-{i}", "records its thread", run) for i in range(3)]
+        return [suites.Check(f"dyadic-aa-{i}", "records its thread", run) for i in range(3)]
 
-    monkeypatch.setitem(suites._SUITES, "dyadic", recording)
+    monkeypatch.setattr(suites, "_checks", recording)
     assert run_suite("dyadic").ok
     assert seen == [threading.get_ident()] * 3
     assert worker_count() == 1

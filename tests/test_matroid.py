@@ -1121,7 +1121,7 @@ def test_verifiers_never_read_search_structures():
 
     verifiers = (verify_bijection, verify_embedding, verify_witness, matroid_module._same_independent_sets,
                  matroid_module._same_below, matroid_module._eliminate, matroid_module._reduce_modulo,
-                 matroid_module._insert_into_basis)
+                 matroid_module._insert_into_basis, matroid_module._column_rank)
     for fn in verifiers:
         assert names(fn.__code__).isdisjoint(search_names), fn.__name__
 

@@ -490,6 +490,15 @@ def test_template_blocks_are_matrix_files():
     assert tp.named_template("PHI_X").a1.nrows == 1 and tp.named_template("PHI_X").a1.ncols == 0
 
 
+def test_named_template_files_are_pinned():
+    # the six template files, as written when each template had its own branch
+    text = "".join(f"== {id_}\n" + tp.write_template(tp.named_template(id_)) for id_ in tp.template_ids())
+    assert tp.template_ids() == ("PHI2", "PHI_C", "PHI_X", "PHI_Y0", "PHI_CX", "PHI_CX2")
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("9e7ae474524ad5f9")
+    with pytest.raises(KeyError, match="unknown template id"):
+        tp.named_template("PHI9")
+
+
 def test_template_malformed_block_header_is_value_error():
     # a bare or non-numeric field, rows or cols line, or a missing one
     lines = tp.write_template(tp.named_template("PHI_CX")).splitlines(keepends=True)
@@ -498,3 +507,22 @@ def test_template_malformed_block_header_is_value_error():
             for bad in (line.split()[0] + "\n", "\n", line.split()[0] + " x\n"):
                 with pytest.raises(ValueError):
                     tp.read_template("".join(lines[:i] + [bad] + lines[i + 1:]))
+
+
+def test_classification_verifier_never_reads_classifier_search():
+    # the classifier's re-check names none of the searches it checks, in its
+    # own code or in any function nested in it
+    search_names = {"find_submatrix", "classify_Y_template", "_main_case", "_classifier_needles",
+                    "_table_witness", "has_minor", "_dedupe_indices", "forbidden_scan"}
+
+    def names(code):
+        out = set(code.co_names)
+        for const in code.co_consts:
+            if hasattr(const, "co_names"):
+                out |= names(const)
+        return out
+
+    verifiers = (tp.verify_classification, tp._check_certificate, tp.apply_moves, tp.check_submatrix_hit,
+                 tp._needle)
+    for fn in verifiers:
+        assert names(fn.__code__).isdisjoint(search_names), fn.__name__
