@@ -5,9 +5,10 @@ catalog target), ``verify`` (run a suite), ``classify`` (payload classifier),
 ``iso`` and ``embed`` (isomorphism and restriction-embedding search).
 
 Exit codes are uniform: 0 success/verified, 1 a search or suite came up
-negative, 2 usage or parse errors. Matroid arguments to ``iso`` and ``embed``
-are catalog ids or file paths; a catalog id may carry an ``@GF5`` suffix to
-select the field, and wins over a file of the same name.
+negative, 2 usage or parse errors. Every matroid or matrix argument (``iso``
+and ``embed``, ``minor -m`` and ``-n``, ``classify -p``) is a catalog id or a
+file path; a catalog id may carry an ``@GF5`` suffix to select the field, and
+wins over a file of the same name.
 """
 
 from __future__ import annotations
@@ -20,14 +21,8 @@ from typing import NoReturn
 import click
 
 from . import gf
-from .catalog import catalog_ids, named
-from .matroid import (
-    LinearMatroid,
-    find_embedding,
-    find_isomorphism,
-    has_minor,
-    verify_witness,
-)
+from .catalog import NamedEntry, catalog_ids, named
+from .matroid import find_embedding, find_isomorphism, has_minor, verify_witness
 from .suites import _fmt_map, _fmt_set, run_suite, suite_names
 from .templates import CONTAINS_AG23E, classify_Y_template, verify_classification
 
@@ -54,20 +49,21 @@ def _entry_or_die(id_: str, field: int):
 _FIELD_SUFFIX = {"GF3": 3, "GF5": 5}
 
 
-def _load_matroid(ref: str) -> LinearMatroid:
-    """Catalog id with optional @GF3/@GF5 suffix, else a file path.  A
-    catalog id wins over a same-named file; ``./PI4`` names the file."""
+def _resolve(ref: str) -> NamedEntry:
+    """A matroid or matrix argument: a catalog id with optional @GF3/@GF5
+    suffix, else a file path, read as an entry with no labels.  A catalog
+    id wins over a same-named file; ``./PI4`` names the file."""
     id_, at, suffix = ref.partition("@")
     # an "@" with nothing after it is an unknown suffix, not GF(3)
     field = _FIELD_SUFFIX.get(suffix.upper()) if at else 3
     if field is not None:
         with contextlib.suppress(KeyError):
-            return named(id_, field).matroid()
+            return named(id_, field)
     if os.path.exists(ref):
-        return LinearMatroid(_read_matrix(ref))
+        return NamedEntry(ref, _read_matrix(ref))
     if field is None:
         _fail(2, f"error: unknown field suffix {suffix!r}; use GF3 or GF5")
-    _fail(2, f"unknown catalog id: {id_}")
+    _fail(2, f"unknown catalog id: {id_} (and no file {ref} exists)")
 
 
 @click.group()
@@ -102,19 +98,19 @@ def ids_cmd() -> None:
 
 
 @main.command(name="minor")
-@click.option("-m", "matroid_file", required=True,
-              type=click.Path(exists=False, dir_okay=False),
-              help="matrix file presenting the host matroid")
-@click.option("-n", "target_id", required=True, help="catalog id of the minor target")
+@click.option("-m", "host_ref", required=True,
+              help="host matroid: a catalog id (optionally @GF3/@GF5) or a matrix file")
+@click.option("-n", "target_ref", required=True,
+              help="minor target: a catalog id (optionally @GF3/@GF5) or a matrix file")
 @click.option("--contract", default=None,
               help="comma-separated labels to contract first (search hint); "
                    "a negative under a hint exits 1")
 @click.option("--expect", type=click.Choice(["yes", "no"]), default="yes",
               show_default=True, help="exit 0 when the outcome matches this")
-def minor_cmd(matroid_file: str, target_id: str, contract: str | None, expect: str) -> None:
-    """Search for a catalog minor inside a matrix file's matroid."""
-    m = LinearMatroid(_read_matrix(matroid_file))
-    entry = _entry_or_die(target_id, 3)
+def minor_cmd(host_ref: str, target_ref: str, contract: str | None, expect: str) -> None:
+    """Search for a minor of the host matroid isomorphic to the target."""
+    m = _resolve(host_ref).matroid()
+    target = _resolve(target_ref).matroid()
     # a catalog entry's contract_hint labels its own payload matroid, never
     # the host, so only --contract may seed the search
     hint: tuple[int, ...] | None = None
@@ -123,7 +119,6 @@ def minor_cmd(matroid_file: str, target_id: str, contract: str | None, expect: s
             hint = tuple(int(x) for x in contract.split(",") if x.strip())
         except ValueError:
             _fail(2, f"error: bad --contract list: {contract}")
-    target = entry.matroid()
     try:
         witness = has_minor(m, target, hint=hint)
     except (KeyError, ValueError) as exc:
@@ -168,12 +163,11 @@ def verify_cmd(suite: str, report: str | None) -> None:
 
 
 @main.command(name="classify")
-@click.option("-p", "payload_file", required=True,
-              type=click.Path(exists=False, dir_okay=False),
-              help="matrix file holding the payload to classify")
-def classify_cmd(payload_file: str) -> None:
+@click.option("-p", "payload_ref", required=True,
+              help="payload to classify: a catalog id or a matrix file, over GF(3)")
+def classify_cmd(payload_ref: str) -> None:
     """Classify a ternary payload matrix; the certificate is re-verified first."""
-    payload = _read_matrix(payload_file)
+    payload = _resolve(payload_ref).matrix
     try:
         cls = classify_Y_template(payload)
     except ValueError as exc:
@@ -195,7 +189,7 @@ def classify_cmd(payload_file: str) -> None:
 @click.argument("b")
 def iso_cmd(a: str, b: str) -> None:
     """Isomorphism search between two matroids (files or catalog ids)."""
-    ma, mb = _load_matroid(a), _load_matroid(b)
+    ma, mb = _resolve(a).matroid(), _resolve(b).matroid()
     mapping = find_isomorphism(ma, mb)
     if mapping is None:
         click.echo("none")
@@ -208,7 +202,7 @@ def iso_cmd(a: str, b: str) -> None:
 @click.argument("b")
 def embed_cmd(a: str, b: str) -> None:
     """Restriction-embedding search of A into B (files or catalog ids)."""
-    ma, mb = _load_matroid(a), _load_matroid(b)
+    ma, mb = _resolve(a).matroid(), _resolve(b).matroid()
     mapping = find_embedding(ma, mb)
     if mapping is None:
         click.echo("none")

@@ -163,13 +163,8 @@ class LinearMatroid:
         hit = self._rank_memo.get(cols)
         if hit is not None:
             return hit
-        basis: list = []
-        p = self.p
         columns = self.matrix.columns
-        r = 0
-        for j in cols:
-            if _insert_into_basis(columns[j], basis, p):
-                r += 1
+        r = _column_rank((columns[j] for j in cols), self.p)
         self._rank_memo[cols] = r
         return r
 

@@ -13,7 +13,10 @@ moves the classifier is allowed to make on P (appending the row that
 makes column sums vanish, removing a row when column sums vanish,
 dropping graphic or duplicate columns, scaling columns) all preserve the
 family of matroids the template generates, so a verdict for the
-normalized matrix is a verdict for the input.
+normalized matrix is a verdict for the input.  The classifier and its
+replay, apply_moves, make every move through one table, _MOVES, in which
+each move checks its own legality; one more table, _CERTIFIES, says which
+verdict each certificate proves.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .catalog import FORBIDDEN, build_D, named, universal_matrix, universal_matroid
@@ -97,18 +100,12 @@ def remove_row(P: GFMatrix, i: int) -> GFMatrix:
     return P.take_rows([k for k in range(P.nrows) if k != i])
 
 
-def strip_graphic_columns(P: GFMatrix) -> GFMatrix:
-    """Remove zero columns and columns that are a scaled unit or a scaled
-    difference of two units."""
-    kept = [j for j, col in enumerate(P.columns) if classify_column(col, P.p)[0] not in (ZERO, GRAPHIC)]
-    return P.take_cols(kept)
-
-
 def _scalar_multiple(a: Sequence[int], b: Sequence[int], p: int) -> bool:
     return any(all(x == (s * y) % p for x, y in zip(a, b)) for s in range(1, p))
 
 
 def _dedupe_indices(P: GFMatrix) -> list[int]:
+    """The first column of every parallel class of scalar multiples."""
     kept: list[int] = []
     for j, col in enumerate(P.columns):
         if not any(_scalar_multiple(col, P.column(k), P.p) for k in kept):
@@ -116,74 +113,68 @@ def _dedupe_indices(P: GFMatrix) -> list[int]:
     return kept
 
 
-def dedupe_scalar_columns(P: GFMatrix) -> GFMatrix:
-    """Keep the first column of every parallel class of scalar multiples."""
-    return P.take_cols(_dedupe_indices(P))
-
-
 def _scale_columns(P: GFMatrix, scalars: Sequence[int]) -> GFMatrix:
+    """Multiply column j by scalars[j]; needs one unit scalar per column."""
+    scalars = [s % P.p for s in scalars]
+    if len(scalars) != P.ncols or 0 in scalars:
+        raise ValueError("need one unit scalar per column")
     cols = [tuple((x * s) % P.p for x in col) for col, s in zip(P.columns, scalars)]
     return GFMatrix.from_columns(P.p, cols, nrows=P.nrows)
+
+
+def _keep(P: GFMatrix, kept: Sequence[int], what: str, droppable: Callable[[int], bool], why: str) -> GFMatrix:
+    """P's rows or columns (what names which) at the strictly increasing
+    indices kept; every index dropped must be droppable, else ValueError
+    saying why not."""
+    n = P.nrows if what == "row" else P.ncols
+    if list(kept) != [j for j in range(n) if j in kept]:
+        raise ValueError(f"kept {what} indices must be strictly increasing and in range")
+    for j in range(n):
+        if j not in kept and not droppable(j):
+            raise ValueError(f"{what} {j} {why}")
+    return P.take_rows(kept) if what == "row" else P.take_cols(kept)
+
+
+# Every move the classifier may make, by op: each checks that the move is
+# legal on P, raising ValueError if not, then makes it.  The kept tuples
+# are strictly increasing index lists into P.
+_MOVES: dict[str, Callable[..., GFMatrix]] = {
+    "append_zero_sum_row": add_zero_sum_row,
+    "remove_row": remove_row,
+    "strip_columns": lambda P, kept: _keep(
+        P, kept, "column", lambda j: classify_column(P.columns[j], P.p)[0] in (ZERO, GRAPHIC),
+        "is neither zero nor graphic",
+    ),
+    "dedupe_columns": lambda P, kept: _keep(
+        P, kept, "column", lambda j: any(_scalar_multiple(P.columns[j], P.columns[k], P.p) for k in kept),
+        "duplicates no kept column",
+    ),
+    "scale_columns": _scale_columns,
+    "drop_zero_rows": lambda P, kept: _keep(P, kept, "row", lambda i: not any(P.rows[i]), "is not zero"),
+}
 
 
 def apply_moves(P: GFMatrix, moves: Sequence[tuple]) -> GFMatrix:
     """Replay a move trail, re-checking the legality of every step.
 
-    Recognized moves: ("append_zero_sum_row",), ("remove_row", i),
-    ("strip_columns", kept), ("dedupe_columns", kept),
-    ("scale_columns", scalars), ("drop_zero_rows", kept).  The kept
-    tuples are strictly increasing index lists into the matrix at that
-    point of the replay; dropped material must be droppable (graphic or
-    zero columns, duplicate columns, zero rows).  Raises ValueError, and
-    only ValueError, on any illegal or malformed step.
+    Each move is (op, *args) for an op of _MOVES: ("append_zero_sum_row",),
+    ("remove_row", i), ("strip_columns", kept), ("dedupe_columns", kept),
+    ("scale_columns", scalars), ("drop_zero_rows", kept).  Dropped
+    material must be droppable (graphic or zero columns, duplicate
+    columns, zero rows).  Raises ValueError, and only ValueError, on any
+    illegal or malformed step.
     """
     cur = P
     try:
         for mv in moves:
-            op = mv[0]
-            if op == "append_zero_sum_row":
-                cur = add_zero_sum_row(cur)
-            elif op == "remove_row":
-                cur = remove_row(cur, mv[1])
-            elif op == "strip_columns":
-                kept = list(mv[1])
-                _check_kept(kept, cur.ncols, "column")
-                for j in range(cur.ncols):
-                    if j not in kept and classify_column(cur.column(j), cur.p)[0] not in (ZERO, GRAPHIC):
-                        raise ValueError(f"column {j} is neither zero nor graphic")
-                cur = cur.take_cols(kept)
-            elif op == "dedupe_columns":
-                kept = list(mv[1])
-                _check_kept(kept, cur.ncols, "column")
-                for j in range(cur.ncols):
-                    if j not in kept and not any(
-                        _scalar_multiple(cur.column(j), cur.column(k), cur.p) for k in kept
-                    ):
-                        raise ValueError(f"column {j} duplicates no kept column")
-                cur = cur.take_cols(kept)
-            elif op == "scale_columns":
-                scalars = [s % cur.p for s in mv[1]]
-                if len(scalars) != cur.ncols or any(s == 0 for s in scalars):
-                    raise ValueError("need one unit scalar per column")
-                cur = _scale_columns(cur, scalars)
-            elif op == "drop_zero_rows":
-                kept = list(mv[1])
-                _check_kept(kept, cur.nrows, "row")
-                for i in range(cur.nrows):
-                    if i not in kept and any(cur.rows[i]):
-                        raise ValueError(f"row {i} is not zero")
-                cur = cur.take_rows(kept)
-            else:
-                raise ValueError(f"unknown move {op!r}")
+            move = _MOVES.get(mv[0])
+            if move is None:
+                raise ValueError(f"unknown move {mv[0]!r}")
+            cur = move(cur, *mv[1:])
     except (IndexError, TypeError) as exc:
         # a move of the wrong shape: missing arguments, or ones of the wrong type
         raise ValueError(f"malformed move: {exc}") from None
     return cur
-
-
-def _check_kept(kept: list[int], bound: int, what: str) -> None:
-    if kept != sorted(set(kept)) or any(not 0 <= j < bound for j in kept):
-        raise ValueError(f"kept {what} indices must be strictly increasing and in range")
 
 
 # -- submatrix search --------------------------------------------------------------
@@ -311,19 +302,16 @@ class ScanHit:
 
 
 def forbidden_scan(P: GFMatrix) -> tuple[ScanHit, ...]:
-    """Every catalog forbidden matrix A-O occurring in P, in catalog order.
+    """Every catalog forbidden matrix A-O occurring in P, in catalog order:
+    the needles of the classifier's list that no trail crops.
 
     A matrix that occurs several times is still reported once, with the
     first placement find_submatrix finds.
     """
     if P.p != 3:
         raise ValueError("the forbidden catalog lives over GF(3)")
-    out = []
-    for key in FORBIDDEN:
-        hit = find_submatrix(P, named(f"FORBIDDEN_{key}").matrix)
-        if hit is not None:
-            out.append(ScanHit(key, hit))
-    return tuple(out)
+    hits = ((key, find_submatrix(P, needle)) for key, _, trail, needle in _classifier_needles() if not trail)
+    return tuple(ScanHit(key, hit) for key, hit in hits if hit is not None)
 
 
 # Cropped variants of catalog matrices that the classifier also scans
@@ -426,73 +414,63 @@ def classify_Y_template(P: GFMatrix) -> Classification:
     notes: list[str] = []
     cur = P
 
+    def move(*mv: object, note: str | None = None) -> None:
+        # the replay's own table makes the move, so it passed the replay's test
+        nonlocal cur
+        moves.append(mv)
+        cur = _MOVES[mv[0]](cur, *mv[1:])
+        if note is not None:
+            notes.append(note)
+
+    def result(verdict: str, certificate: tuple, note: str) -> Classification:
+        return Classification(verdict, tuple(moves), cur, certificate, (*notes, note))
+
     if any(sum(col) % 3 for col in cur.columns):
-        moves.append(("append_zero_sum_row",))
-        cur = add_zero_sum_row(cur)
-        notes.append("appended the zero-sum row")
+        move("append_zero_sum_row", note="appended the zero-sum row")
 
     kept = tuple(j for j, col in enumerate(cur.columns) if classify_column(col)[0] not in (ZERO, GRAPHIC))
     if len(kept) != cur.ncols:
-        moves.append(("strip_columns", kept))
-        cur = cur.take_cols(kept)
-        notes.append("stripped graphic or zero columns")
+        move("strip_columns", kept, note="stripped graphic or zero columns")
     kept = tuple(_dedupe_indices(cur))
     if len(kept) != cur.ncols:
-        moves.append(("dedupe_columns", kept))
-        cur = cur.take_cols(kept)
-        notes.append("merged duplicate columns")
+        move("dedupe_columns", kept, note="merged duplicate columns")
 
     graded = [classify_column(col) for col in cur.columns]
     scalars = tuple(1 if s is None else s for _, s in graded)
     if any(s != 1 for s in scalars):
-        moves.append(("scale_columns", scalars))
-        cur = _scale_columns(cur, [s % 3 for s in scalars])
+        move("scale_columns", scalars)
     kinds = tuple(k for k, _ in graded)
 
     for name, base, trail, needle in _classifier_needles():
         sub = find_submatrix(cur, needle)
         if sub is not None:
             cert = ("forbidden_hit", name, base, trail, sub, _table_witness(base))
-            return Classification(
-                CONTAINS_AG23E, tuple(moves), cur, cert, (*notes, f"forbidden matrix {name} found")
-            )
+            return result(CONTAINS_AG23E, cert, f"forbidden matrix {name} found")
 
     if OTHER in kinds:
         # a zero-sum column outside the taxonomy always carries a
         # forbidden pattern, so this arm should be unreachable; kept so
         # a scanner defect degrades loudly instead of misclassifying
-        return Classification(
-            UNCLASSIFIED, tuple(moves), cur, ("none",),
-            (*notes, "column outside the type taxonomy survived the scan"),
-        )
+        return result(UNCLASSIFIED, ("none",), "column outside the type taxonomy survived the scan")
 
     nz_rows = tuple(i for i in range(cur.nrows) if any(cur.rows[i]))
     if len(nz_rows) != cur.nrows:
-        moves.append(("drop_zero_rows", nz_rows))
-        cur = cur.take_rows(nz_rows)
+        move("drop_zero_rows", nz_rows)
 
     if cur.ncols == 0:
         cert = ("frame_form", universal_matrix(cur, cur.nrows))
-        return Classification(
-            SIGNED_GRAPHIC, tuple(moves), cur, cert, (*notes, "no columns survive normalization")
-        )
+        return result(SIGNED_GRAPHIC, cert, "no columns survive normalization")
 
     mc = _main_case(cur)
     if mc is not None:
         r1, r2, orient = mc
         if any(s != 1 for s in orient):
-            moves.append(("scale_columns", orient))
-            cur = _scale_columns(cur, [s % 3 for s in orient])
-        moves.append(("remove_row", r1))
-        cur = remove_row(cur, r1)
+            move("scale_columns", orient)
+        move("remove_row", r1)
         border = r2 - 1  # r1 < r2, so the partner row moves up once
         pre = universal_matrix(cur, cur.nrows)
-        post = signed_graphic_reduce(pre, border)
-        cert = ("main_case", border, pre, post)
-        return Classification(
-            SIGNED_GRAPHIC, tuple(moves), cur, cert,
-            (*notes, f"rows {r1} and {r2} cover every column with equal signs"),
-        )
+        cert = ("main_case", border, pre, signed_graphic_reduce(pre, border))
+        return result(SIGNED_GRAPHIC, cert, f"rows {r1} and {r2} cover every column with equal signs")
 
     if kinds and all(k == TYPE3 for k in kinds):
         common = set(range(cur.nrows))
@@ -500,26 +478,16 @@ def classify_Y_template(P: GFMatrix) -> Classification:
             common &= {i for i, x in enumerate(col) if x}
         if common:
             r = min(common)
-            moves.append(("remove_row", r))
-            cur = remove_row(cur, r)
+            move("remove_row", r)
             cert = ("frame_form", universal_matrix(cur, cur.nrows))
-            return Classification(
-                SIGNED_GRAPHIC, tuple(moves), cur, cert,
-                (*notes, f"all-ones columns share row {r}"),
-            )
+            return result(SIGNED_GRAPHIC, cert, f"all-ones columns share row {r}")
 
     for t_index, verdict in _T_FAMILIES.items():
         sub = find_submatrix(_t_target(t_index), cur)
         if sub is not None:
-            cert = ("t_embedding", t_index, sub)
-            return Classification(
-                verdict, tuple(moves), cur, cert,
-                (*notes, f"embeds in the completed T{t_index} payload"),
-            )
+            return result(verdict, ("t_embedding", t_index, sub), f"embeds in the completed T{t_index} payload")
 
-    return Classification(
-        UNCLASSIFIED, tuple(moves), cur, ("none",), (*notes, "no cascade rule matched")
-    )
+    return result(UNCLASSIFIED, ("none",), "no cascade rule matched")
 
 
 def signed_graphic_reduce(A: GFMatrix, border_row: int = 0) -> GFMatrix:
@@ -567,60 +535,46 @@ def verify_classification(P: GFMatrix, cls: Classification) -> tuple[bool, str]:
     try:
         return _check_certificate(cur, cls)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        # a certificate of the wrong shape, or with parts of the wrong type
-        return False, f"malformed certificate: {exc!r}"
+        # a certificate of the wrong shape, with parts of the wrong type, or
+        # naming a catalog matrix, trail or border row that does not exist
+        return False, f"certificate check raised {exc!r}"
+
+
+# the verdict each certificate tag proves; a t_embedding proves the family
+# of its payload, which _T_FAMILIES names
+_CERTIFIES = {
+    "frame_form": SIGNED_GRAPHIC,
+    "main_case": SIGNED_GRAPHIC,
+    "forbidden_hit": CONTAINS_AG23E,
+    "none": UNCLASSIFIED,
+}
 
 
 def _check_certificate(cur: GFMatrix, cls: Classification) -> tuple[bool, str]:
     """verify_classification's check of what cls.certificate asserts about
     the replayed matrix cur; may raise on a malformed certificate."""
-    tag = cls.certificate[0]
+    tag, *args = cls.certificate
+    if tag == "t_embedding":
+        proves = _T_FAMILIES.get(args[0])
+    elif tag in _CERTIFIES:
+        proves = _CERTIFIES[tag]
+    else:
+        return False, f"unknown certificate tag {tag!r}"
+    if proves != cls.verdict:
+        return False, f"{tag} certificate does not prove the verdict {cls.verdict}"
 
-    if tag == "frame_form":
-        if cls.verdict != SIGNED_GRAPHIC:
-            return False, "frame_form certificate with a non signed-graphic verdict"
-        _, uni = cls.certificate
-        if uni != universal_matrix(cur, cur.nrows):
-            return False, "stored universal matrix does not match the normalized matrix"
-        if not is_signed_graphic_form(uni):
-            return False, "universal matrix is not in frame shape"
-        return True, "ok"
-
-    if tag == "main_case":
-        if cls.verdict != SIGNED_GRAPHIC:
-            return False, "main_case certificate with a non signed-graphic verdict"
-        _, border, pre, post = cls.certificate
-        if pre != universal_matrix(cur, cur.nrows):
-            return False, "stored universal matrix does not match the normalized matrix"
-        try:
-            redone = signed_graphic_reduce(pre, border)
-        except ValueError as exc:
-            return False, f"border reduction failed: {exc}"
-        if redone != post:
-            return False, "border reduction does not reproduce the stored matrix"
-        if not is_signed_graphic_form(post):
-            return False, "reduced matrix is not in frame shape"
+    if tag == "none":
         return True, "ok"
 
     if tag == "t_embedding":
-        _, t_index, sub = cls.certificate
-        if _T_FAMILIES.get(t_index) != cls.verdict:
-            return False, "embedding certificate names the wrong family"
+        t_index, sub = args
         if not check_submatrix_hit(_t_target(t_index), cur, sub):
             return False, "embedding does not check out entry by entry"
         return True, "ok"
 
     if tag == "forbidden_hit":
-        if cls.verdict != CONTAINS_AG23E:
-            return False, "forbidden_hit certificate with the wrong verdict"
-        _, name, base, trail, sub, witness = cls.certificate
-        if base not in FORBIDDEN:
-            return False, f"unknown catalog matrix {base!r}"
-        try:
-            needle = _needle(base, trail)
-        except ValueError as exc:
-            return False, f"needle derivation failed: {exc}"
-        if not check_submatrix_hit(cur, needle, sub):
+        _, base, trail, sub, witness = args
+        if not check_submatrix_hit(cur, _needle(base, trail), sub):
             return False, "forbidden hit does not check out entry by entry"
         if witness is None:
             return False, "missing minor witness"
@@ -628,12 +582,20 @@ def _check_certificate(cur: GFMatrix, cls: Classification) -> tuple[bool, str]:
             return False, "minor witness fails"
         return True, "ok"
 
-    if tag == "none":
-        if cls.verdict != UNCLASSIFIED:
-            return False, "certificate missing for a classified verdict"
-        return True, "ok"
-
-    return False, f"unknown certificate tag {tag!r}"
+    # frame_form stores the universal matrix of cur, which is in frame
+    # shape; main_case stores it between its border row and its reduction
+    if tag == "frame_form":
+        (uni,) = args
+        framed = uni
+    else:
+        border, uni, framed = args
+    if uni != universal_matrix(cur, cur.nrows):
+        return False, "stored universal matrix does not match the normalized matrix"
+    if tag == "main_case" and signed_graphic_reduce(uni, border) != framed:
+        return False, "border reduction does not reproduce the stored matrix"
+    if not is_signed_graphic_form(framed):
+        return False, f"{tag} matrix is not in frame shape"
+    return True, "ok"
 
 
 # -- frame templates ---------------------------------------------------------------
@@ -910,40 +872,19 @@ def is_lifted(t: FrameTemplate, info: ReductionInfo) -> tuple[bool, str]:
 # -- Y-templates -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class YTemplate:
-    """Y-template: C empty, trivial collections, A1 = [P0 | I | P1] in
-    C, Y0, Y1 column order.  Determined by the pair (P0, P1)."""
-
-    p0: GFMatrix
-    p1: GFMatrix
-
-    def __post_init__(self) -> None:
-        if self.p0.p != 3 or self.p1.p != 3:
-            raise ValueError("Y-templates live over GF(3)")
-        if self.p0.nrows != self.p1.nrows:
-            raise ValueError("P0 and P1 need equal row counts")
-
-    def frame_template(self) -> FrameTemplate:
-        k = self.p0.nrows
-        x = tuple(range(k))
-        y0 = tuple(range(k, k + self.p0.ncols))
-        y1 = tuple(range(k + self.p0.ncols, 2 * k + self.p0.ncols + self.p1.ncols))
-        a1 = hstack(self.p0, GFMatrix.identity(3, k), self.p1)
-        ncols = a1.ncols
-        return FrameTemplate(
-            frozenset({1}), (), x, y0, y1, a1,
-            GFMatrix.zeros(3, 0, ncols), GFMatrix.zeros(3, 0, k),
-        )
-
-
-def complete_lifted(P: GFMatrix) -> YTemplate:
-    """The complete lifted Y-template determined by P: P0 = [P | D],
-    P1 empty."""
+def complete_lifted(P: GFMatrix) -> FrameTemplate:
+    """The complete lifted Y-template determined by P: C empty, trivial
+    collections, A1 = [P | D | I] with the rows as X, the columns of
+    [P | D] as Y0 and those of I as Y1."""
     if P.p != 3:
         raise ValueError("Y-templates live over GF(3)")
     k = P.nrows
-    return YTemplate(hstack(P, build_D(k, 3)), GFMatrix.zeros(3, k, 0))
+    a1 = hstack(P, build_D(k, 3), GFMatrix.identity(3, k))
+    n = a1.ncols  # the X labels come first, so Y0 ends at label n
+    return FrameTemplate(
+        frozenset({1}), (), tuple(range(k)), tuple(range(k, n)), tuple(range(n, n + k)),
+        a1, GFMatrix.zeros(3, 0, n), GFMatrix.zeros(3, 0, k),
+    )
 
 
 # -- template files ----------------------------------------------------------------

@@ -99,6 +99,20 @@ def test_ids_lists_catalog(runner):
 # -- minor -----------------------------------------------------------------------
 
 
+def printed_witness(output):
+    """The MinorWitness that ``minor`` printed as its contract, delete and map lines."""
+    lines = dict(line.split(" ", 1) for line in output.splitlines())
+
+    def labels(text):
+        return tuple(int(x) for x in text.strip("{}").split(",") if x)
+
+    return MinorWitness(
+        labels(lines["contract"]),
+        labels(lines["delete"]),
+        tuple(tuple(int(v) for v in pair.split(">")) for pair in lines["map"].split(",")),
+    )
+
+
 def test_minor_found_exit_0(runner, tmp_path):
     path = emit(runner, tmp_path, "AG23E_Y0")
     result = runner.invoke(main, ["minor", "-m", path, "-n", "AG23E"])
@@ -145,18 +159,8 @@ def test_minor_ignores_target_contract_hint(runner, tmp_path):
     path = emit(runner, tmp_path, "AG23E_Y0")
     result = runner.invoke(main, ["minor", "-m", path, "-n", "F7M_PAIRS"])
     assert result.exit_code == 0, result.output
-    lines = dict(line.split(" ", 1) for line in result.output.splitlines())
-
-    def labels(text):
-        return tuple(int(x) for x in text.strip("{}").split(",") if x)
-
-    witness = MinorWitness(
-        labels(lines["contract"]),
-        labels(lines["delete"]),
-        tuple(tuple(int(v) for v in pair.split(">")) for pair in lines["map"].split(",")),
-    )
     host = LinearMatroid(gf.read_file(path))
-    assert verify_witness(host, named("F7M_PAIRS").matroid(), witness)
+    assert verify_witness(host, named("F7M_PAIRS").matroid(), printed_witness(result.output))
 
 
 def test_minor_unknown_contract_label_exit_2(runner, tmp_path):
@@ -196,6 +200,29 @@ def test_minor_rechecks_witness_on_host(runner, tmp_path, monkeypatch):
     assert result.output == "witness failed re-verification\n"
 
 
+def test_minor_reads_catalog_ids_on_both_sides(runner):
+    result = runner.invoke(main, ["minor", "-m", "AG23E_Y0", "-n", "AG23E"])
+    assert result.exit_code == 0, result.output
+    assert verify_witness(named("AG23E_Y0").matroid(), named("AG23E").matroid(), printed_witness(result.output))
+
+
+def test_minor_target_takes_a_field_suffix(runner, tmp_path):
+    path = emit(runner, tmp_path, "AG23E_Y0")
+    result = runner.invoke(main, ["minor", "-m", path, "-n", "F7MINUS@GF5"])
+    assert result.exit_code == 0, result.output
+    host = LinearMatroid(gf.read_file(path))
+    assert verify_witness(host, named("F7MINUS", 5).matroid(), printed_witness(result.output))
+
+
+def test_missing_file_exits_2_naming_it(runner, tmp_path):
+    missing = str(tmp_path / "host.gfmat")
+    for args in (["minor", "-m", missing, "-n", "AG23E"], ["minor", "-m", "AG23E_Y0", "-n", missing],
+                 ["classify", "-p", missing], ["iso", missing, "PI4"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert missing in result.output, args
+
+
 # -- classify --------------------------------------------------------------------
 
 
@@ -203,6 +230,12 @@ def test_classify_t2_prints_sigma(runner, tmp_path):
     path = emit(runner, tmp_path, "T2")
     result = runner.invoke(main, ["classify", "-p", path])
     assert result.exit_code == 0
+    assert result.output.splitlines()[0] == "Sigma"
+
+
+def test_classify_reads_a_catalog_id(runner):
+    result = runner.invoke(main, ["classify", "-p", "T2"])
+    assert result.exit_code == 0, result.output
     assert result.output.splitlines()[0] == "Sigma"
 
 

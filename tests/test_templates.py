@@ -4,6 +4,7 @@ conforms predicates."""
 
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -86,9 +87,10 @@ def test_remove_row_requires_zero_sums():
 
 def test_strip_and_dedupe():
     P = gf3([[1, 1, 0, -1], [1, -1, 0, -1], [1, 0, 0, -1]])
-    stripped = tp.strip_graphic_columns(P)  # drops the unit-difference and zero columns
+    # drops the unit-difference and zero columns
+    stripped = tp.apply_moves(P, (("strip_columns", (0, 3)),))
     assert stripped == gf3([[1, -1], [1, -1], [1, -1]])
-    assert tp.dedupe_scalar_columns(stripped) == gf3([[1], [1], [1]])
+    assert tp.apply_moves(stripped, (("dedupe_columns", (0,)),)) == gf3([[1], [1], [1]])
 
 
 def test_apply_moves_replays_and_validates():
@@ -450,10 +452,7 @@ def test_reduction_and_lifted():
 
 def test_y_template_layout():
     P = gf3([[1], [1]])
-    yt = tp.complete_lifted(P)
-    assert yt.p0 == gf3([[1, 1], [1, -1]])  # [P | D_2]
-    assert yt.p1.ncols == 0
-    t = yt.frame_template()
+    t = tp.complete_lifted(P)
     assert t.x == (0, 1) and t.y0 == (2, 3) and t.y1 == (4, 5)
     assert t.a1 == gf3([[1, 1, 1, 0], [1, -1, 0, 1]])
     assert tp.is_lifted(t, tp.ReductionInfo((), (0, 1))) == (True, "ok")
@@ -522,7 +521,32 @@ def test_classification_verifier_never_reads_classifier_search():
                 out |= names(const)
         return out
 
+    # every move of the table the classifier and the replay share, with the
+    # lambdas nested in it
     verifiers = (tp.verify_classification, tp._check_certificate, tp.apply_moves, tp.check_submatrix_hit,
-                 tp._needle)
+                 tp._needle, tp._keep, *tp._MOVES.values())
     for fn in verifiers:
         assert names(fn.__code__).isdisjoint(search_names), fn.__name__
+
+
+def _pin(x):
+    """x with its matrices written as their rows and its dataclasses as
+    their fields, for a digest that does not rest on reprs of objects."""
+    if isinstance(x, GFMatrix):
+        return ("matrix", x.nrows, x.ncols, x.rows)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__, *(_pin(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if isinstance(x, (tuple, list)):
+        return tuple(_pin(y) for y in x)
+    return x
+
+
+def test_classifier_outputs_are_pinned():
+    # every 4x2 payload over GF(3): verdict, moves, normalized matrix,
+    # certificate and notes, against a digest taken when the classifier
+    # made its moves inline and the replay had its own copy of each
+    h = hashlib.sha256()
+    for flat in itertools.product(range(3), repeat=8):
+        cls = tp.classify_Y_template(GFMatrix(3, [flat[i:i + 2] for i in range(0, 8, 2)]))
+        h.update(repr(_pin((cls.verdict, cls.moves, cls.normalized, cls.certificate, cls.notes))).encode() + b"\n")
+    assert h.hexdigest() == "84730907cc85a15e1c162b86013e3c3d22c67d131931f38bb71f17b854e16cc2"

@@ -12,11 +12,14 @@ form pair i, and a pair is won by the side whose value is better in the
 direction that BENCHMARK.json gives the metric.  Both sides must have the
 same number of untraced runs of each workload; otherwise the tool exits 2.
 
-Ten alternating pairs of one workload, from two checkouts:
+Ten alternating pairs of one workload, from two checkouts: the parent runs
+first in odd pairs and the change first in even pairs.
 
     for i in $(seq 10); do
-      (cd parent && python3 perfbench/run.py --workload verify_all --seconds 50) > p$i.txt
-      (cd change && python3 perfbench/run.py --workload verify_all --seconds 50) > c$i.txt
+      if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+      for side in $order; do
+        (cd $side && python3 perfbench/run.py --workload verify_all --seconds 50) > ${side:0:1}$i.txt
+      done
     done
 
 The file holds, per workload and metric, each side's samples, median and
