@@ -124,7 +124,7 @@ class LinearMatroid:
         self.matrix = matrix
         self.labels = labels
         self._col_of = {lab: j for j, lab in enumerate(labels)}
-        self._rank_memo: dict[tuple[int, ...], int] = {}
+        self._rank: int | None = None
         self._points: dict[int, tuple[int, ...] | None] | None = None
         self._simple: LinearMatroid | None = None
         self._pair_table: _PairTable | None = None
@@ -156,17 +156,13 @@ class LinearMatroid:
     # -- rank oracle ------------------------------------------------------------
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
-        if subset is None:
-            cols = tuple(range(self.matrix.ncols))
-        else:
-            cols = tuple(sorted(self._col_index(x) for x in set(subset)))
-        hit = self._rank_memo.get(cols)
-        if hit is not None:
-            return hit
-        columns = self.matrix.columns
-        r = _column_rank((columns[j] for j in cols), self.p)
-        self._rank_memo[cols] = r
-        return r
+        """The rank of subset's columns, or of all of them.  Only the full
+        rank, the one rank asked for again, is kept."""
+        if subset is not None:
+            return _column_rank((self.column_of(x) for x in set(subset)), self.p)
+        if self._rank is None:
+            self._rank = _column_rank(self.matrix.columns, self.p)
+        return self._rank
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         subset = set(subset)
@@ -428,22 +424,22 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
 
 
 class _PairTable:
-    """The lines of a simple matroid, and on first use the closure of every
-    pair.
+    """A matroid's sorted loops, its classes, keys and lines over the least
+    label of each parallel class, and on first use the closure of every
+    pair: what both sides of a search read.
 
-    lines lists each line, the elements on it, once, as an int bitmask,
-    where bit[x] marks label x and bits run in sorted label order.  For
-    distinct labels a, b, closure[a, b] is cl({a, b}), the line through a
-    and b; both key orders are stored.  The search reads everything it
-    prunes with from here: the keys from ``through``, which reads the
-    lines, and the pair checks and candidates from closure, which is built
-    when a search first reads it.  A search its key counts reject never
-    does.
+    classes maps each least label to its class, and keys to (sizes of the
+    lines of >= 3 points through it, descending; class size).  lines lists
+    each line once, as an int bitmask, where bit[x] marks label x and bits
+    run in sorted label order.  For distinct labels a, b, closure[a, b] is
+    cl({a, b}), the line through a and b; both key orders are stored.  The
+    pair checks and candidates read closure, which is built when a search
+    first reads it; a search its key counts reject never does.
 
-    The lines come from the projective points of the columns, with no rank
-    calls: the line through points u and v holds u, v and u + t*v for t = 1
-    .. p - 1, and is every element on one of those points.  Use ``of(m)``,
-    which builds the table once per matroid.
+    The lines and keys come from the projective points of the columns in
+    one pass, with no rank calls: the line through points u and v holds u,
+    v and u + t*v for t = 1 .. p - 1.  Use ``of(m)``, which builds the
+    table once per matroid.
     """
 
     @classmethod
@@ -453,13 +449,16 @@ class _PairTable:
         return m._pair_table
 
     def __init__(self, m: LinearMatroid):
-        self.labels = sorted(m.labels)
+        self.loops = sorted(m.loops())
+        self.classes = {c[0]: c for c in m.parallel_classes()}
+        self.labels = sorted(self.classes)
         self.bit = bit = {x: 1 << i for i, x in enumerate(self.labels)}
         self._label_of = {b: x for x, b in bit.items()}
         point_of = m._point_map()
         label_at = {point_of[x]: x for x in self.labels}
         p = m.p
-        met = dict.fromkeys(self.labels, 0)  # x -> the elements on a line found through x
+        met = dict.fromkeys(self.labels, 0)  # x -> the points on a line found through x
+        sizes: dict[int, list[int]] = {x: [] for x in self.labels}  # x -> sizes of its lines of >= 3 points
         self.lines: list[int] = []
         for a, b in itertools.combinations(self.labels, 2):
             if met[a] & bit[b]:
@@ -472,8 +471,10 @@ class _PairTable:
             line = sum(bit[x] for x in on_line)
             for x in on_line:
                 met[x] |= line
+                if len(on_line) >= 3:
+                    sizes[x].append(len(on_line))
             self.lines.append(line)
-        self._through: dict[int, tuple[int, ...]] | None = None
+        self.keys = {x: (tuple(sorted(sizes[x], reverse=True)), len(c)) for x, c in self.classes.items()}
 
     @functools.cached_property
     def closure(self) -> dict[tuple[int, int], int]:
@@ -492,19 +493,6 @@ class _PairTable:
             mask ^= low
         return out
 
-    def through(self) -> dict[int, tuple[int, ...]]:
-        """x -> sizes, descending, of the lines of >= 3 points through x.
-        Computed once per table."""
-        if self._through is None:
-            sizes: dict[int, list[int]] = {x: [] for x in self.labels}
-            for line in self.lines:
-                size = line.bit_count()
-                if size >= 3:
-                    for x in self.members(line):
-                        sizes[x].append(size)
-            self._through = {x: tuple(sorted(s, reverse=True)) for x, s in sizes.items()}
-        return self._through
-
     def anchor(self, placed: Sequence[int], x: int) -> tuple[int, int] | None:
         """First pair of placed labels whose closure holds x, if any."""
         bx = self.bit[x]
@@ -514,13 +502,12 @@ class _PairTable:
 def _search_order(table: _PairTable) -> list[int]:
     """Element order where each element sits on a line with two placed ones
     whenever possible; otherwise the most line-covered element comes next."""
-    through = table.through()
     order: list[int] = []
     remaining = list(table.labels)
     while remaining:
         x = next((x for x in remaining if table.anchor(order, x)), None)
         if x is None:
-            x = max(remaining, key=lambda x: (len(through[x]), sum(through[x])))
+            x = max(remaining, key=lambda x: (len(table.keys[x][0]), sum(table.keys[x][0])))
         order.append(x)
         remaining.remove(x)
     return order
@@ -686,7 +673,7 @@ def _orbit_minima(gens: Sequence[_Monomial]) -> dict[int, int]:
 
 
 class _Pattern:
-    """m's half of a search, which no host changes: loops, classes, keys,
+    """m's half of a search for one order kind, which no host changes: the
     element order (sorted for an isomorphism, ``_search_order``'s otherwise),
     anchors, pair checks and, on first use, prefix ranks.  ``of`` builds it
     once per matroid and order kind and caches it on m."""
@@ -698,28 +685,26 @@ class _Pattern:
         return m._patterns[bijective]
 
     def __init__(self, m: LinearMatroid, bijective: bool):
-        self.loops = sorted(m.loops())
-        self.classes = {c[0]: c for c in m.parallel_classes()}
-        self.table = _PairTable.of(m.simplify())
-        through = self.table.through()
-        self.keys = {x: (through[x], len(c)) for x, c in self.classes.items()}
-        self.order = self.table.labels if bijective else _search_order(self.table)
-        self.anchors = {x: self.table.anchor(self.order[:i], x) for i, x in enumerate(self.order)}
-        self.checks = [self._pair_checks(depth) for depth in range(len(self.order))]
-        self._prefix_rank: list[int] | None = None
+        table = _PairTable.of(m)
+        self.order = table.labels if bijective else _search_order(table)
+        self.anchors = {x: table.anchor(self.order[:i], x) for i, x in enumerate(self.order)}
+        self.checks = [self._pair_checks(table, depth) for depth in range(len(self.order))]
+        # the ordered columns, not m: holding m would make a cycle with m
+        self.columns, self.p = [m.column_of(x) for x in self.order], m.p
 
-    def prefix_rank(self, sm: LinearMatroid) -> list[int]:
-        if self._prefix_rank is None:  # sm = si(m) is passed in: holding it would make a cycle with m
-            self._prefix_rank = [sm.rank(self.order[: i + 1]) for i in range(len(self.order))]
-        return self._prefix_rank
+    @functools.cached_property
+    def prefix_rank(self) -> list[int]:
+        """The rank of each prefix of the order, from one running basis."""
+        basis: list = []
+        return list(itertools.accumulate(int(_insert_into_basis(v, basis, self.p)) for v in self.columns))
 
-    def _pair_checks(self, depth: int) -> list[tuple[int, tuple[int, ...]]]:
+    def _pair_checks(self, tm: _PairTable, depth: int) -> list[tuple[int, tuple[int, ...]]]:
         """(p, placed labels of the line through p and x) for the first placed
         p on each line through x = order[depth].  Distinct lines through x
         share no placed point, and in the simple si(n) any two placed images
         on the line through f(p) and y span that same line, so the test for a
         second p on the line repeats the first."""
-        tm, x, placed = self.table, self.order[depth], self.order[:depth]
+        x, placed = self.order[depth], self.order[:depth]
         placed_mask = sum(tm.bit[p] for p in placed)
         first_on: dict[int, int] = {}  # line -> its first placed p
         for p in placed:
@@ -736,7 +721,8 @@ class _RankPreservingSearch:
     point by its line sizes and class size, and the leaf expands the map:
     m's loops in sorted order onto n's least loops, each class in sorted
     order onto the least members of its image's class.  The leaf check runs
-    on m and n.  m's side is read from its cached ``_Pattern``.
+    on m and n.  Loops, classes and keys are read from both sides'
+    ``_PairTable``, the rest of m's side from its cached ``_Pattern``.
 
     The prefix-rank test (the placed images span as much as the placed
     elements) runs only in hosts of rank >= 4: in the simple si(n), once the
@@ -774,26 +760,20 @@ class _RankPreservingSearch:
         if m.size == 0:
             return {}
         pattern = _Pattern.of(m, self.bijective)
-        loops_n = n.loops()
-        if len(pattern.loops) > len(loops_n) or exact and len(pattern.loops) != len(loops_n):
+        tm, tn = self.tm, self.tn = _PairTable.of(m), _PairTable.of(n)
+        if len(tm.loops) > len(tn.loops) or exact and len(tm.loops) != len(tn.loops):
             return None
-        self.loop_map = dict(zip(pattern.loops, sorted(loops_n)))
-        self.class_m, self.order, self.anchors, self.checks = (
-            pattern.classes, pattern.order, pattern.anchors, pattern.checks)
-        self.class_n = {cls[0]: cls for cls in n.parallel_classes()}
-        self.sn = n.simplify()
-        self.table_n = _PairTable.of(self.sn)
-        through_n = self.table_n.through()
-        key_n = {y: (through_n[y], len(cls)) for y, cls in self.class_n.items()}
-        if exact and sorted(pattern.keys.values()) != sorted(key_n.values()):
+        self.loop_map = dict(zip(tm.loops, tn.loops))
+        self.order, self.anchors, self.checks = pattern.order, pattern.anchors, pattern.checks
+        if exact and sorted(tm.keys.values()) != sorted(tn.keys.values()):
             return None
-        self.admissible = self._admissible(pattern.keys, key_n, operator.eq if exact else _dominates)
+        self.admissible = self._admissible(tm.keys, tn.keys, operator.eq if exact else _dominates)
         # si(m) -> si(n) is injective, so each point of si(m) needs its own image
         if functools.reduce(operator.or_, self.admissible.values(), 0).bit_count() < len(self.order):
             return None
-        self.prefix_rank = pattern.prefix_rank(m.simplify()) if rank_n >= 4 else None
+        self.prefix_rank = pattern.prefix_rank if rank_n >= 4 else None
         self.nodes = 0
-        self.build_after = math.factorial(n.matrix.nrows) * self.sn.size
+        self.build_after = math.factorial(n.matrix.nrows) * len(tn.labels)
         self.least: dict[int, int] = {}  # orbit minima under the host's generators, once built
         return self._dfs(0, {}, 0, [])
 
@@ -801,7 +781,7 @@ class _RankPreservingSearch:
         """x -> bitmask of the y in si(n) with fits(key_m[x], key_n[y]).  The
         keys depend on x and y alone, so each candidate's key test is decided
         once per search."""
-        tn = self.table_n
+        tn = self.tn
         by_key: dict = {}
         for y in tn.labels:
             by_key[key_n[y]] = by_key.get(key_n[y], 0) | tn.bit[y]
@@ -813,11 +793,12 @@ class _RankPreservingSearch:
     def _host_generators(self) -> list[_Monomial]:
         """si(n)'s generators that map each class of n onto one of the same
         size; for the others g . f need not embed m."""
-        size = {y: len(cls) for y, cls in self.class_n.items()}
-        return [g for g in _monomial_generators(self.sn) if all(size[y] == size[z] for y, z in g.moves.items())]
+        size = {y: len(cls) for y, cls in self.tn.classes.items()}
+        gens = _monomial_generators(self.n.simplify())
+        return [g for g in gens if all(size[y] == size[z] for y, z in g.moves.items())]
 
     def _candidates(self, x: int, assignment: dict[int, int], used_mask: int) -> list[int]:
-        tn = self.table_n
+        tn = self.tn
         pool = self.admissible[x] & ~used_mask
         anchor = self.anchors[x]
         if anchor is not None:
@@ -836,7 +817,7 @@ class _RankPreservingSearch:
         decides the same as testing every placed p.  Every pair of a simple
         matroid has rank 2.
         """
-        tn = self.table_n
+        tn = self.tn
         bit = tn.bit
         for p, qs in self.checks[depth]:
             image = 0
@@ -856,7 +837,7 @@ class _RankPreservingSearch:
             # pruning along the way is heuristic; the leaf check is the proof
             found = {}
             for x, y in assignment.items():
-                found.update(zip(self.class_m[x], self.class_n[y]))
+                found.update(zip(self.tm.classes[x], self.tn.classes[y]))
             found.update(self.loop_map)
             return found if verify_embedding(self.m, self.n, found) else None
         x = self.order[depth]
@@ -871,13 +852,13 @@ class _RankPreservingSearch:
                 continue
             grew = False
             if test_rank:
-                grew = _insert_into_basis(self.sn.column_of(y), basis, self.sn.p)
+                grew = _insert_into_basis(self.n.column_of(y), basis, self.n.p)
                 if len(basis) != self.prefix_rank[depth]:
                     if grew:
                         basis.pop()
                     continue
             assignment[x] = y
-            hit = self._dfs(depth + 1, assignment, used_mask | self.table_n.bit[y], basis)
+            hit = self._dfs(depth + 1, assignment, used_mask | self.tn.bit[y], basis)
             if hit is not None:
                 return hit
             del assignment[x]

@@ -328,10 +328,6 @@ def _needle(base: str, trail: tuple) -> GFMatrix:
     return apply_moves(named(f"FORBIDDEN_{base}").matrix, trail)
 
 
-def derived_needle(name: str) -> GFMatrix:
-    return _needle(*_DERIVED[name])
-
-
 @functools.cache
 def _classifier_needles() -> tuple[tuple[str, str, tuple, GFMatrix], ...]:
     """(name, base, trail, needle) for every catalog matrix, then every

@@ -78,3 +78,20 @@ def test_unwritable_out_exit_2(bench_file, tmp_path, capsys):
     assert bench_file.main(["--out", str(out), *runs]) == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
     assert not out.exists()
+
+
+def test_count_changes_lists_the_moved_counts(bench_file, tmp_path):
+    # only counters of unit count in BENCHMARK.json, and only those whose
+    # traced medians differ; a ratio that moves is left out
+    traced = {"parent": {"trace.overhead_ratio": 1.2, "matroid.rank.calls": 199, "gf.rref.calls": 9,
+                         "matroid.rank.repeat_ratio": 0.09},
+              "change": {"trace.overhead_ratio": 1.3, "matroid.rank.calls": 96, "gf.rref.calls": 9,
+                         "matroid.rank.repeat_ratio": 0.19}}
+    runs = [f"{side}:w:{_result(tmp_path / side, {'wall_s': 1.0})}" for side in ("parent", "change")]
+    runs += [f"{side}:w:{_result(tmp_path / (side + 't'), values)}" for side, values in traced.items()]
+    out = tmp_path / "b.json"
+    assert bench_file.main(["--out", str(out), *runs]) == 0
+    assert json.loads(out.read_text())["workloads"]["w"]["count_changes"] == {"matroid.rank.calls": [199, 96]}
+    # a counter traced on one side only has moved too
+    assert bench_file.count_changes({"change": {"x.calls": 3}}, {"x.calls", "y.calls"}) == {"x.calls": [None, 3]}
+    assert bench_file.count_changes({}, {"x.calls"}) == {}

@@ -231,19 +231,30 @@ def test_embedding_matches_naive_on_nonsimple_matroids():
 
 
 def _check_pair_table(m):
-    """loops(), parallel_classes() and is_simple() of m, and for a simple m
-    the pair table's closures, against the brute-force subset ranks."""
+    """loops(), parallel_classes() and is_simple() of m, and the pair
+    table's loops, classes, keys and closures over the least label of each
+    class, against the brute-force subset ranks."""
     ranks = subset_rank_table(m)
-    if m.is_simple():
-        table = _PairTable(m)
-        for a, b in itertools.permutations(m.labels, 2):
-            closure = [c for c in sorted(m.labels) if ranks[frozenset((a, b, c))] == 2]
-            assert table.members(table.closure[a, b]) == closure
     points = [x for x in m.labels if ranks[frozenset((x,))] == 1]
-    assert m.loops() == tuple(x for x in m.labels if x not in points)
+    loops = [x for x in m.labels if x not in points]
+    assert m.loops() == tuple(loops)
     classes = {tuple(y for y in sorted(points) if ranks[frozenset((x, y))] == 1) for x in points}
     assert m.parallel_classes() == tuple(sorted(classes))
     assert m.is_simple() == (len(points) == m.size and all(len(c) == 1 for c in classes))
+    table = _PairTable(m)
+    assert table.loops == sorted(loops)
+    assert table.classes == {c[0]: c for c in sorted(classes)}
+    least = sorted(c[0] for c in classes)
+    assert table.labels == least
+    for a in least:
+        lines = set()
+        for b in least:
+            if b != a:
+                closure = [c for c in least if ranks[frozenset((a, b, c))] == 2]
+                assert table.members(table.closure[a, b]) == closure
+                lines.add(tuple(closure))
+        sizes = sorted((len(line) for line in lines if len(line) >= 3), reverse=True)
+        assert table.keys[a] == (tuple(sizes), len(table.classes[a]))
 
 
 def _with_loops_and_classes(p, rng, nrows=4, ncols=8):
@@ -276,13 +287,19 @@ def test_pair_table_matches_subset_ranks():
     for cols in multisets:
         scaled = [[(rng.randint(1, 4) * x) % 5 for x in col] for col in cols]
         _check_pair_table(LinearMatroid(GFMatrix.from_columns(5, scaled, nrows=3)))
-    # seeded rank-4 matroids over GF(3) and GF(5)
+    # seeded rank-4 matroids over GF(3) and GF(5); the table of m is that of
+    # its simplification, but for the class sizes in the keys
     nonsimple = 0
     for p in (3, 5):
         rng = random.Random(40 + p)
         for _ in range(50):
             m = _with_loops_and_classes(p, rng)
             _check_pair_table(m)
+            # labels that run against the column order
+            _check_pair_table(LinearMatroid(m.matrix, range(m.size - 1, -1, -1)))
+            table, simple = _PairTable(m), _PairTable(m.simplify())
+            assert (table.labels, table.lines) == (simple.labels, simple.lines)
+            assert {x: k[0] for x, k in table.keys.items()} == {x: k[0] for x, k in simple.keys.items()}
             nonsimple += bool(m.loops()) and any(len(c) > 1 for c in m.parallel_classes())
     assert nonsimple >= 20
 
@@ -312,7 +329,8 @@ def test_pair_table_is_cached_and_makes_no_rank_calls(monkeypatch):
     assert has_minor(named("PI4").matroid(), target) is None
     assert len(builds) == 14
     assert sum(m is target for m in builds) == 1
-    assert table.through() is table.through()
+    # the keys are read off the one cached table
+    assert all(_PairTable.of(pi4).keys[x][0] is table.keys[x][0] for x in table.labels)
 
 
 def test_pair_table_lines_are_the_distinct_closures():
@@ -329,7 +347,7 @@ def test_pair_table_lines_are_the_distinct_closures():
             assert len(table.lines) == len(lines) and set(table.lines) == lines
             for x in m.labels:
                 sizes = sorted((c.bit_count() for c in lines if c & table.bit[x] and c.bit_count() >= 3), reverse=True)
-                assert table.through()[x] == tuple(sizes)
+                assert table.keys[x][0] == tuple(sizes)
             simple += m.size >= 6
     assert simple >= 30
 
@@ -519,7 +537,7 @@ def test_flat_walk_yields_the_first_set_of_each_flat():
 def test_flat_walk_min_size_skips_only_smaller_stages(monkeypatch):
     # the walk with min_size yields exactly the unfiltered walk's stages of
     # at least that many points, in the same order, and builds no other
-    # matroid; no stage comes with a rank already in its memo
+    # matroid; no stage comes with its rank already computed
     rng = random.Random(78)
     built: list = []
     real_init = LinearMatroid.__init__
@@ -541,7 +559,7 @@ def test_flat_walk_min_size_skips_only_smaller_stages(monkeypatch):
                     monkeypatch.undo()
                     assert [(t, s.labels, s.matrix) for t, s in got] == [e for e in every if len(e[1]) >= size]
                     assert built == [s for _, s in got]
-                    assert all(s._rank_memo == {} for s in built)
+                    assert all(s._rank is None for s in built)
                     skipped += len(every) - len(got)
     assert skipped >= 100
 
@@ -636,6 +654,25 @@ def test_pattern_cache_keeps_the_two_orders_apart():
     matroid_module._Pattern.of(m, False)
     m._patterns[True] = m._patterns[False]
     assert find_isomorphism(m, copy) != iso
+
+
+def test_pattern_prefix_ranks_come_from_one_running_basis(monkeypatch):
+    # for both order kinds, on matroids with loops and parallel classes, the
+    # prefix ranks are the ranks of the order's prefixes
+    rng = random.Random(44)
+    for p in (3, 5):
+        for _ in range(20):
+            m = _with_loops_and_classes(p, rng, 5, 12)
+            for bijective in (True, False):
+                pattern = matroid_module._Pattern(m, bijective)
+                assert pattern.prefix_rank == [m.rank(pattern.order[: i + 1]) for i in range(len(pattern.order))]
+    # one insertion per point of OMEGA5, made on the first read only
+    pattern = matroid_module._Pattern(named("OMEGA5").matroid(), False)
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, counts, matroid_module, "_insert_into_basis")
+    assert pattern.prefix_rank == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5]
+    assert pattern.prefix_rank is pattern.prefix_rank
+    assert counts["_insert_into_basis"] == len(pattern.order) == 18
 
 
 def test_has_u24_minor():
@@ -917,8 +954,9 @@ def test_negative_omega5_dowling5_search_effort(monkeypatch):
     found, counts = _search_effort(monkeypatch, named("OMEGA5").matroid(), named("DOWLING5").matroid())
     assert found is None
     assert (counts["_dfs"], counts["_consistent"]) == (4475, 4882)
-    # one shared basis, no insertion at anchored depths
-    assert counts["_insert_into_basis"] == 2232
+    # one shared basis, no insertion at anchored depths; OMEGA5's 18 prefix
+    # ranks take one insertion each (153 when each prefix was ranked afresh)
+    assert counts["_insert_into_basis"] == 2097
 
 
 @pytest.mark.parametrize("source, counts", [("PI4", (635, 714)), ("SIGMA4", (585, 616))])
@@ -951,7 +989,7 @@ def test_verifier_elimination_effort(monkeypatch):
     # reaches no leaf, so it makes no elimination
     found, effort = _search_effort(monkeypatch, named("OMEGA5").matroid(), named("DOWLING5").matroid())
     assert found is None
-    assert (effort["_insert_into_basis"], effort["_eliminate"]) == (2232, 0)
+    assert (effort["_insert_into_basis"], effort["_eliminate"]) == (2097, 0)
 
 
 def test_symmetry_pruning_changes_no_answer(monkeypatch):
@@ -1110,7 +1148,7 @@ def test_verifiers_never_read_search_structures():
     search_names = {"_PairTable", "_RankPreservingSearch", "_monomial_generators", "_orbit_minima", "_certified",
                     "_point_map", "_pair_table", "_generators", "_points", "_flat_stages", "_contract_one",
                     "contract", "_Pattern", "_patterns", "_contract_columns", "_walk_flats", "_line_rest",
-                    "_row_permutations", "_row_scalings", "rank", "_rank_memo"}
+                    "_row_permutations", "_row_scalings", "rank", "_rank", "prefix_rank"}
 
     def names(code):
         out = set(code.co_names)

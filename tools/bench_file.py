@@ -23,7 +23,8 @@ first in odd pairs and the change first in even pairs.
     done
 
 The file holds, per workload and metric, each side's samples, median and
-quartiles and the change's wins; each side's traced counters; and the
+quartiles and the change's wins; each side's traced counters, and the
+counters of unit ``count`` in BENCHMARK.json whose medians moved; and the
 machine the runs were made on.  Standard library only.
 """
 
@@ -145,6 +146,14 @@ def build(runs: list[tuple[str, str, str]], better: dict[str, str]) -> dict:
     return out
 
 
+def count_changes(trace: dict, counts: set[str]) -> dict[str, list]:
+    """name -> [parent median, change median] for each counter in counts
+    whose two traced medians differ (None on a side that lacks it)."""
+    parent, change = trace.get("parent", {}), trace.get("change", {})
+    names = sorted(counts & (parent.keys() | change.keys()))
+    return {name: [parent.get(name), change.get(name)] for name in names if parent.get(name) != change.get(name)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="the BENCH_*.json file to write")
@@ -160,11 +169,14 @@ def main(argv=None) -> int:
         runs.append((side, workload, path))
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in config["end_to_end"] + config["per_layer"]}
+    counts = {m["name"] for m in config["per_layer"] if m["unit"] == "count"}
     try:
         workloads = build(runs, better)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for w in workloads.values():
+        w["count_changes"] = count_changes(w["trace"], counts)
     bench = {
         "benchmark": " ".join(config["command"]),
         "note": args.note,
