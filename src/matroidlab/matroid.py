@@ -4,11 +4,14 @@ A LinearMatroid is a GFMatrix plus distinct integer labels, one per column.
 The isomorphism and embedding searches run on the simplifications, pruning
 with the lines through the columns' projective points; loops and parallel
 classes are mapped around them.  Every answer is re-checked from the columns
-alone, by subset independence: a depth-first walk over subsets that
-eliminates once per prefix and keeps both sides' later columns reduced
-modulo the prefix's span, so each one-element extension is a zero test.
-Results are matroid-level statements even though all the arithmetic is
-exact linear algebra.
+alone, in one of two ways.  Over one field, a linear map that sends each
+column to a nonzero multiple of its image certifies it.  Otherwise, and
+always across fields, subset independence decides: a depth-first walk over
+subsets that eliminates once per prefix and keeps both sides' later columns
+reduced modulo the prefix's span, so each one-element extension is a zero
+test, and that compares parallel classes at its last level.  A rejection
+always comes from the walk.  Results are matroid-level statements even
+though all the arithmetic is exact linear algebra.
 
 The search also prunes by the host's symmetry, the orbit pruning of McKay
 and Piperno (Practical graph isomorphism, II, J. Symb. Comput. 2014), at
@@ -331,7 +334,10 @@ def _same_independent_sets(a_cols: Sequence, a_p: int, b_cols: Sequence, b_p: in
     column, one elimination per side.  A column that is zero on both sides
     makes the prefix dependent on both sides, and every superset too, so it
     is dropped from the subtree; every subset of size at most r is therefore
-    decided, and the test is complete.
+    decided, and the test is complete.  A node with two elements left to
+    place makes no child: a child's later column would be zero exactly when
+    it is parallel to the child's element, so the node compares both sides'
+    parallel classes instead.
     """
     return r == 0 or _same_below(r, [list(v) for v in a_cols], a_p, [list(w) for w in b_cols], b_p)
 
@@ -347,10 +353,91 @@ def _same_below(r: int, a: list, a_p: int, b: list, b_p: int) -> bool:
         return True
     a = [v for v, keep in zip(a, live) if keep]
     b = [w for w, keep in zip(b, live) if keep]
+    if r == 2:
+        # eliminating a live column zeroes exactly the later ones parallel
+        # to it, so the children would compare the parallel classes
+        return _first_parallel(a, a_p) == _first_parallel(b, b_p)
     for j in range(len(a)):
         if not _same_below(r - 1, _eliminate(a[j], a[j + 1:], a_p), a_p, _eliminate(b[j], b[j + 1:], b_p), b_p):
             return False
     return True
+
+
+def _first_parallel(cols: Sequence, p: int) -> list[int]:
+    """For each of the nonzero columns cols, the index of the first column
+    parallel to it (a nonzero multiple of it), found by scaling each column
+    so that its first nonzero entry is 1."""
+    first: dict[tuple[int, ...], int] = {}
+    out = []
+    for i, v in enumerate(cols):
+        lead = next(filter(None, v))
+        if lead != 1:
+            inv = pow(lead, p - 2, p)
+            v = [c * inv % p for c in v]
+        out.append(first.setdefault(tuple(v), i))
+    return out
+
+
+def _coordinates(cols: Sequence, p: int) -> tuple[list[int], list[list[int]]]:
+    """The greedy basis B of the columns cols (their indices, in order), and
+    every column's coordinates in B: the nonzero rows of cols' reduced row
+    echelon form, whose pivot columns are B."""
+    rows = [list(row) for row in zip(*cols)]
+    basis: list[int] = []
+    for j in range(len(cols)):
+        i = len(basis)
+        k = next((k for k in range(i, len(rows)) if rows[k][j]), None)
+        if k is None:
+            continue
+        rows[i], rows[k] = rows[k], rows[i]
+        inv = pow(rows[i][j], p - 2, p)
+        pivot = rows[i] = [a * inv % p for a in rows[i]]
+        for t, row in enumerate(rows):
+            f = row[j]
+            if f and t != i:
+                rows[t] = [(a - f * b) % p for a, b in zip(row, pivot)]
+        basis.append(j)
+    return basis, rows[:len(basis)]
+
+
+def _linear_map_certifies(a_cols: Sequence, b_cols: Sequence, p: int) -> bool:
+    """Is b_cols[j] = d_j * L(a_cols[j]) for every j, for one injective
+    linear map L on the span of a_cols and nonzero scalars d_j?  Then every
+    subset of the columns has the same rank on both sides.
+
+    Both sides must have the same greedy basis B.  With C and C' their
+    columns' coordinates in B, L sends a_cols[B_i] to b_cols[B_i] / d_{B_i}
+    exactly when C'[i][j] = C[i][j] * d_j / d_{B_i}: C' is C with nonzero
+    row and column scalars, which a basis column's single 1 ties together.
+    So C and C' need the same support; the scalars are fixed along a
+    spanning forest of its bipartite graph (rows against columns), each
+    tree's first row scaled by 1, and then every entry is compared.
+    """
+    basis, c = _coordinates(a_cols, p)
+    b_basis, d = _coordinates(b_cols, p)
+    if basis != b_basis:
+        return False
+    if any(bool(x) != bool(y) for row, b_row in zip(c, d) for x, y in zip(row, b_row)):
+        return False
+    row_scale: list = [None] * len(c)
+    col_scale: list = [None] * len(a_cols)
+    for root in range(len(c)):
+        if row_scale[root] is not None:
+            continue
+        row_scale[root], todo = 1, [root]
+        while todo:
+            i = todo.pop()
+            for j, x in enumerate(c[i]):
+                if x and col_scale[j] is None:
+                    col_scale[j] = d[i][j] * pow(row_scale[i] * x, p - 2, p) % p
+                    for k, row in enumerate(c):
+                        if row[j] and row_scale[k] is None:
+                            row_scale[k] = d[k][j] * pow(row[j] * col_scale[j], p - 2, p) % p
+                            todo.append(k)
+    return all(
+        y == row_scale[i] * x * col_scale[j] % p
+        for i, (row, b_row) in enumerate(zip(c, d)) for j, (x, y) in enumerate(zip(row, b_row)) if x
+    )
 
 
 def verify_bijection(m: LinearMatroid, n: LinearMatroid, mapping: Mapping[int, int]) -> bool:
@@ -376,14 +463,21 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
     r_{M/T}(S) = r_M(S + T) - r_M(T), so S is independent in M/T exactly
     when its columns, reduced modulo the span of T, are independent.  The
     image columns are reduced that way once, by eliminating T's columns one
-    at a time, before the walk.  The image must have n's rank in M/T (M/T
-    itself may have more: deleting can lower the rank), and every subset of
-    n of size at most that rank must be independent exactly when its image
-    is independent in M/T.  The subsets are walked depth first, each prefix
-    eliminated once per side; a prefix dependent on both sides has only
-    dependent supersets on both sides, so skipping its subtree leaves no
-    subset unchecked.  A witness that repeats a label, names one m does not
-    have, or holds a mapping entry that is not a pair, is rejected.
+    at a time.  The image must have n's rank in M/T (M/T itself may have
+    more: deleting can lower the rank), and every subset of n of size at
+    most that rank must be independent exactly when its image is
+    independent in M/T.
+
+    That is shown in one of two ways.  When m and n share a field, a linear
+    map that sends each of n's columns to a nonzero multiple of its reduced
+    image (``_linear_map_certifies``) shows it at once; over GF(3) one
+    exists for every valid witness, since ternary matroids are uniquely
+    representable.  Otherwise, and always across fields, the subsets are
+    walked depth first (``_same_independent_sets``); a prefix dependent on
+    both sides has only dependent supersets on both sides, so skipping its
+    subtree leaves no subset unchecked.  So every rejection comes from the
+    walk.  A witness that repeats a label, names one m does not have, or
+    holds a mapping entry that is not a pair, is rejected.
     """
     contracted = set(witness.contracted)
     deleted = set(witness.deleted)
@@ -417,6 +511,8 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
     # inside the image would otherwise go unnoticed
     if _column_rank(images, m.p) != r:
         return False
+    if m.p == n.p and _linear_map_certifies(n_cols, images, m.p):
+        return True
     return _same_independent_sets(n_cols, n.p, images, m.p, r)
 
 
@@ -913,18 +1009,18 @@ def _flat_stages(m: LinearMatroid, k: int, min_size: int = 0) -> Iterator[tuple[
     loop of M/P, and cl(P + x) is P plus the loops of M/P and x's parallel
     class there, read off M/P's points.  A leaf is built only when its
     flat is new and it has min_size points: one LinearMatroid on the least
-    label of each point, in m's label order.  It is given its points, but
-    no rank: the search reads the stage's rank from the stage's own oracle.
+    label of each point, in m's label order.  It is given its points and
+    its rank, r(M) - k, since T is independent.
     """
     columns = dict(zip(m.labels, m.matrix.columns))
-    return _walk_flats(m.p, sorted(m.labels), k, min_size, set(), columns, m.matrix.nrows, (), 0)
+    return _walk_flats(m.p, sorted(m.labels), k, min_size, m.rank() - k, set(), columns, m.matrix.nrows, (), 0)
 
 
-def _walk_flats(p: int, labels: list[int], k: int, min_size: int, seen: set, columns: dict, height: int,
-                prefix: tuple[int, ...], start: int) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
+def _walk_flats(p: int, labels: list[int], k: int, min_size: int, rank: int, seen: set, columns: dict,
+                height: int, prefix: tuple[int, ...], start: int) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
     """``_flat_stages`` below the node M/prefix, whose columns are columns
     with height rows, extending prefix by labels[start:]; seen holds the
-    flats of the leaves already reached."""
+    flats of the leaves already reached, and rank is each leaf's rank."""
     points = {y: _normalize(w, p) for y, w in columns.items()}
     if len(prefix) == k:
         least: dict[tuple[int, ...], int] = {}
@@ -936,6 +1032,7 @@ def _walk_flats(p: int, labels: list[int], k: int, min_size: int, seen: set, col
         keep = [y for y, pt in points.items() if least.get(pt) == y]
         stage = LinearMatroid(GFMatrix.from_columns(p, [columns[y] for y in keep], nrows=height), keep)
         stage._points = {y: points[y] for y in keep}
+        stage._rank = rank
         yield prefix, stage
         return
     for i in range(start, len(labels) - k + len(prefix) + 1):
@@ -949,7 +1046,7 @@ def _walk_flats(p: int, labels: list[int], k: int, min_size: int, seen: set, col
                 continue
             seen.add(flat)
         child = _contract_columns(columns, x, p)
-        yield from _walk_flats(p, labels, k, min_size, seen, child, height - 1, prefix + (x,), i + 1)
+        yield from _walk_flats(p, labels, k, min_size, rank, seen, child, height - 1, prefix + (x,), i + 1)
 
 
 def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = None) -> MinorWitness | None:

@@ -537,7 +537,7 @@ def test_flat_walk_yields_the_first_set_of_each_flat():
 def test_flat_walk_min_size_skips_only_smaller_stages(monkeypatch):
     # the walk with min_size yields exactly the unfiltered walk's stages of
     # at least that many points, in the same order, and builds no other
-    # matroid; no stage comes with its rank already computed
+    # matroid; every stage comes with its rank, r(M) - k
     rng = random.Random(78)
     built: list = []
     real_init = LinearMatroid.__init__
@@ -559,7 +559,7 @@ def test_flat_walk_min_size_skips_only_smaller_stages(monkeypatch):
                     monkeypatch.undo()
                     assert [(t, s.labels, s.matrix) for t, s in got] == [e for e in every if len(e[1]) >= size]
                     assert built == [s for _, s in got]
-                    assert all(s._rank is None for s in built)
+                    assert all(s._rank == matroid_module._column_rank(s.matrix.columns, s.p) for s in built)
                     skipped += len(every) - len(got)
     assert skipped >= 100
 
@@ -767,17 +767,25 @@ def test_verify_bijection_rejects_embedding_into_larger_matroid():
     assert not verify_bijection(f7, dowling3, emb)
 
 
+def _swaps_of_four():
+    """The identity on 0 to 3 and its six transpositions."""
+    swaps = [dict(enumerate(range(4)))]
+    for i, j in itertools.combinations(range(4), 2):
+        swaps.append({**swaps[0], i: j, j: i})
+    return swaps
+
+
 def test_walk_matches_rank_tables_on_all_four_column_matroids():
     # every multiset of four columns from the zero vector and PG(2, 3), against
     # the identity and every transposition of its own columns; the seeded path
     # (verify_witness's) contracts one extra column t, taken in turn from the
-    # same fourteen vectors, and compares M/t with the images reduced modulo t
+    # same fourteen vectors, and compares M/t with the images reduced modulo t.
+    # The linear map accepts exactly when the walk does: ternary matroids are
+    # uniquely representable over GF(3) (Brylawski and Lucas 1976)
     vectors = [ZERO] + PG23
     multisets = list(itertools.combinations_with_replacement(vectors, 4))
     assert len(multisets) == 2380
-    swaps = [dict(enumerate(range(4)))]
-    for i, j in itertools.combinations(range(4), 2):
-        swaps.append({**swaps[0], i: j, j: i})
+    swaps = _swaps_of_four()
     verdicts = {"plain": [], "seeded": []}
     for k, cols in enumerate(multisets):
         m = m_cols(*cols)
@@ -793,13 +801,84 @@ def test_walk_matches_rank_tables_on_all_four_column_matroids():
             want = all(rank == table[frozenset(swap[x] for x in sub)] for sub, rank in table.items())
             images = [cols[swap[x]] for x in range(4)]
             assert matroid_module._same_independent_sets(cols, 3, images, 3, m.rank()) == want
+            assert matroid_module._linear_map_certifies(cols, images, 3) == want
             verdicts["plain"].append(want)
             want = all(rank == minor[frozenset(swap[x] for x in sub)] for sub, rank in n_table.items())
             images = [reduced[swap[x]] for x in range(4)]
             assert matroid_module._same_independent_sets(n_cols, 3, images, 3, n.rank()) == want
+            assert matroid_module._linear_map_certifies(n_cols, images, 3) == want
             verdicts["seeded"].append(want)
     for got in verdicts.values():
         assert 1000 < sum(got) < len(got) - 1000
+
+
+def _rank_two_multisets(p):
+    """Every multiset of four columns from the zero vector and PG(1, p), as
+    a matroid over GF(p) labelled 0 to 3."""
+    line = [(0, 0), (0, 1)] + [(1, c) for c in range(p)]
+    return [LinearMatroid(GFMatrix.from_columns(p, cols, nrows=2))
+            for cols in itertools.combinations_with_replacement(line, 4)]
+
+
+def test_rank_two_verdicts_match_rank_tables():
+    # over GF(5), each multiset against its transpositions: the walk decides
+    # every map and the linear map accepts only what the walk accepts, but
+    # not all of it, since GF(5) representations need not be projectively
+    # equivalent (four points of a line have a cross ratio)
+    swaps = _swaps_of_four()
+    fallbacks = 0
+    for m in _rank_two_multisets(5):
+        table, cols = subset_rank_table(m), [m.column_of(x) for x in range(4)]
+        for swap in swaps:
+            want = all(rank == table[frozenset(swap[x] for x in sub)] for sub, rank in table.items())
+            images = [cols[swap[x]] for x in range(4)]
+            assert matroid_module._same_independent_sets(cols, 5, images, 5, m.rank()) == want
+            linear = matroid_module._linear_map_certifies(cols, images, 5)
+            assert want or not linear
+            assert verify_bijection(m, m, swap) == want
+            fallbacks += want and not linear
+    assert fallbacks > 0
+    # every GF(3) multiset against every GF(5) one, under the identity: the
+    # class test at the walk's last level decides across fields
+    tables5 = [(m, subset_rank_table(m)) for m in _rank_two_multisets(5)]
+    verdicts = []
+    for m3 in _rank_two_multisets(3):
+        table3 = subset_rank_table(m3)
+        for m5, table5 in tables5:
+            want = table3 == table5
+            assert verify_bijection(m3, m5, dict(enumerate(range(4)))) == want
+            verdicts.append(want)
+    assert len(verdicts) == 70 * 210 and 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_linear_map_edge_cases(monkeypatch):
+    # an empty n, an all-loop n and zero-row matrices are certified by the
+    # linear map; it never runs across fields
+    host = m_cols(E0, ZERO, E1, ZERO, ZERO)
+    empty = LinearMatroid(GFMatrix.from_columns(3, [], nrows=3))
+    loops = m_cols(ZERO, ZERO, ZERO)
+    zero_rows = LinearMatroid(GFMatrix(3, [], ncols=3))
+    assert matroid_module._linear_map_certifies([], [], 3)
+    assert matroid_module._linear_map_certifies([ZERO] * 3, [(0,)] * 3, 3)
+    assert matroid_module._linear_map_certifies([()] * 3, [()] * 3, 3)
+    assert not matroid_module._linear_map_certifies([ZERO, ZERO], [ZERO, E0], 3)
+    assert verify_embedding(empty, host, {})
+    assert verify_embedding(loops, host, {0: 1, 1: 3, 2: 4})
+    assert not verify_embedding(loops, host, {0: 0, 1: 3, 2: 4})
+    assert verify_bijection(zero_rows, loops, {0: 2, 1: 0, 2: 1})
+    calls: list = []
+    real = matroid_module._linear_map_certifies
+
+    def recording(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(matroid_module, "_linear_map_certifies", recording)
+    u3, u5 = u24(), LinearMatroid(GFMatrix(5, [[1, 0, 1, 1], [0, 1, 1, 4]]))
+    identity = dict(enumerate(range(4)))
+    assert verify_bijection(u3, u5, identity) and calls == []
+    assert verify_bijection(u5, u5, identity) and calls == [5]
+    assert verify_bijection(empty, LinearMatroid(GFMatrix(5, [[]], ncols=0)), {}) and calls == [5]
 
 
 def _naive_witness_ok(m, n, w):
@@ -970,7 +1049,9 @@ def test_negative_dowling4_search_effort(monkeypatch, source, counts):
 
 def test_verifier_elimination_effort(monkeypatch):
     # the walk eliminates once per side for each independent prefix of size
-    # 1 to r - 1 (the one-basis-per-side walk made 21,564 and 126
+    # 1 to r - 2, and settles the prefixes of size r - 1 by parallel classes
+    # (7,032 _eliminate calls for the OMEGA5 bijection when those
+    # eliminated too; the one-basis-per-side walk made 21,564 and 126
     # _insert_into_basis calls here)
     m3, m5 = named("OMEGA5", 3).matroid(), named("OMEGA5", 5).matroid()
     iso = find_isomorphism(m3, m5)
@@ -978,12 +1059,19 @@ def test_verifier_elimination_effort(monkeypatch):
     emb = find_embedding(f7, dowling3)
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, counts, matroid_module, "_eliminate")
+    # across fields the walk decides
     assert verify_bijection(m3, m5, iso)
-    assert counts["_eliminate"] == 7032
+    assert counts["_eliminate"] == 1920
     counts["_eliminate"] = 0
+    # within one field the linear map certifies, with no walk
     assert verify_embedding(f7, dowling3, emb)
-    # 7 one-element and 21 two-element prefixes, two sides
-    assert counts["_eliminate"] == 56
+    assert counts["_eliminate"] == 0
+    # the walk on the same pair: 7 one-element prefixes, two sides (56 when
+    # the 21 two-element prefixes eliminated too)
+    f7_cols = [f7.column_of(x) for x in f7.labels]
+    images = [dowling3.column_of(emb[x]) for x in f7.labels]
+    assert matroid_module._same_independent_sets(f7_cols, 3, images, 3, 3)
+    assert counts["_eliminate"] == 14
     monkeypatch.undo()
     # the search keeps its own basis: the negative OMEGA5 -> DOWLING5 search
     # reaches no leaf, so it makes no elimination
@@ -1148,7 +1236,7 @@ def test_verifiers_never_read_search_structures():
     search_names = {"_PairTable", "_RankPreservingSearch", "_monomial_generators", "_orbit_minima", "_certified",
                     "_point_map", "_pair_table", "_generators", "_points", "_flat_stages", "_contract_one",
                     "contract", "_Pattern", "_patterns", "_contract_columns", "_walk_flats", "_line_rest",
-                    "_row_permutations", "_row_scalings", "rank", "_rank", "prefix_rank"}
+                    "_row_permutations", "_row_scalings", "rank", "_rank", "prefix_rank", "_normalize"}
 
     def names(code):
         out = set(code.co_names)
@@ -1158,7 +1246,8 @@ def test_verifiers_never_read_search_structures():
         return out
 
     verifiers = (verify_bijection, verify_embedding, verify_witness, matroid_module._same_independent_sets,
-                 matroid_module._same_below, matroid_module._eliminate, matroid_module._reduce_modulo,
+                 matroid_module._same_below, matroid_module._first_parallel, matroid_module._linear_map_certifies,
+                 matroid_module._coordinates, matroid_module._eliminate, matroid_module._reduce_modulo,
                  matroid_module._insert_into_basis, matroid_module._column_rank)
     for fn in verifiers:
         assert names(fn.__code__).isdisjoint(search_names), fn.__name__
