@@ -17,14 +17,17 @@ The search also prunes by the host's symmetry, the orbit pruning of McKay
 and Piperno (Practical graph isomorphism, II, J. Symb. Comput. 2014), at
 its root only: for the first element it tries only the candidates that are
 the least label of their orbit under the host's monomial automorphisms that
-map each parallel class of the host onto one of the same size.  If f is an
-embedding that sends the first element to y, then for each such
-automorphism g, g . f is an embedding that sends it to g(y).  So if a
-candidate has an embedding, so has the least label of its orbit, which is
-tried first and whose subtree is searched in full.  Skipping every other
-label of the orbit therefore loses no answer: a negative stays a proof, and
-the first embedding in the search's order, the lexicographically least
-isomorphism when sizes are equal, is still the one found, byte for byte.
+map each parallel class of the host onto one of the same size.  Only the
+maps that merge two orbits are kept, and each of them only once
+``verify_bijection`` has certified it an automorphism of the host's
+simplification.  If f is an embedding that sends the first element to y,
+then for each such automorphism g, g . f is an embedding that sends it to
+g(y).  So if a candidate has an embedding, so has the least label of its
+orbit, which is tried first and whose subtree is searched in full.  Skipping
+every other label of the orbit therefore loses no answer: a negative stays a
+proof, and the first embedding in the search's order, the lexicographically
+least isomorphism when sizes are equal, is still the one found, byte for
+byte.
 
 Determinism contract: every search in this module iterates labels and
 candidates in a fixed order, so repeated runs agree byte for byte; the
@@ -39,7 +42,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .gf import GFMatrix
 
@@ -131,7 +134,7 @@ class LinearMatroid:
         self._points: dict[int, tuple[int, ...] | None] | None = None
         self._simple: LinearMatroid | None = None
         self._pair_table: _PairTable | None = None
-        self._generators: tuple[_Monomial, ...] | None = None
+        self._orbits: dict[int, int] | None = None
         self._patterns: dict[bool, _Pattern] = {}
 
     # -- basics ---------------------------------------------------------------
@@ -381,7 +384,7 @@ def _first_parallel(cols: Sequence, p: int) -> list[int]:
 def _coordinates(cols: Sequence, p: int) -> tuple[list[int], list[list[int]]]:
     """The greedy basis B of the columns cols (their indices, in order), and
     every column's coordinates in B: the nonzero rows of cols' reduced row
-    echelon form, whose pivot columns are B."""
+    echelon form, whose pivot columns are B.  len(B) is cols' rank."""
     rows = [list(row) for row in zip(*cols)]
     basis: list[int] = []
     for j in range(len(cols)):
@@ -400,10 +403,11 @@ def _coordinates(cols: Sequence, p: int) -> tuple[list[int], list[list[int]]]:
     return basis, rows[:len(basis)]
 
 
-def _linear_map_certifies(a_cols: Sequence, b_cols: Sequence, p: int) -> bool:
-    """Is b_cols[j] = d_j * L(a_cols[j]) for every j, for one injective
-    linear map L on the span of a_cols and nonzero scalars d_j?  Then every
-    subset of the columns has the same rank on both sides.
+def _linear_map_certifies(a: tuple, b: tuple, p: int) -> bool:
+    """For a and b, the ``_coordinates`` of columns a_cols and b_cols of
+    one length: is b_cols[j] = d_j * L(a_cols[j]) for every j, for one
+    injective linear map L on the span of a_cols and nonzero scalars d_j?
+    Then every subset of the columns has the same rank on both sides.
 
     Both sides must have the same greedy basis B.  With C and C' their
     columns' coordinates in B, L sends a_cols[B_i] to b_cols[B_i] / d_{B_i}
@@ -413,14 +417,13 @@ def _linear_map_certifies(a_cols: Sequence, b_cols: Sequence, p: int) -> bool:
     spanning forest of its bipartite graph (rows against columns), each
     tree's first row scaled by 1, and then every entry is compared.
     """
-    basis, c = _coordinates(a_cols, p)
-    b_basis, d = _coordinates(b_cols, p)
+    (basis, c), (b_basis, d) = a, b
     if basis != b_basis:
         return False
     if any(bool(x) != bool(y) for row, b_row in zip(c, d) for x, y in zip(row, b_row)):
         return False
     row_scale: list = [None] * len(c)
-    col_scale: list = [None] * len(a_cols)
+    col_scale: dict[int, int] = {}
     for root in range(len(c)):
         if row_scale[root] is not None:
             continue
@@ -428,7 +431,7 @@ def _linear_map_certifies(a_cols: Sequence, b_cols: Sequence, p: int) -> bool:
         while todo:
             i = todo.pop()
             for j, x in enumerate(c[i]):
-                if x and col_scale[j] is None:
+                if x and j not in col_scale:
                     col_scale[j] = d[i][j] * pow(row_scale[i] * x, p - 2, p) % p
                     for k, row in enumerate(c):
                         if row[j] and row_scale[k] is None:
@@ -506,12 +509,13 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
         [m.column_of(x) for x in sorted(contracted)], [m.column_of(mapping[x]) for x in n.labels], m.p
     )
     n_cols = [n.column_of(x) for x in n.labels]
-    r = _column_rank(n_cols, n.p)
+    coordinates, image_coordinates = _coordinates(n_cols, n.p), _coordinates(images, m.p)
+    r = len(coordinates[0])
     # the image's rank in M/T is its reduced columns' rank; ranks above n's
     # inside the image would otherwise go unnoticed
-    if _column_rank(images, m.p) != r:
+    if len(image_coordinates[0]) != r:
         return False
-    if m.p == n.p and _linear_map_certifies(n_cols, images, m.p):
+    if m.p == n.p and _linear_map_certifies(coordinates, image_coordinates, m.p):
         return True
     return _same_independent_sets(n_cols, n.p, images, m.p, r)
 
@@ -622,58 +626,23 @@ def _dominates(want: tuple, have: tuple) -> bool:
 # -- host symmetry -----------------------------------------------------------------------
 
 
-class _Monomial(NamedTuple):
-    """The monomial map v -> w with w[rows[i]] = scalars[rows[i]] * v[i],
-    and the permutation of a simple matroid's labels that it induces;
-    moves lists only the labels it does not fix."""
+def _orbit_minima(n: LinearMatroid) -> dict[int, int]:
+    """label -> least label of its orbit, for every label of si(n) that is
+    not the least of its orbit, under the group generated by the monomial
+    automorphisms of si(n)'s matrix that map each parallel class of n onto
+    one of the same size; one that does not need not carry an embedding into
+    n to another.  Built once and cached on n.
 
-    rows: tuple[int, ...]
-    scalars: tuple[int, ...]
-    moves: Mapping[int, int]
-
-
-def _certified(m: LinearMatroid, gens: Iterable[_Monomial]) -> tuple[_Monomial, ...]:
-    """The generators that pass the certificate, checked from the matrix
-    alone: g is an invertible linear map that sends every column of m to a
-    nonzero multiple of the column its label moves to, and the labels move
-    by a permutation.  Such a map preserves the rank of every subset.  Row i
-    of m, scaled by g, must equal row rows[i] of m with its columns in image
-    order, each column times its multiple (read where the image column's
-    first nonzero entry lies)."""
-    r, p = m.matrix.nrows, m.p
-    rows, cols = m.matrix.rows, m.matrix.columns
-    lead = [next((k for k, c in enumerate(v) if c), None) for v in cols]
-    if None in lead:
-        return ()
-    inverse = [0] + [pow(c, p - 2, p) for c in range(1, p)]
-    kept = []
-    for g in gens:
-        if sorted(g.rows) != list(range(r)) or not all(c % p for c in g.scalars):
-            continue
-        target = [m._col_of.get(g.moves.get(x, x)) for x in m.labels]
-        if None in target or sorted(target) != list(range(len(target))):
-            continue
-        source_row = {t: i for i, t in enumerate(g.rows)}
-        multiple = [
-            g.scalars[lead[t]] * rows[source_row[lead[t]]][j] * inverse[cols[t][lead[t]]] % p
-            for j, t in enumerate(target)
-        ]
-        if all(multiple) and all(
-            [g.scalars[t] * c % p for c in rows[i]] == [k * rows[t][j] % p for k, j in zip(multiple, target)]
-            for i, t in enumerate(g.rows)
-        ):
-            kept.append(g)
-    return tuple(kept)
-
-
-def _monomial_generators(m: LinearMatroid) -> tuple[_Monomial, ...]:
-    """Generators of the monomial automorphisms of a simple matroid's matrix:
-    a row permutation with row scalars that maps the set of column points
-    onto itself.  They are every such map with the identity permutation,
-    plus the first working scalars for each other permutation; any two maps
-    with one permutation differ by one of the first kind, so these generate
-    the whole group.  Identity maps are dropped and each kept map passes
-    ``_certified``.  Built once per matroid.
+    A monomial automorphism is a row permutation with row scalars that maps
+    the set of column points onto itself.  The maps enumerated are every one
+    with the identity permutation, plus the first working scalars for each
+    other permutation; any two maps with one permutation differ by one of
+    the first kind, so these generate the whole group.  A map joins the
+    orbits (union-find, least label as root) only if it keeps class sizes,
+    merges at least two orbits, and is accepted by ``verify_bijection`` as
+    an automorphism of si(n), in that order, so only merging maps are
+    certified.  A map that merges nothing when its turn comes merges nothing
+    after later unions either, so skipping it leaves the partition as it is.
 
     Permutations are chosen source row by source row, each column's image
     support checked against the columns' supports once its own support is
@@ -682,30 +651,41 @@ def _monomial_generators(m: LinearMatroid) -> tuple[_Monomial, ...]:
     point looked up once its image support is fixed.  About r! * n * r steps
     at most: 720 * 30 * 6 at rank 6.
     """
-    if m._generators is not None:
-        return m._generators
-    cols, r, p = m.matrix.columns, m.matrix.nrows, m.p
+    if n._orbits is not None:
+        return n._orbits
+    s = n.simplify()
+    size = {c[0]: len(c) for c in n.parallel_classes()}
+    cols, r, p = s.matrix.columns, s.matrix.nrows, s.p
     # every nonzero multiple of each column -> its label
-    label_of = {tuple(k * c % p for c in v): x for x, v in zip(m.labels, cols) for k in range(1, p)}
+    label_of = {tuple(k * c % p for c in v): x for x, v in zip(s.labels, cols) for k in range(1, p)}
     entries = [[(i, c) for i, c in enumerate(v) if c] for v in cols]
     support_rows = [[i for i, _ in e] for e in entries]
-    host_supports = {sum(1 << i for i in s) for s in support_rows}
+    host_supports = {sum(1 << i for i in support) for support in support_rows}
     ends: list[set[tuple[int, ...]]] = [set() for _ in range(r)]  # source row -> supports ending there
-    for s in support_rows:
-        ends[s[-1]].add(tuple(s))
+    for support in support_rows:
+        ends[support[-1]].add(tuple(support))
+    root: dict[int, int] = {}
 
-    found: dict[tuple, _Monomial] = {}
+    def find(x: int) -> int:
+        while root.get(x, x) != x:
+            x = root[x]
+        return x
+
     for rows in _row_permutations([], r, ends, host_supports):
         ready: list[list[int]] = [[] for _ in range(r)]  # image row -> columns fixed there
-        for j, s in enumerate(support_rows):
-            ready[max(map(rows.__getitem__, s))].append(j)
+        for j, support in enumerate(support_rows):
+            ready[max(map(rows.__getitem__, support))].append(j)
         every = _row_scalings(0, rows, [0] * r, [None] * len(cols), ready, entries, label_of, p)
-        for scalars, images in every if rows == tuple(range(r)) else itertools.islice(every, 1):
-            moves = {x: y for x, y in zip(m.labels, images) if x != y}
-            if moves:
-                found.setdefault(tuple(sorted(moves.items())), _Monomial(rows, scalars, moves))
-    m._generators = _certified(m, found.values())
-    return m._generators
+        for _, images in every if rows == tuple(range(r)) else itertools.islice(every, 1):
+            g = dict(zip(s.labels, images))
+            if (all(size[x] == size[y] for x, y in g.items()) and any(find(x) != find(y) for x, y in g.items())
+                    and verify_bijection(s, s, g)):
+                for x, y in g.items():
+                    a, b = find(x), find(y)
+                    if a != b:
+                        root[max(a, b)] = min(a, b)
+    n._orbits = {x: find(x) for x in root}
+    return n._orbits
 
 
 def _row_permutations(rows: list[int], r: int, ends: Sequence[set], host_supports: set) -> Iterator[tuple[int, ...]]:
@@ -748,24 +728,6 @@ def _row_scalings(t: int, rows: tuple[int, ...], scalars: list[int], images: lis
                 break
         else:
             yield from _row_scalings(t + 1, rows, scalars, images, ready, entries, label_of, p)
-
-
-def _orbit_minima(gens: Sequence[_Monomial]) -> dict[int, int]:
-    """label -> least label of its orbit under the group the generators
-    generate, for every label they move (union-find, least label as root)."""
-    root: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while root.get(x, x) != x:
-            x = root[x]
-        return x
-
-    for g in gens:
-        for x, y in g.moves.items():
-            a, b = find(x), find(y)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    return {x: find(x) for x in root}
 
 
 class _Pattern:
@@ -834,12 +796,14 @@ class _RankPreservingSearch:
     si(n)'s candidates in sorted order; it picks nothing else, so the
     symmetry pruning and the leaf check are those of every search.
 
-    The host's generators are built, once, when the failed subtrees of the
-    first element's candidates have taken more nodes than r! * n (r rows
-    and n points of si(n)), a bound on the build's steps, so the build
-    never costs much more than the search has already spent; from then on
-    the first element skips every candidate that is not the least label of
-    its orbit (see the module docstring).
+    The host's orbit table, ``_orbit_minima(n)``, is read once the failed
+    subtrees of the first element's candidates have taken more nodes than
+    r! * n (r rows and n points of si(n)), a bound on its build's steps, so
+    the build never costs much more than the search has already spent.  It
+    is built at its first read and cached on n, not on si(n), since which
+    maps it keeps depends on n's class sizes.  From then on the first
+    element skips every candidate that is not the least label of its orbit
+    (see the module docstring).
     """
 
     def __init__(self, m: LinearMatroid, n: LinearMatroid, bijective: bool):
@@ -870,7 +834,7 @@ class _RankPreservingSearch:
         self.prefix_rank = pattern.prefix_rank if rank_n >= 4 else None
         self.nodes = 0
         self.build_after = math.factorial(n.matrix.nrows) * len(tn.labels)
-        self.least: dict[int, int] = {}  # orbit minima under the host's generators, once built
+        self.least: dict[int, int] = {}  # the host's orbit minima, once read
         return self._dfs(0, {}, 0, [])
 
     def _admissible(self, key_m: Mapping, key_n: Mapping, fits) -> dict[int, int]:
@@ -885,13 +849,6 @@ class _RankPreservingSearch:
         for want in set(key_m.values()):
             mask_of[want] = sum(mask for have, mask in by_key.items() if fits(want, have))
         return {x: mask_of[key_m[x]] for x in key_m}
-
-    def _host_generators(self) -> list[_Monomial]:
-        """si(n)'s generators that map each class of n onto one of the same
-        size; for the others g . f need not embed m."""
-        size = {y: len(cls) for y, cls in self.tn.classes.items()}
-        gens = _monomial_generators(self.n.simplify())
-        return [g for g in gens if all(size[y] == size[z] for y, z in g.moves.items())]
 
     def _candidates(self, x: int, assignment: dict[int, int], used_mask: int) -> list[int]:
         tn = self.tn
@@ -962,7 +919,7 @@ class _RankPreservingSearch:
                 basis.pop()
             if depth == 0 and self.nodes > self.build_after:
                 self.build_after = math.inf
-                self.least = _orbit_minima(self._host_generators())
+                self.least = _orbit_minima(self.n)
         return None
 
 

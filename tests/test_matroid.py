@@ -7,10 +7,11 @@ import gc
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
-from matroidlab.catalog import named, universal_matrix
+from matroidlab.catalog import _fixed_entries, named, universal_matrix
 from matroidlab.gf import GFMatrix
 from matroidlab.matroid import (
     LinearMatroid,
@@ -775,6 +776,12 @@ def _swaps_of_four():
     return swaps
 
 
+def _linear(a_cols, b_cols, p):
+    """``_linear_map_certifies`` on the ``_coordinates`` of both sides."""
+    coordinates = matroid_module._coordinates
+    return matroid_module._linear_map_certifies(coordinates(a_cols, p), coordinates(b_cols, p), p)
+
+
 def test_walk_matches_rank_tables_on_all_four_column_matroids():
     # every multiset of four columns from the zero vector and PG(2, 3), against
     # the identity and every transposition of its own columns; the seeded path
@@ -801,12 +808,12 @@ def test_walk_matches_rank_tables_on_all_four_column_matroids():
             want = all(rank == table[frozenset(swap[x] for x in sub)] for sub, rank in table.items())
             images = [cols[swap[x]] for x in range(4)]
             assert matroid_module._same_independent_sets(cols, 3, images, 3, m.rank()) == want
-            assert matroid_module._linear_map_certifies(cols, images, 3) == want
+            assert _linear(cols, images, 3) == want
             verdicts["plain"].append(want)
             want = all(rank == minor[frozenset(swap[x] for x in sub)] for sub, rank in n_table.items())
             images = [reduced[swap[x]] for x in range(4)]
             assert matroid_module._same_independent_sets(n_cols, 3, images, 3, n.rank()) == want
-            assert matroid_module._linear_map_certifies(n_cols, images, 3) == want
+            assert _linear(n_cols, images, 3) == want
             verdicts["seeded"].append(want)
     for got in verdicts.values():
         assert 1000 < sum(got) < len(got) - 1000
@@ -833,7 +840,7 @@ def test_rank_two_verdicts_match_rank_tables():
             want = all(rank == table[frozenset(swap[x] for x in sub)] for sub, rank in table.items())
             images = [cols[swap[x]] for x in range(4)]
             assert matroid_module._same_independent_sets(cols, 5, images, 5, m.rank()) == want
-            linear = matroid_module._linear_map_certifies(cols, images, 5)
+            linear = _linear(cols, images, 5)
             assert want or not linear
             assert verify_bijection(m, m, swap) == want
             fallbacks += want and not linear
@@ -858,10 +865,10 @@ def test_linear_map_edge_cases(monkeypatch):
     empty = LinearMatroid(GFMatrix.from_columns(3, [], nrows=3))
     loops = m_cols(ZERO, ZERO, ZERO)
     zero_rows = LinearMatroid(GFMatrix(3, [], ncols=3))
-    assert matroid_module._linear_map_certifies([], [], 3)
-    assert matroid_module._linear_map_certifies([ZERO] * 3, [(0,)] * 3, 3)
-    assert matroid_module._linear_map_certifies([()] * 3, [()] * 3, 3)
-    assert not matroid_module._linear_map_certifies([ZERO, ZERO], [ZERO, E0], 3)
+    assert _linear([], [], 3)
+    assert _linear([ZERO] * 3, [(0,)] * 3, 3)
+    assert _linear([()] * 3, [()] * 3, 3)
+    assert not _linear([ZERO, ZERO], [ZERO, E0], 3)
     assert verify_embedding(empty, host, {})
     assert verify_embedding(loops, host, {0: 1, 1: 3, 2: 4})
     assert not verify_embedding(loops, host, {0: 0, 1: 3, 2: 4})
@@ -1084,8 +1091,8 @@ def test_symmetry_pruning_changes_no_answer(monkeypatch):
     # every 0-5-point subset of PG(2, 3) into PG(2, 3) and into DOWLING3, the
     # 3-5-point subsets into the arc host (598 negatives), and has_minor(., AG23E)
     # on the table hosts M([I | D | X]) but the rank-7 X = G, once with the
-    # host generators and once with none; and non-simple hosts, whose
-    # generators must keep class sizes
+    # host's orbits and once with none; and non-simple hosts, whose orbit
+    # maps must keep class sizes
     arc = m_cols(E0, E1, E2, (1, 1, 1), (1, 1, 0), E12)
     hosts = [(m_cols(*PG23), range(6)), (named("DOWLING3").matroid(), range(6)), (arc, (3, 4, 5))]
     pairs = [
@@ -1094,20 +1101,16 @@ def test_symmetry_pruning_changes_no_answer(monkeypatch):
     tables = [named(f"FORBIDDEN_{key}").matrix for key in "ABCDEFHIJKLMNO"]
     tables = [LinearMatroid(universal_matrix(x, x.nrows)) for x in tables]
     ag = named("AG23E").matroid()
-    real_generators, real_embedding = matroid_module._monomial_generators, matroid_module.find_embedding
-    real_host_generators = _RankPreservingSearch._host_generators
-    pruning: list = []  # searches that pruned with the host's generators
-    built: list = []  # hosts whose generators were built, not read from the cache
+    real_minima, real_embedding = matroid_module._orbit_minima, matroid_module.find_embedding
+    pruning: list = []  # searches that pruned with the host's orbits
+    built: list = []  # hosts whose orbits were built, not read from the cache
     pruned_by_outcome = {"no": 0, "yes": 0}
 
-    def counting_host_generators(search):
-        pruning.append(search.n)
-        return real_host_generators(search)
-
-    def counting_generators(n):
-        if n._generators is None:
+    def counting_minima(n):
+        pruning.append(n)
+        if n._orbits is None:
             built.append(n)
-        return real_generators(n)
+        return real_minima(n)
 
     def counting_embedding(m, n):
         before = len(pruning)
@@ -1116,30 +1119,25 @@ def test_symmetry_pruning_changes_no_answer(monkeypatch):
             pruned_by_outcome["no" if found is None else "yes"] += 1
         return found
 
-    monkeypatch.setattr(_RankPreservingSearch, "_host_generators", counting_host_generators)
-    monkeypatch.setattr(matroid_module, "_monomial_generators", counting_generators)
+    monkeypatch.setattr(matroid_module, "_orbit_minima", counting_minima)
     monkeypatch.setattr(matroid_module, "find_embedding", counting_embedding)
     pruned = [matroid_module.find_embedding(m, n) for m, n in pairs]
     pruned_minors = [has_minor(t, ag) for t in tables]
     # DOWLING3 plus 2h, labelled 9, for each of its columns h, and its
-    # restrictions to h, 9 and 3-6 other points (1,890 positives): a
-    # generator that moves the class {h, 9} onto a single point would skip
-    # the only candidates that take the class
-    dowling3 = named("DOWLING3").matroid()
-    cols = list(dowling3.matrix.columns)
+    # restrictions to h, 9 and 3-6 other points (1,890 positives): a map
+    # that moves the class {h, 9} onto a single point would skip the only
+    # candidates that take the class
     doubled = []
-    for h in dowling3.labels:
-        twice = cols + [[2 * c % 3 for c in cols[h]]]
-        host = LinearMatroid(GFMatrix.from_columns(3, twice, nrows=3), dowling3.labels + (9,))
-        others = [x for x in dowling3.labels if x != h]
+    for h, host in _doubled_dowling3_hosts():
+        others = [x for x in host.labels if x not in (h, 9)]
         doubled += [(host.restrict({h, 9, *s}), host) for k in range(3, 7) for s in itertools.combinations(others, k)]
     searches, builds = len(pruning), len(built)
     for m, n in doubled:
         found = matroid_module.find_embedding(m, n)
         assert found is not None and verify_embedding(m, n, found)
-    # each host's simplification, and with it its generators, is built once
+    # each host's orbits are built once
     assert len(doubled) == 1890 and len(pruning) - searches >= 100 and len(built) - builds <= 9
-    monkeypatch.setattr(matroid_module, "_monomial_generators", lambda n: ())
+    monkeypatch.setattr(matroid_module, "_orbit_minima", lambda n: {})
     assert [real_embedding(m, n) for m, n in pairs] == pruned
     assert [has_minor(t, ag) for t in tables] == pruned_minors
     # the pruning ran: in hundreds of negatives, and in positives found after
@@ -1173,7 +1171,7 @@ def test_isomorphism_symmetry_pruning_changes_no_witness(monkeypatch):
     # automorphisms show: the copy of that subset, and the copy of another
     # subset of its size.  The subsets of 7 and 8 points are random, the
     # larger ones unions of orbits of a monomial map.  Every search that
-    # builds the host's generators gives the witness of a search with none,
+    # reads the host's orbits gives the witness of a search with none,
     # and on <= 8 points the naive oracle's.  Rooting each orbit at its
     # largest label changes 8 of these witnesses.
     rng = random.Random(5)
@@ -1185,20 +1183,20 @@ def test_isomorphism_symmetry_pruning_changes_no_witness(monkeypatch):
             if a.size == b.size == k:
                 pairs += [(_scrambled(a, rng), a), (_scrambled(b, rng), a)]
     builds: list = []
-    real = _RankPreservingSearch._host_generators
+    real = matroid_module._orbit_minima
 
-    def counting(search):
-        builds.append(search)
-        return real(search)
+    def counting(n):
+        builds.append(n)
+        return real(n)
 
-    monkeypatch.setattr(_RankPreservingSearch, "_host_generators", counting)
+    monkeypatch.setattr(matroid_module, "_orbit_minima", counting)
     pruned = []
     for m, n in pairs:
         before = len(builds)
         found = find_isomorphism(m, n)
         if len(builds) > before:
             pruned.append((m, n, found))
-    monkeypatch.setattr(matroid_module, "_monomial_generators", lambda n: ())
+    monkeypatch.setattr(matroid_module, "_orbit_minima", lambda n: {})
     for m, n, found in pruned:
         assert find_isomorphism(m, n) == found
         if m.size <= 8:
@@ -1208,26 +1206,112 @@ def test_isomorphism_symmetry_pruning_changes_no_witness(monkeypatch):
     assert outcomes == {(True, True): 1, (True, False): 2, (False, True): 8, (False, False): 2}
 
 
-def test_monomial_generators_are_certified_automorphisms():
-    for n, count in ((m_cols(*PG23), 8), (named("DOWLING3").matroid(), 8), (named("DOWLING4").matroid(), 30)):
-        gens = matroid_module._monomial_generators(n)
-        # the monomial groups have 24, 24 and 192 elements
-        assert len(gens) == count
-        assert matroid_module._monomial_generators(n) is gens
-        for g in gens:
-            assert verify_bijection(n, n, {x: g.moves.get(x, x) for x in n.labels})
+def _partition(labels, least):
+    """The orbits of labels under least (label -> least label of its orbit,
+    for the labels that are not), each sorted, ordered by least label."""
+    orbits: dict[int, list[int]] = {}
+    for x in sorted(labels):
+        orbits.setdefault(least.get(x, x), []).append(x)
+    return list(orbits.values())
 
 
-def test_dowling5_orbits_are_joints_and_the_rest():
+def _certified_build(monkeypatch, n):
+    """_orbit_minima(n), the number of maps its build enumerates, and the
+    (mapping, verdict) of each verify_bijection call it makes."""
+    calls: list = []
+    maps = 0
+    real_verify, real_scalings = matroid_module.verify_bijection, matroid_module._row_scalings
+
+    def recording(a, b, mapping):
+        verdict = real_verify(a, b, mapping)
+        calls.append((dict(mapping), verdict))
+        return verdict
+
+    def counting(t, *args):
+        nonlocal maps
+        for found in real_scalings(t, *args):
+            maps += t == 0
+            yield found
+
+    monkeypatch.setattr(matroid_module, "verify_bijection", recording)
+    monkeypatch.setattr(matroid_module, "_row_scalings", counting)
+    least = matroid_module._orbit_minima(n)
+    monkeypatch.undo()
+    return least, maps, calls
+
+
+def test_monomial_generators_are_certified_automorphisms(monkeypatch):
+    # the monomial groups have 24, 24 and 192 elements, from 8, 8 and 30
+    # generators (a build also enumerates the identity); a build certifies
+    # only the maps that merge orbits, each passes, and the certified maps
+    # alone give the whole partition
+    hosts = (
+        (m_cols(*PG23), 9, 4, [[0, 1, 4], [2, 3, 5, 6, 7, 10], [8, 9, 11, 12]]),
+        (named("DOWLING3").matroid(), 9, 4, [[0, 1, 2], [3, 4, 5, 6, 7, 8]]),
+        (named("DOWLING4").matroid(), 31, 6, [list(range(4)), list(range(4, 16))]),
+    )
+    for n, maps, merges, orbits in hosts:
+        least, enumerated, calls = _certified_build(monkeypatch, n)
+        assert matroid_module._orbit_minima(n) is least
+        assert enumerated == maps
+        assert len(calls) == merges and all(verdict for _, verdict in calls)
+        assert _partition(n.labels, least) == orbits
+        root = {x: x for x in n.labels}  # label -> least label of its orbit so far
+        for mapping, _ in calls:
+            for x, y in mapping.items():
+                a, b = root[x], root[y]
+                root = {z: min(a, b) if r in (a, b) else r for z, r in root.items()}
+        assert _partition(n.labels, root) == orbits
+
+
+def test_dowling5_orbits_are_joints_and_the_rest(monkeypatch):
+    # 8 of the 134 generators merge orbits, and only they are certified
     n = named("DOWLING5").matroid()
-    gens = matroid_module._monomial_generators(n)
-    assert len(gens) == 134
-    least = matroid_module._orbit_minima(gens)
-    orbits: dict[int, set[int]] = {}
-    for x in n.labels:
-        orbits.setdefault(least.get(x, x), set()).add(x)
+    least, enumerated, calls = _certified_build(monkeypatch, n)
+    assert enumerated == 135 and len(calls) == 8 and all(verdict for _, verdict in calls)
     # the joints e_i are the first five columns
-    assert sorted(orbits.values(), key=min) == [set(range(5)), set(range(5, 25))]
+    assert _partition(n.labels, least) == [list(range(5)), list(range(5, 25))]
+
+
+def _doubled_dowling3_hosts():
+    """(h, DOWLING3 plus 2h labelled 9) for each label h of DOWLING3."""
+    dowling3 = named("DOWLING3").matroid()
+    cols = list(dowling3.matrix.columns)
+    for h in dowling3.labels:
+        twice = cols + [[2 * c % 3 for c in cols[h]]]
+        yield h, LinearMatroid(GFMatrix.from_columns(3, twice, nrows=3), dowling3.labels + (9,))
+
+
+def _orbit_hosts():
+    """(name, field, host): every fixed catalog id and every family member
+    of rank at most 5, over GF(3) and then GF(5), then the doubled DOWLING3
+    hosts."""
+    for p in (3, 5):
+        for id_ in sorted(_fixed_entries(p)):
+            yield id_, p, named(id_, p).matroid()
+        for head in ("MK", "DOWLING", "PI", "SIGMA", "OMEGA", "T1_"):
+            for k in range(7):
+                try:
+                    m = named(f"{head}{k}", p).matroid()
+                except KeyError:
+                    continue
+                if m.rank() <= 5:
+                    yield f"{head}{k}", p, m
+    for h, host in _doubled_dowling3_hosts():
+        yield f"DOWLING3+{h}", 3, host
+
+
+def test_orbit_minima_match_pinned_partitions():
+    # orbit_minima.txt holds each host's orbits of two or more points of
+    # si(n), or "-" for none, as the build that certified every generator
+    # with a monomial certificate gave them
+    got = []
+    for name, p, n in _orbit_hosts():
+        orbits = [o for o in _partition(n.simplify().labels, matroid_module._orbit_minima(n)) if len(o) > 1]
+        got.append(f"{name} {p} {' '.join(','.join(map(str, o)) for o in orbits) or '-'}")
+    want = (Path(__file__).parent / "data" / "orbit_minima.txt").read_text().splitlines()
+    assert len(want) == 115
+    assert got == want
 
 
 def test_verifiers_never_read_search_structures():
@@ -1236,7 +1320,8 @@ def test_verifiers_never_read_search_structures():
     search_names = {"_PairTable", "_RankPreservingSearch", "_monomial_generators", "_orbit_minima", "_certified",
                     "_point_map", "_pair_table", "_generators", "_points", "_flat_stages", "_contract_one",
                     "contract", "_Pattern", "_patterns", "_contract_columns", "_walk_flats", "_line_rest",
-                    "_row_permutations", "_row_scalings", "rank", "_rank", "prefix_rank", "_normalize"}
+                    "_row_permutations", "_row_scalings", "rank", "_rank", "prefix_rank", "_normalize",
+                    "_orbits"}
 
     def names(code):
         out = set(code.co_names)
@@ -1253,19 +1338,32 @@ def test_verifiers_never_read_search_structures():
         assert names(fn.__code__).isdisjoint(search_names), fn.__name__
 
 
-def test_certificate_rejects_swapped_images():
+def test_certificate_rejects_swapped_images(monkeypatch):
+    # after each map of the identity row permutation, the build is offered
+    # that map with the images of two labels swapped, for every pair; each
+    # swapped map that would merge orbits reaches verify_bijection, which
+    # rejects it, so no swapped map joins an orbit and the partition stays
+    want = _partition(range(16), matroid_module._orbit_minima(named("DOWLING4").matroid()))
+    real = matroid_module._row_scalings
+    swapped: set = set()
+
+    def swapping(t, *args):
+        for scalars, images in real(t, *args):
+            yield scalars, images
+            if t == 0:
+                for a, b in itertools.combinations(range(len(images)), 2):
+                    bad = list(images)
+                    bad[a], bad[b] = bad[b], bad[a]
+                    swapped.add(tuple(bad))
+                    yield scalars, tuple(bad)
+
+    monkeypatch.setattr(matroid_module, "_row_scalings", swapping)
     n = named("DOWLING4").matroid()
-    gens = matroid_module._monomial_generators(n)
-    assert matroid_module._certified(n, gens) == gens
-    for g in gens[:3] + gens[-3:]:
-        images = {x: g.moves.get(x, x) for x in n.labels}
-        for a, b in itertools.combinations(n.labels, 2):
-            swapped = {**images, a: images[b], b: images[a]}
-            bad = g._replace(moves={x: y for x, y in swapped.items() if x != y})
-            assert matroid_module._certified(n, [bad]) == ()
-    g = gens[0]
-    assert matroid_module._certified(n, [g._replace(scalars=(0,) + g.scalars[1:])]) == ()
-    assert matroid_module._certified(n, [g._replace(rows=(0,) * len(g.rows))]) == ()
+    least, _, calls = _certified_build(monkeypatch, n)
+    verdicts = [verdict for mapping, verdict in calls if tuple(mapping[x] for x in n.labels) in swapped]
+    # 8 maps of the identity permutation, 120 pairs each
+    assert len(swapped) == 960 and len(verdicts) == 923 and not any(verdicts)
+    assert _partition(n.labels, least) == want
 
 
 def test_nonsimple_loop_test_prunes_search(monkeypatch):
