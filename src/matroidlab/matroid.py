@@ -536,45 +536,61 @@ class _PairTable:
     pair checks and candidates read closure, which is built when a search
     first reads it; a search its key counts reject never does.
 
-    The lines and keys come from the projective points of the columns in
-    one pass, with no rank calls: the line through points u and v holds u,
-    v and u + t*v for t = 1 .. p - 1.  Use ``of(m)``, which builds the
-    table once per matroid.
+    The table is built from a label -> projective point map (None for a
+    loop) and p, with no rank calls: the lines and keys come from the
+    points in one pass, and the line through points u and v holds u, v and
+    u + t*v for t = 1 .. p - 1.  ``of(m)`` builds m's table from its points
+    once per matroid; ``has_minor``'s walk builds a stage's table from the
+    stage's points before the stage is a matroid (see ``_flat_stages``).
     """
 
     @classmethod
     def of(cls, m: LinearMatroid) -> "_PairTable":
         if m._pair_table is None:
-            m._pair_table = cls(m)
+            m._pair_table = cls(m._point_map(), m.p)
         return m._pair_table
 
-    def __init__(self, m: LinearMatroid):
-        self.loops = sorted(m.loops())
-        self.classes = {c[0]: c for c in m.parallel_classes()}
-        self.labels = sorted(self.classes)
-        self.bit = bit = {x: 1 << i for i, x in enumerate(self.labels)}
-        self._label_of = {b: x for x, b in bit.items()}
-        point_of = m._point_map()
-        label_at = {point_of[x]: x for x in self.labels}
-        p = m.p
-        met = dict.fromkeys(self.labels, 0)  # x -> the points on a line found through x
-        sizes: dict[int, list[int]] = {x: [] for x in self.labels}  # x -> sizes of its lines of >= 3 points
+    def __init__(self, points: Mapping[int, tuple[int, ...] | None], p: int):
+        self.loops: list[int] = []
+        members: list[list[int]] = []  # point index -> its class, in label order
+        index: dict[tuple[int, ...], int] = {}  # point -> its index
+        for x in sorted(points):
+            pt = points[x]
+            if pt is None:
+                self.loops.append(x)
+            elif pt in index:
+                members[index[pt]].append(x)
+            else:
+                index[pt] = len(members)
+                members.append([x])
+        # the points' indices run in the order of their least labels, so
+        # bit i marks labels[i] and bits run in sorted label order
+        self.labels = [c[0] for c in members]
+        self.classes = {c[0]: tuple(c) for c in members}
+        self.bit = {x: 1 << i for i, x in enumerate(self.labels)}
+        self._label_of = {b: x for x, b in self.bit.items()}
+        pts = list(index)
+        met = [0] * len(pts)  # i -> the points on a line found through point i
+        sizes: list[list[int]] = [[] for _ in pts]  # i -> sizes of its lines of >= 3 points
         self.lines: list[int] = []
-        for a, b in itertools.combinations(self.labels, 2):
-            if met[a] & bit[b]:
-                continue
-            on_line = [a, b]
-            for w in _line_rest(point_of[a], point_of[b], p):
-                x = label_at.get(w)
-                if x is not None:
-                    on_line.append(x)
-            line = sum(bit[x] for x in on_line)
-            for x in on_line:
-                met[x] |= line
+        for i, u in enumerate(pts):
+            for j in range(i + 1, len(pts)):
+                if met[i] >> j & 1:
+                    continue
+                on_line = [i, j]
+                line = 1 << i | 1 << j
+                for w in _line_rest(u, pts[j], p):
+                    k = index.get(w)
+                    if k is not None:
+                        on_line.append(k)
+                        line |= 1 << k
+                for k in on_line:
+                    met[k] |= line
                 if len(on_line) >= 3:
-                    sizes[x].append(len(on_line))
-            self.lines.append(line)
-        self.keys = {x: (tuple(sorted(sizes[x], reverse=True)), len(c)) for x, c in self.classes.items()}
+                    for k in on_line:
+                        sizes[k].append(len(on_line))
+                self.lines.append(line)
+        self.keys = {x: (tuple(sorted(s, reverse=True)), len(self.classes[x])) for x, s in zip(self.labels, sizes)}
 
     @functools.cached_property
     def closure(self) -> dict[tuple[int, int], int]:
@@ -621,6 +637,36 @@ def _dominates(want: tuple, have: tuple) -> bool:
     return have_size >= want_size and len(have_lines) >= len(want_lines) and all(
         h >= w for h, w in zip(have_lines, want_lines)
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _count_rules(tm: _PairTable, tn: _PairTable, exact: bool) -> dict[int, int] | None:
+    """The counting rules of a search of m in n, from their tables; exact
+    says that m and n have equal sizes.  None when the rules reject the
+    search, else x -> bitmask of the admissible images y in si(n) of each
+    x in si(m).
+
+    Equal sizes need equal sorted key multisets and admit only equal keys;
+    other sizes admit y when y's key dominates x's.  The keys depend on x
+    and y alone, so each candidate's key test is decided once per search.
+    The map induced between the simplifications is injective, so the
+    search is rejected when the admissible images number fewer than si(m)'s
+    points.  Cached for the last pair of tables (compared by identity), so
+    the search of a ``has_minor`` stage reads the result that admitted it.
+    """
+    if exact and sorted(tm.keys.values()) != sorted(tn.keys.values()):
+        return None
+    fits = operator.eq if exact else _dominates
+    by_key: dict = {}
+    for y in tn.labels:
+        by_key[tn.keys[y]] = by_key.get(tn.keys[y], 0) | tn.bit[y]
+    mask_of = {}
+    for want in set(tm.keys.values()):
+        mask_of[want] = sum(mask for have, mask in by_key.items() if fits(want, have))
+    admissible = {x: mask_of[tm.keys[x]] for x in tm.labels}
+    if functools.reduce(operator.or_, admissible.values(), 0).bit_count() < len(tm.labels):
+        return None
+    return admissible
 
 
 # -- host symmetry -----------------------------------------------------------------------
@@ -789,12 +835,15 @@ class _RankPreservingSearch:
     rank r(n) neither side grows; so it can fail only at ranks 3 to r(n) - 1.
 
     Equal sizes make the injection a bijection, so ``run`` then requires
-    equal ranks, loop counts and key multisets, and admits only equal keys.
-    It also stops when the admissible images of si(m)'s points number fewer
-    than the points.  bijective=True requires equal sizes and yields the
-    lexicographically least bijection by iterating si(m)'s labels and
-    si(n)'s candidates in sorted order; it picks nothing else, so the
-    symmetry pruning and the leaf check are those of every search.
+    equal ranks and loop counts.  Its counting rules on the two tables,
+    ``_count_rules``, which ``has_minor``'s walk also screens its stages
+    with, require equal key multisets at equal sizes and stop the search
+    when the admissible images of si(m)'s points number fewer than the
+    points; m's pattern is built only once they admit the search.
+    bijective=True requires equal sizes and yields the lexicographically
+    least bijection by iterating si(m)'s labels and si(n)'s candidates in
+    sorted order; it picks nothing else, so the symmetry pruning and the
+    leaf check are those of every search.
 
     The host's orbit table, ``_orbit_minima(n)``, is read once the failed
     subtrees of the first element's candidates have taken more nodes than
@@ -819,36 +868,20 @@ class _RankPreservingSearch:
             return None
         if m.size == 0:
             return {}
-        pattern = _Pattern.of(m, self.bijective)
         tm, tn = self.tm, self.tn = _PairTable.of(m), _PairTable.of(n)
         if len(tm.loops) > len(tn.loops) or exact and len(tm.loops) != len(tn.loops):
             return None
+        self.admissible = _count_rules(tm, tn, exact)
+        if self.admissible is None:
+            return None
+        pattern = _Pattern.of(m, self.bijective)
         self.loop_map = dict(zip(tm.loops, tn.loops))
         self.order, self.anchors, self.checks = pattern.order, pattern.anchors, pattern.checks
-        if exact and sorted(tm.keys.values()) != sorted(tn.keys.values()):
-            return None
-        self.admissible = self._admissible(tm.keys, tn.keys, operator.eq if exact else _dominates)
-        # si(m) -> si(n) is injective, so each point of si(m) needs its own image
-        if functools.reduce(operator.or_, self.admissible.values(), 0).bit_count() < len(self.order):
-            return None
         self.prefix_rank = pattern.prefix_rank if rank_n >= 4 else None
         self.nodes = 0
         self.build_after = math.factorial(n.matrix.nrows) * len(tn.labels)
         self.least: dict[int, int] = {}  # the host's orbit minima, once read
         return self._dfs(0, {}, 0, [])
-
-    def _admissible(self, key_m: Mapping, key_n: Mapping, fits) -> dict[int, int]:
-        """x -> bitmask of the y in si(n) with fits(key_m[x], key_n[y]).  The
-        keys depend on x and y alone, so each candidate's key test is decided
-        once per search."""
-        tn = self.tn
-        by_key: dict = {}
-        for y in tn.labels:
-            by_key[key_n[y]] = by_key.get(key_n[y], 0) | tn.bit[y]
-        mask_of = {}
-        for want in set(key_m.values()):
-            mask_of[want] = sum(mask for have, mask in by_key.items() if fits(want, have))
-        return {x: mask_of[key_m[x]] for x in key_m}
 
     def _candidates(self, x: int, assignment: dict[int, int], used_mask: int) -> list[int]:
         tn = self.tn
@@ -953,28 +986,39 @@ def _minor_witness_from_embedding(
     return MinorWitness(tuple(sorted(contracted)), deleted, mapping)
 
 
-def _flat_stages(m: LinearMatroid, k: int, min_size: int = 0) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
+def _flat_stages(m: LinearMatroid, k: int,
+                 target: LinearMatroid | None = None) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
     """(T, si(M/T)) for each independent k-set T of m, in lexicographic
-    order, whose closure no earlier T spans and whose si(M/T) has at least
-    min_size points: M/T and M/T' differ only in loops when cl(T) = cl(T'),
-    so their simplifications are equal, labels included.
+    order, whose closure no earlier T spans: M/T and M/T' differ only in
+    loops when cl(T) = cl(T'), so their simplifications are equal, labels
+    included.  Given a simple target, only the stages that a search of the
+    target in them would search are yielded.
 
     The k-sets are walked as a prefix tree of label -> column dicts, each
     child contracting one more label of its parent by ``_contract_columns``,
     the arithmetic of ``contract``, so each stage's matrix is the same.  x
     extends an independent prefix P independently exactly when x is not a
     loop of M/P, and cl(P + x) is P plus the loops of M/P and x's parallel
-    class there, read off M/P's points.  A leaf is built only when its
-    flat is new and it has min_size points: one LinearMatroid on the least
-    label of each point, in m's label order.  It is given its points and
-    its rank, r(M) - k, since T is independent.
+    class there, read off M/P's labels grouped by point.  A leaf is reached
+    only when its flat is new.
+
+    A leaf is screened on its points before it is built.  Against a target
+    it needs at least the target's number of points, and then the counting
+    rules (``_count_rules``) must admit the target's table against a table
+    built from the points of si(M/T).  Both have rank r(N) and no loops, so
+    a rejected leaf is exactly a search that ``_RankPreservingSearch.run``
+    ends before its first node, and skipping it changes no answer.  A
+    yielded stage is one LinearMatroid on the least label of each point, in
+    m's label order, given its points, its rank, r(M) - k, since T is
+    independent, and the table that screened it.
     """
     columns = dict(zip(m.labels, m.matrix.columns))
-    return _walk_flats(m.p, sorted(m.labels), k, min_size, m.rank() - k, set(), columns, m.matrix.nrows, (), 0)
+    return _walk_flats(m.p, sorted(m.labels), k, target, m.rank() - k, set(), columns, m.matrix.nrows, (), 0)
 
 
-def _walk_flats(p: int, labels: list[int], k: int, min_size: int, rank: int, seen: set, columns: dict,
-                height: int, prefix: tuple[int, ...], start: int) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
+def _walk_flats(p: int, labels: list[int], k: int, target: LinearMatroid | None, rank: int, seen: set,
+                columns: dict, height: int, prefix: tuple[int, ...],
+                start: int) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
     """``_flat_stages`` below the node M/prefix, whose columns are columns
     with height rows, extending prefix by labels[start:]; seen holds the
     flats of the leaves already reached, and rank is each leaf's rank."""
@@ -984,26 +1028,38 @@ def _walk_flats(p: int, labels: list[int], k: int, min_size: int, rank: int, see
         for y, pt in points.items():
             if pt is not None and least.get(pt, y) >= y:
                 least[pt] = y
-        if len(least) < min_size:
+        if target is not None and len(least) < target.size:
             return
-        keep = [y for y, pt in points.items() if least.get(pt) == y]
+        stage_points = {y: pt for y, pt in points.items() if least.get(pt) == y}
+        table = None
+        if target is not None:
+            table = _PairTable(stage_points, p)
+            if _count_rules(_PairTable.of(target), table, len(least) == target.size) is None:
+                return
+        keep = list(stage_points)
         stage = LinearMatroid(GFMatrix.from_columns(p, [columns[y] for y in keep], nrows=height), keep)
-        stage._points = {y: points[y] for y in keep}
-        stage._rank = rank
+        stage._points, stage._rank, stage._pair_table = stage_points, rank, table
         yield prefix, stage
         return
+    last = len(prefix) + 1 == k
+    if last:
+        # a leaf is contracted only when its flat is new: cl(prefix + x) is
+        # cl(prefix), the prefix and the loops of M/prefix, plus x's class
+        by_point: dict = {}
+        for y, pt in points.items():
+            by_point.setdefault(pt, []).append(y)
+        closure = frozenset(prefix).union(by_point.pop(None, ()))
     for i in range(start, len(labels) - k + len(prefix) + 1):
         x = labels[i]
         if points[x] is None:
             continue
-        if len(prefix) + 1 == k:
-            # a leaf is contracted only when its flat is new
-            flat = frozenset(prefix).union(y for y, pt in points.items() if pt in (None, points[x]))
+        if last:
+            flat = closure.union(by_point[points[x]])
             if flat in seen:
                 continue
             seen.add(flat)
         child = _contract_columns(columns, x, p)
-        yield from _walk_flats(p, labels, k, min_size, rank, seen, child, height - 1, prefix + (x,), i + 1)
+        yield from _walk_flats(p, labels, k, target, rank, seen, child, height - 1, prefix + (x,), i + 1)
 
 
 def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = None) -> MinorWitness | None:
@@ -1015,8 +1071,10 @@ def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = N
     Candidate contract sets T, independent of the spare rank, are taken in
     lexicographic order, and each flat they span is searched once, at its
     first T, which gives the same si(M/T) as every other: so the witness is
-    deterministic, and the same as if every T were searched.  A stage with
-    fewer points than n holds no copy of n and is not built.
+    deterministic, and the same as if every T were searched.  A stage is
+    decided from its points first (``_flat_stages``): one with fewer points
+    than n, or one the search's counting rules reject, holds no copy of n
+    and is never built as a matroid.
     """
     if not n.is_simple():
         raise ValueError("minor search targets must be simple")
@@ -1025,10 +1083,9 @@ def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = N
     spare_rank = base.rank() - n.rank()
     if spare_rank < 0 or base.size < n.size:
         return None
-    for extra, stage in _flat_stages(base, spare_rank, n.size):
+    for extra, stage in _flat_stages(base, spare_rank, n):
         embedding = find_embedding(n, stage)
         if embedding is not None:
             contracted = tuple(sorted(hint + extra))
             return _minor_witness_from_embedding(m, contracted, embedding)
     return None
-

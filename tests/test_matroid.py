@@ -242,7 +242,7 @@ def _check_pair_table(m):
     classes = {tuple(y for y in sorted(points) if ranks[frozenset((x, y))] == 1) for x in points}
     assert m.parallel_classes() == tuple(sorted(classes))
     assert m.is_simple() == (len(points) == m.size and all(len(c) == 1 for c in classes))
-    table = _PairTable(m)
+    table = _PairTable.of(m)
     assert table.loops == sorted(loops)
     assert table.classes == {c[0]: c for c in sorted(classes)}
     least = sorted(c[0] for c in classes)
@@ -298,7 +298,7 @@ def test_pair_table_matches_subset_ranks():
             _check_pair_table(m)
             # labels that run against the column order
             _check_pair_table(LinearMatroid(m.matrix, range(m.size - 1, -1, -1)))
-            table, simple = _PairTable(m), _PairTable(m.simplify())
+            table, simple = _PairTable.of(m), _PairTable.of(m.simplify())
             assert (table.labels, table.lines) == (simple.labels, simple.lines)
             assert {x: k[0] for x, k in table.keys.items()} == {x: k[0] for x, k in simple.keys.items()}
             nonsimple += bool(m.loops()) and any(len(c) > 1 for c in m.parallel_classes())
@@ -309,9 +309,9 @@ def test_pair_table_is_cached_and_makes_no_rank_calls(monkeypatch):
     builds, rank_calls = [], []
     real_init, real_rank = _PairTable.__init__, LinearMatroid.rank
 
-    def counting_init(self, m):
-        builds.append(m)
-        real_init(self, m)
+    def counting_init(self, points, p):
+        builds.append(points)
+        real_init(self, points, p)
 
     def counting_rank(self, subset=None):
         rank_calls.append(subset)
@@ -324,12 +324,12 @@ def test_pair_table_is_cached_and_makes_no_rank_calls(monkeypatch):
     assert rank_calls == [] and len(builds) == 1
     assert _PairTable.of(pi4) is table and len(builds) == 1
     # a negative search tries 13 contraction sets: one table for the fixed
-    # target, one per stage
+    # target, one per stage, built from the stage's points to screen it
     builds.clear()
     target = named("AG23E").matroid()
     assert has_minor(named("PI4").matroid(), target) is None
     assert len(builds) == 14
-    assert sum(m is target for m in builds) == 1
+    assert sum(points is target._point_map() for points in builds) == 1
     # the keys are read off the one cached table
     assert all(_PairTable.of(pi4).keys[x][0] is table.keys[x][0] for x in table.labels)
 
@@ -342,7 +342,7 @@ def test_pair_table_lines_are_the_distinct_closures():
     for p in (3, 5):
         for _ in range(30):
             m = LinearMatroid(random_matrix(rng, p, rng.randint(3, 4), rng.randint(4, 14))).simplify()
-            table = _PairTable(m)
+            table = _PairTable.of(m)
             assert "closure" not in vars(table)
             lines = set(table.closure.values())
             assert len(table.lines) == len(lines) and set(table.lines) == lines
@@ -354,20 +354,22 @@ def test_pair_table_lines_are_the_distinct_closures():
 
 
 def test_stage_closures_are_built_only_when_searched(monkeypatch):
-    # has_minor(PI5, AG23E) rejects all 76 stages by their key counts, so
-    # only the target's pattern reads a table's pair closures
+    # has_minor(PI5, AG23E) screens all 76 stages out by their key counts,
+    # so no stage is searched: the target's pattern, whose pair checks read
+    # its table's closures, is never built, and no table builds them
     tables = []
     real_init = _PairTable.__init__
 
-    def recording_init(self, m):
-        tables.append((self, m))
-        real_init(self, m)
+    def recording_init(self, points, p):
+        tables.append(self)
+        real_init(self, points, p)
 
     monkeypatch.setattr(_PairTable, "__init__", recording_init)
     target = named("AG23E").matroid()
     assert has_minor(named("PI5").matroid(), target) is None
     assert len(tables) == 77
-    assert [m for table, m in tables if "closure" in vars(table)] == [target]
+    assert target._patterns == {}
+    assert [table for table in tables if "closure" in vars(table)] == []
 
 
 def test_restrict_and_delete_reuse_computed_points(monkeypatch):
@@ -496,6 +498,28 @@ def test_flat_walk_matches_lexicographic_loop():
     assert len(cases) == 42 and nonsimple >= 8 and found >= 30
 
 
+def test_minor_witnesses_match_pinned_file():
+    # has_minor's witness, unhinted, on each host of perfbench's minor_sweep
+    # (the universal matrices M([I | D | X]) but the rank-7 X = G, and five
+    # family hosts) against each of its three targets, as pinned in
+    # minor_witnesses.txt; "none" where there is no minor
+    def text(w):
+        if w is None:
+            return "none"
+        contract, delete = (",".join(map(str, labels)) for labels in (w.contracted, w.deleted))
+        mapping = ",".join(f"{a}>{b}" for a, b in w.mapping)
+        return f"contract={{{contract}}} delete={{{delete}}} map={mapping}"
+
+    hosts = [(f"FORBIDDEN_{key}", named(f"FORBIDDEN_{key}").matrix) for key in "ABCDEFHIJKLMNO"]
+    hosts = [(name, LinearMatroid(universal_matrix(x, x.nrows))) for name, x in hosts]
+    hosts += [(name, LinearMatroid(named(name).matrix)) for name in ("PI4", "SIGMA4", "DOWLING4", "PI5", "OMEGA5")]
+    got = [f"{name}>{target} {text(has_minor(m, named(target).matroid()))}"
+           for name, m in hosts for target in ("AG23E", "F7MINUS", "U24")]
+    want = (Path(__file__).parent / "data" / "minor_witnesses.txt").read_text().splitlines()
+    assert len(want) == 57 and sum(line.endswith(" none") for line in want) == 5
+    assert got == want
+
+
 def test_minor_matches_naive_on_pg23_restrictions():
     # every 5- and 6-point restriction of PG(2, 3), against U24 and M(K3)
     targets = (u24(), m_of([[1, 0, 1], [0, 1, 1]]))
@@ -535,10 +559,22 @@ def test_flat_walk_yields_the_first_set_of_each_flat():
     assert [sum(1 for _ in matroid_module._flat_stages(pg, k)) for k in range(5)] == [1, 40, 130, 40, 1]
 
 
-def test_flat_walk_min_size_skips_only_smaller_stages(monkeypatch):
-    # the walk with min_size yields exactly the unfiltered walk's stages of
-    # at least that many points, in the same order, and builds no other
-    # matroid; every stage comes with its rank, r(M) - k
+def _simple_targets(p):
+    """U24, M(K3), F7MINUS and AG23E over GF(p)."""
+    return [named("U24", p).matroid(), m_of([[1, 0, 1], [0, 1, 1]], p), named("F7MINUS", p).matroid(),
+            named("AG23E", p).matroid()]
+
+
+def _admitted(target, stage):
+    """Do the counting rules admit a search of the simple target in stage?"""
+    rules = matroid_module._count_rules(_PairTable.of(target), _PairTable.of(stage), target.size == stage.size)
+    return rules is not None
+
+
+def test_flat_walk_screen_yields_only_admitted_stages(monkeypatch):
+    # against a target, the walk yields exactly the unscreened walk's stages
+    # that the counting rules admit, in the same order, and builds no other
+    # matroid; every stage comes with its rank, r(M) - k, and its table
     rng = random.Random(78)
     built: list = []
     real_init = LinearMatroid.__init__
@@ -547,22 +583,54 @@ def test_flat_walk_min_size_skips_only_smaller_stages(monkeypatch):
         built.append(self)
         real_init(self, matrix, labels)
 
-    skipped = 0
+    small = screened = admitted = 0
     for p in (3, 5):
-        for _ in range(4):
+        targets = _simple_targets(p)
+        for _ in range(8):
             m = _with_loops_and_classes(p, rng, 4, 12)
             for k in range(m.rank() + 1):
-                every = [(t, s.labels, s.matrix) for t, s in matroid_module._flat_stages(m, k)]
-                for size in range(1, 8):
+                every = list(matroid_module._flat_stages(m, k))
+                for target in targets:
+                    want = [(t, s) for t, s in every if s.size >= target.size and _admitted(target, s)]
                     monkeypatch.setattr(LinearMatroid, "__init__", counting_init)
                     built.clear()
-                    got = list(matroid_module._flat_stages(m, k, size))
+                    got = list(matroid_module._flat_stages(m, k, target))
                     monkeypatch.undo()
-                    assert [(t, s.labels, s.matrix) for t, s in got] == [e for e in every if len(e[1]) >= size]
+                    assert [(t, s.labels, s.matrix) for t, s in got] == [(t, s.labels, s.matrix) for t, s in want]
                     assert built == [s for _, s in got]
                     assert all(s._rank == matroid_module._column_rank(s.matrix.columns, s.p) for s in built)
-                    skipped += len(every) - len(got)
-    assert skipped >= 100
+                    for (_, s), (_, fresh) in zip(got, want):
+                        table, fresh_table = s._pair_table, _PairTable.of(fresh)
+                        assert (table.labels, table.classes, table.lines, table.keys) == (
+                            fresh_table.labels, fresh_table.classes, fresh_table.lines, fresh_table.keys)
+                    small += sum(s.size < target.size for _, s in every)
+                    screened += len(every) - len(got)
+                    admitted += len(got)
+    assert small >= 1000 and screened - small >= 100 and admitted >= 300
+
+
+def test_count_rules_screen_equals_search():
+    # for every stage of has_minor's unscreened walk, at the spare rank, the
+    # counting rules reject the stage exactly when the search of the target
+    # in it returns None before its first node
+    rng = random.Random(79)
+    rejected = searched = 0
+    for p in (3, 5):
+        targets = _simple_targets(p)
+        for _ in range(24):
+            m = _with_loops_and_classes(p, rng, 4, 16)
+            for n in targets:
+                if m.rank() < n.rank():
+                    continue
+                for _, stage in matroid_module._flat_stages(m, m.rank() - n.rank()):
+                    search = _RankPreservingSearch(n, stage, False)
+                    found = search.run()
+                    no_node = found is None and getattr(search, "nodes", 0) == 0
+                    assert _admitted(n, stage) != no_node
+                    # stages smaller than the target fail the size test first
+                    rejected += no_node and stage.size >= n.size
+                    searched += not no_node
+    assert rejected >= 100 and searched >= 2000
 
 
 def test_minor_search_leaves_no_cyclic_garbage():
@@ -582,21 +650,23 @@ def test_minor_search_leaves_no_cyclic_garbage():
                 gc.enable()
 
 
-@pytest.mark.parametrize("host, searches", [("PI5", 76), ("OMEGA5", 61)])
-def test_minor_search_tries_each_flat_once(monkeypatch, host, searches):
+@pytest.mark.parametrize("host, stages", [("PI5", 76), ("OMEGA5", 61)])
+def test_minor_search_tries_each_flat_once(monkeypatch, host, stages):
     # the loop over every independent contraction set made 98 and 87
-    # searches; the target's element order is built once for all of them
-    # (once per search before the pattern cache), and no stage, all of rank
-    # 3, runs the prefix-rank test; every stage is rejected by its key
-    # counts before a search node (3,804 and 6,662 _dfs calls without the
-    # equal-size and image-count rules)
+    # searches; the flat walk screens 76 and 61 stages, one table each
+    # besides the target's, and the counting rules reject every one from
+    # its points (3,804 and 6,662 _dfs calls without the equal-size and
+    # image-count rules), so no stage is searched and the target's element
+    # order is never built
     counts: dict[str, int] = {}
+    _count_calls(monkeypatch, counts, _PairTable, "__init__")
     _count_calls(monkeypatch, counts, matroid_module, "find_embedding")
     _count_calls(monkeypatch, counts, matroid_module, "_search_order")
     _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
     callers = _count_insertion_callers(monkeypatch)
     assert has_minor(named(host).matroid(), LinearMatroid(named("AG23E").matrix)) is None
-    assert (counts["find_embedding"], counts["_search_order"]) == (searches, 1)
+    assert counts["__init__"] == stages + 1
+    assert (counts["find_embedding"], counts["_search_order"]) == (0, 0)
     assert counts["_dfs"] == 0
     assert callers["_dfs"] == 0
 
@@ -1321,7 +1391,7 @@ def test_verifiers_never_read_search_structures():
                     "_point_map", "_pair_table", "_generators", "_points", "_flat_stages", "_contract_one",
                     "contract", "_Pattern", "_patterns", "_contract_columns", "_walk_flats", "_line_rest",
                     "_row_permutations", "_row_scalings", "rank", "_rank", "prefix_rank", "_normalize",
-                    "_orbits"}
+                    "_orbits", "_count_rules"}
 
     def names(code):
         out = set(code.co_names)
