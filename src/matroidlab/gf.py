@@ -1,6 +1,9 @@
 """Exact dense linear algebra over the prime fields GF(3) and GF(5).
 
 Everything in this module is immutable: each operation returns a new matrix.
+The one row reduction, ``row_reduce``, works on plain lists of rows:
+``GFMatrix.rref`` wraps it, and ``matroid.verify_witness`` calls it directly
+on columns it reads, so that the verifier builds no matrix.
 Entries are kept, and written by ``to_text``, as least non-negative residues;
 ``signed_rows`` gives the balanced form (2 mod 3 as -1), which the tests use
 to compare one integer matrix reduced into two fields.  Matrices with zero
@@ -19,6 +22,31 @@ def _check_field(p: int) -> int:
     if p not in SUPPORTED_FIELDS:
         raise ValueError(f"unsupported field GF({p}); only GF(3) and GF(5) are supported")
     return p
+
+
+def row_reduce(rows: Iterable[Sequence[int]], ncols: int, p: int) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The reduced row echelon form of rows, each ncols least residues mod
+    p, as new lists, together with its pivot columns, in order.  Its first
+    len(pivots) rows are the nonzero ones: they give every column's
+    coordinates in the greedy basis of the columns, which is the pivots."""
+    work = [list(row) for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        k = next((k for k in range(r, len(work)) if work[k][c]), None)
+        if k is None:
+            continue
+        work[r], work[k] = work[k], work[r]
+        inv = pow(work[r][c], p - 2, p)
+        top = work[r] = [x * inv % p for x in work[r]]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                work[i] = [(a - f * b) % p for a, b in zip(row, top)]
+        pivots.append(c)
+    return work, tuple(pivots)
 
 
 class GFMatrix:
@@ -109,27 +137,8 @@ class GFMatrix:
 
     def rref(self) -> tuple["GFMatrix", tuple[int, ...]]:
         """Reduced row echelon form together with the pivot column indices."""
-        p = self.p
-        work = [list(row) for row in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            if r == self.nrows:
-                break
-            pivot_row = next((i for i in range(r, self.nrows) if work[i][c]), None)
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            inv = pow(work[r][c], p - 2, p)
-            work[r] = [(x * inv) % p for x in work[r]]
-            for i in range(self.nrows):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    top = work[r]
-                    work[i] = [(a - f * b) % p for a, b in zip(work[i], top)]
-            pivots.append(c)
-            r += 1
-        return GFMatrix(self.p, work, ncols=self.ncols), tuple(pivots)
+        rows, pivots = row_reduce(self.rows, self.ncols, self.p)
+        return GFMatrix(self.p, rows, ncols=self.ncols), pivots
 
     def pivot_columns(self) -> tuple[int, ...]:
         cached = self.__dict__.get("_pivots")

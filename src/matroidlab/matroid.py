@@ -44,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .gf import GFMatrix
+from .gf import GFMatrix, row_reduce
 
 
 def _insert_into_basis(v: Sequence[int], basis: list, p: int) -> bool:
@@ -309,21 +309,6 @@ def _eliminate(pivot: list, cols: Sequence[list], p: int) -> list:
     return out
 
 
-def _reduce_modulo(seed: Sequence, cols: Sequence, p: int) -> tuple[int, list]:
-    """The rank of the columns seed, and cols reduced modulo their span.
-
-    seed's columns go first and are eliminated one at a time: each that is
-    still nonzero, once reduced by those before it, reduces all after it."""
-    work = [list(v) for v in seed] + [list(w) for w in cols]
-    rank = 0
-    for _ in seed:
-        head, work = work[0], work[1:]
-        if any(head):
-            rank += 1
-            work = _eliminate(head, work, p)
-    return rank, work
-
-
 def _same_independent_sets(a_cols: Sequence, a_p: int, b_cols: Sequence, b_p: int, r: int) -> bool:
     """Do the columns a_cols[i] <-> b_cols[i] give the same independent sets
     of size at most r?
@@ -381,33 +366,13 @@ def _first_parallel(cols: Sequence, p: int) -> list[int]:
     return out
 
 
-def _coordinates(cols: Sequence, p: int) -> tuple[list[int], list[list[int]]]:
-    """The greedy basis B of the columns cols (their indices, in order), and
-    every column's coordinates in B: the nonzero rows of cols' reduced row
-    echelon form, whose pivot columns are B.  len(B) is cols' rank."""
-    rows = [list(row) for row in zip(*cols)]
-    basis: list[int] = []
-    for j in range(len(cols)):
-        i = len(basis)
-        k = next((k for k in range(i, len(rows)) if rows[k][j]), None)
-        if k is None:
-            continue
-        rows[i], rows[k] = rows[k], rows[i]
-        inv = pow(rows[i][j], p - 2, p)
-        pivot = rows[i] = [a * inv % p for a in rows[i]]
-        for t, row in enumerate(rows):
-            f = row[j]
-            if f and t != i:
-                rows[t] = [(a - f * b) % p for a, b in zip(row, pivot)]
-        basis.append(j)
-    return basis, rows[:len(basis)]
-
-
 def _linear_map_certifies(a: tuple, b: tuple, p: int) -> bool:
-    """For a and b, the ``_coordinates`` of columns a_cols and b_cols of
-    one length: is b_cols[j] = d_j * L(a_cols[j]) for every j, for one
-    injective linear map L on the span of a_cols and nonzero scalars d_j?
-    Then every subset of the columns has the same rank on both sides.
+    """For a and b, the pivots and nonzero rows that ``row_reduce`` gives
+    for columns a_cols and b_cols of one length, their greedy basis and
+    every column's coordinates in it: is b_cols[j] = d_j * L(a_cols[j]) for
+    every j, for one injective linear map L on the span of a_cols and
+    nonzero scalars d_j?  Then every subset of the columns has the same
+    rank on both sides.
 
     Both sides must have the same greedy basis B.  With C and C' their
     columns' coordinates in B, L sends a_cols[B_i] to b_cols[B_i] / d_{B_i}
@@ -464,23 +429,29 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
     """Recheck a minor witness using only m's columns, never contraction code.
 
     r_{M/T}(S) = r_M(S + T) - r_M(T), so S is independent in M/T exactly
-    when its columns, reduced modulo the span of T, are independent.  The
-    image columns are reduced that way once, by eliminating T's columns one
-    at a time.  The image must have n's rank in M/T (M/T itself may have
-    more: deleting can lower the rank), and every subset of n of size at
-    most that rank must be independent exactly when its image is
-    independent in M/T.
+    when its columns are independent modulo the span of T.  Each side is
+    row reduced once (``row_reduce``): n's columns, and m's columns of T
+    followed by the image columns.  In the second form the pivots below |T|
+    are T's rank, and the nonzero rows after them, cut to the image
+    columns, are the images' coordinates modulo span(T) in their greedy
+    basis; n's nonzero rows are its columns' coordinates in its own.  A
+    coordinate map is injective on the span, so every subset keeps its
+    rank, and only the coordinates are compared.  The image must have n's
+    rank in M/T (M/T itself may have more: deleting can lower the rank),
+    and every subset of n of size at most that rank must be independent
+    exactly when its image is independent in M/T.
 
     That is shown in one of two ways.  When m and n share a field, a linear
-    map that sends each of n's columns to a nonzero multiple of its reduced
-    image (``_linear_map_certifies``) shows it at once; over GF(3) one
-    exists for every valid witness, since ternary matroids are uniquely
-    representable.  Otherwise, and always across fields, the subsets are
-    walked depth first (``_same_independent_sets``); a prefix dependent on
-    both sides has only dependent supersets on both sides, so skipping its
-    subtree leaves no subset unchecked.  So every rejection comes from the
-    walk.  A witness that repeats a label, names one m does not have, or
-    holds a mapping entry that is not a pair, is rejected.
+    map that sends each of n's columns to a nonzero multiple of its image
+    modulo span(T) (``_linear_map_certifies``) shows it at once; over GF(3)
+    one exists for every valid witness, since ternary matroids are uniquely
+    representable.  Otherwise, and always across fields, the subsets of
+    the coordinates are walked depth first (``_same_independent_sets``); a
+    prefix dependent on both sides has only dependent supersets on both
+    sides, so skipping its subtree leaves no subset unchecked.  So every
+    rejection comes from the walk.  A witness that repeats a label, names
+    one m does not have, or holds a mapping entry that is not a pair, is
+    rejected.
     """
     contracted = set(witness.contracted)
     deleted = set(witness.deleted)
@@ -505,19 +476,20 @@ def verify_witness(m: LinearMatroid, n: LinearMatroid, witness: MinorWitness) ->
         return False
     if len(survivors) != n.size:
         return False
-    _, images = _reduce_modulo(
-        [m.column_of(x) for x in sorted(contracted)], [m.column_of(mapping[x]) for x in n.labels], m.p
-    )
-    n_cols = [n.column_of(x) for x in n.labels]
-    coordinates, image_coordinates = _coordinates(n_cols, n.p), _coordinates(images, m.p)
-    r = len(coordinates[0])
-    # the image's rank in M/T is its reduced columns' rank; ranks above n's
+    seed = [m.column_of(x) for x in sorted(contracted)]
+    k = len(seed)
+    rows, pivots = row_reduce(zip(*seed, *(m.column_of(mapping[x]) for x in n.labels)), k + n.size, m.p)
+    image_basis = tuple(c - k for c in pivots if c >= k)
+    images = [row[k:] for row in rows[len(pivots) - len(image_basis):len(pivots)]]
+    rows, basis = row_reduce(n.matrix.rows, n.size, n.p)
+    coordinates, r = rows[:len(basis)], len(basis)
+    # the image's rank in M/T is its coordinates' rank; ranks above n's
     # inside the image would otherwise go unnoticed
-    if len(image_coordinates[0]) != r:
+    if len(image_basis) != r:
         return False
-    if m.p == n.p and _linear_map_certifies(coordinates, image_coordinates, m.p):
+    if m.p == n.p and _linear_map_certifies((basis, coordinates), (image_basis, images), m.p):
         return True
-    return _same_independent_sets(n_cols, n.p, images, m.p, r)
+    return _same_independent_sets(list(zip(*coordinates)), n.p, list(zip(*images)), m.p, r)
 
 
 # -- pair table for the rank-preserving search -----------------------------------------
@@ -568,7 +540,6 @@ class _PairTable:
         self.labels = [c[0] for c in members]
         self.classes = {c[0]: tuple(c) for c in members}
         self.bit = {x: 1 << i for i, x in enumerate(self.labels)}
-        self._label_of = {b: x for x, b in self.bit.items()}
         pts = list(index)
         met = [0] * len(pts)  # i -> the points on a line found through point i
         sizes: list[list[int]] = [[] for _ in pts]  # i -> sizes of its lines of >= 3 points
@@ -605,7 +576,7 @@ class _PairTable:
         out = []
         while mask:
             low = mask & -mask
-            out.append(self._label_of[low])
+            out.append(self.labels[low.bit_length() - 1])
             mask ^= low
         return out
 
@@ -639,7 +610,6 @@ def _dominates(want: tuple, have: tuple) -> bool:
     )
 
 
-@functools.lru_cache(maxsize=1)
 def _count_rules(tm: _PairTable, tn: _PairTable, exact: bool) -> dict[int, int] | None:
     """The counting rules of a search of m in n, from their tables; exact
     says that m and n have equal sizes.  None when the rules reject the
@@ -651,8 +621,7 @@ def _count_rules(tm: _PairTable, tn: _PairTable, exact: bool) -> dict[int, int] 
     and y alone, so each candidate's key test is decided once per search.
     The map induced between the simplifications is injective, so the
     search is rejected when the admissible images number fewer than si(m)'s
-    points.  Cached for the last pair of tables (compared by identity), so
-    the search of a ``has_minor`` stage reads the result that admitted it.
+    points.
     """
     if exact and sorted(tm.keys.values()) != sorted(tn.keys.values()):
         return None

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from matroidlab.catalog import _fixed_entries, named, universal_matrix
-from matroidlab.gf import GFMatrix
+from matroidlab.gf import GFMatrix, row_reduce
 from matroidlab.matroid import (
     LinearMatroid,
     MinorWitness,
@@ -847,16 +847,21 @@ def _swaps_of_four():
 
 
 def _linear(a_cols, b_cols, p):
-    """``_linear_map_certifies`` on the ``_coordinates`` of both sides."""
-    coordinates = matroid_module._coordinates
-    return matroid_module._linear_map_certifies(coordinates(a_cols, p), coordinates(b_cols, p), p)
+    """``_linear_map_certifies`` on the coordinates of both sides: the
+    pivots and nonzero rows of their ``row_reduce``."""
+    def coordinates(cols):
+        rows, pivots = row_reduce(zip(*cols), len(cols), p)
+        return pivots, rows[:len(pivots)]
+
+    return matroid_module._linear_map_certifies(coordinates(a_cols), coordinates(b_cols), p)
 
 
 def test_walk_matches_rank_tables_on_all_four_column_matroids():
     # every multiset of four columns from the zero vector and PG(2, 3), against
     # the identity and every transposition of its own columns; the seeded path
     # (verify_witness's) contracts one extra column t, taken in turn from the
-    # same fourteen vectors, and compares M/t with the images reduced modulo t.
+    # same fourteen vectors, and compares M/t with the images' coordinates
+    # modulo t: the rows of the row-reduced [t | cols] after t's pivot.
     # The linear map accepts exactly when the walk does: ternary matroids are
     # uniquely representable over GF(3) (Brylawski and Lucas 1976)
     vectors = [ZERO] + PG23
@@ -872,8 +877,10 @@ def test_walk_matches_rank_tables_on_all_four_column_matroids():
         n = host.contract([4])
         n_cols, n_table = [n.column_of(x) for x in range(4)], subset_rank_table(n)
         minor = _minor_rank_table(host, frozenset({4}), range(4))
-        t_rank, reduced = matroid_module._reduce_modulo([t], cols, 3)
+        rows, pivots = row_reduce(zip(t, *cols), 5, 3)
+        t_rank = sum(c < 1 for c in pivots)
         assert t_rank == host.rank([4])
+        reduced = [tuple(row[1 + j] for row in rows[t_rank:len(pivots)]) for j in range(4)]
         for swap in swaps:
             want = all(rank == table[frozenset(swap[x] for x in sub)] for sub, rank in table.items())
             images = [cols[swap[x]] for x in range(4)]
@@ -987,12 +994,18 @@ def _mutated_witnesses(w):
         yield make(contracted | {d}, deleted - {d}, mapping)
 
 
-def test_verify_witness_matches_minor_rank_tables_on_mutations():
+@pytest.mark.parametrize("p", [3, 5])
+def test_verify_witness_matches_minor_rank_tables_on_mutations(p):
+    # GF(5) hosts meet GF(5) targets, U24 and U23, and GF(3)'s U24, whose
+    # witnesses only the walk can check
     rng = random.Random(77)
-    targets = [u24(), m_of([[1, 0, 1], [0, 1, 1]]), named("F7MINUS").matroid()]
+    targets = {
+        3: [u24(), m_of([[1, 0, 1], [0, 1, 1]]), named("F7MINUS").matroid()],
+        5: [m_of([[1, 0, 1, 1], [0, 1, 1, 2]], 5), m_of([[1, 0, 1], [0, 1, 1]], 5), u24()],
+    }[p]
     verdicts = []
     for _ in range(40):
-        m = LinearMatroid(random_matrix(rng, 3, rng.randint(3, 4), rng.randint(6, 8)))
+        m = LinearMatroid(random_matrix(rng, p, rng.randint(3, 4), rng.randint(6, 8)))
         for n in targets:
             w = has_minor(m, n)
             if w is None:
@@ -1402,8 +1415,7 @@ def test_verifiers_never_read_search_structures():
 
     verifiers = (verify_bijection, verify_embedding, verify_witness, matroid_module._same_independent_sets,
                  matroid_module._same_below, matroid_module._first_parallel, matroid_module._linear_map_certifies,
-                 matroid_module._coordinates, matroid_module._eliminate, matroid_module._reduce_modulo,
-                 matroid_module._insert_into_basis, matroid_module._column_rank)
+                 row_reduce, matroid_module._eliminate, matroid_module._insert_into_basis, matroid_module._column_rank)
     for fn in verifiers:
         assert names(fn.__code__).isdisjoint(search_names), fn.__name__
 
