@@ -4,11 +4,9 @@ Everything in this module is immutable: each operation returns a new matrix.
 The one row reduction, ``row_reduce``, works on plain lists of rows:
 ``GFMatrix.rref`` wraps it, and ``matroid.verify_witness`` calls it directly
 on columns it reads, so that the verifier builds no matrix.
-Entries are kept, and written by ``to_text``, as least non-negative residues;
-``signed_rows`` gives the balanced form (2 mod 3 as -1), which the tests use
-to compare one integer matrix reduced into two fields.  Matrices with zero
-rows or zero columns are legal everywhere, the text format included, and
-stand for empty blocks.
+Entries are kept, and written by ``to_text``, as least non-negative residues.
+Matrices with zero rows or zero columns are legal everywhere, the text format
+included, and stand for empty blocks.
 """
 
 from __future__ import annotations
@@ -111,14 +109,6 @@ class GFMatrix:
             self.__dict__["_columns"] = cached
         return cached
 
-    def transpose(self) -> "GFMatrix":
-        return GFMatrix(self.p, self.columns, ncols=self.nrows)
-
-    def signed_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Entries remapped to the balanced residue system, e.g. 2 -> -1 mod 3."""
-        half = self.p // 2
-        return tuple(tuple(x if x <= half else x - self.p for x in row) for row in self.rows)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GFMatrix)
@@ -179,17 +169,6 @@ class GFMatrix:
         if any(len(r) != self.ncols for r in extra):
             raise ValueError("appended rows must match the column count")
         return GFMatrix(self.p, list(self.rows) + extra, ncols=self.ncols)
-
-    def add_row_to(self, src: int, dst: int, coeff: int = 1) -> "GFMatrix":
-        """Row operation ``row[dst] += coeff * row[src]``."""
-        if not (0 <= src < self.nrows and 0 <= dst < self.nrows):
-            raise IndexError("row index out of range")
-        if src == dst:
-            raise ValueError("source and destination rows must differ")
-        c = int(coeff) % self.p
-        rows = [list(r) for r in self.rows]
-        rows[dst] = [(a + c * b) % self.p for a, b in zip(rows[dst], rows[src])]
-        return GFMatrix(self.p, rows, ncols=self.ncols)
 
 
 def weight(v: Iterable[int]) -> int:

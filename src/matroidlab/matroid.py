@@ -9,30 +9,34 @@ column to a nonzero multiple of its image certifies it.  Otherwise, and
 always across fields, subset independence decides: a depth-first walk over
 subsets that eliminates once per prefix and keeps both sides' later columns
 reduced modulo the prefix's span, so each one-element extension is a zero
-test, and that compares parallel classes at its last level.  A rejection
+test, and that settles its last two levels without eliminating: parallel
+classes at the last, and at the one before, for each element, which later
+columns are parallel modulo it, read off cross products.  A rejection
 always comes from the walk.  Results are matroid-level statements even
 though all the arithmetic is exact linear algebra.
 
 The search also prunes by the host's symmetry, the orbit pruning of McKay
-and Piperno (Practical graph isomorphism, II, J. Symb. Comput. 2014), at
-its root only: for the first element it tries only the candidates that are
-the least label of their orbit under the host's monomial automorphisms that
-map each parallel class of the host onto one of the same size.  Only the
-maps that merge two orbits are kept, and each of them only once
+and Piperno (Practical graph isomorphism, II, J. Symb. Comput. 2014), at its
+root only: for the first element it tries only the candidates that are the
+least label of their orbit under the host's monomial automorphisms that map
+each parallel class of the host onto one of the same size.  Only the maps
+that merge two orbits are kept, and each of them only once
 ``verify_bijection`` has certified it an automorphism of the host's
-simplification.  If f is an embedding that sends the first element to y,
-then for each such automorphism g, g . f is an embedding that sends it to
-g(y).  So if a candidate has an embedding, so has the least label of its
-orbit, which is tried first and whose subtree is searched in full.  Skipping
-every other label of the orbit therefore loses no answer: a negative stays a
-proof, and the first embedding in the search's order, the lexicographically
-least isomorphism when sizes are equal, is still the one found, byte for
-byte.
+simplification; the maps are enumerated only until the orbits are the
+classes of the points' keys, which no automorphism can merge further.  If f
+is an embedding that sends the first element to y, then for each such
+automorphism g, g . f is an embedding that sends it to g(y).  So if a
+candidate has an embedding, so has the least label of its orbit, which is
+tried first and whose subtree is searched in full.  Skipping every other
+label of the orbit therefore loses no answer: a negative stays a proof, and
+the first embedding in the search's order, the lexicographically least
+isomorphism when sizes are equal, is still the one found, byte for byte.
 
 Determinism contract: every search in this module iterates labels and
 candidates in a fixed order, so repeated runs agree byte for byte; the
 isomorphism search's order is sorted, so its witness is the
-lexicographically least isomorphism.
+lexicographically least isomorphism.  The search's node loop runs on the
+host's point indices, whose ascending order is sorted label order.
 """
 
 from __future__ import annotations
@@ -169,10 +173,6 @@ class LinearMatroid:
         if self._rank is None:
             self._rank = _column_rank(self.matrix.columns, self.p)
         return self._rank
-
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        subset = set(subset)
-        return self.rank(subset) == len(subset)
 
     # -- minors -----------------------------------------------------------------
 
@@ -311,7 +311,8 @@ def _eliminate(pivot: list, cols: Sequence[list], p: int) -> list:
 
 def _same_independent_sets(a_cols: Sequence, a_p: int, b_cols: Sequence, b_p: int, r: int) -> bool:
     """Do the columns a_cols[i] <-> b_cols[i] give the same independent sets
-    of size at most r?
+    of size at most r?  When r >= 3 each column has r entries, as the
+    coordinates ``verify_witness`` passes do.
 
     Subsets are walked depth first by increasing index.  Each node, an
     independent prefix, carries both sides' later columns reduced modulo the
@@ -319,13 +320,18 @@ def _same_independent_sets(a_cols: Sequence, a_p: int, b_cols: Sequence, b_p: in
     independent exactly when its reduced column is nonzero; the walk returns
     False at the first node whose two nonzero patterns differ.  A child
     reduces the columns after its new element by that element's reduced
-    column, one elimination per side.  A column that is zero on both sides
-    makes the prefix dependent on both sides, and every superset too, so it
-    is dropped from the subtree; every subset of size at most r is therefore
-    decided, and the test is complete.  A node with two elements left to
-    place makes no child: a child's later column would be zero exactly when
-    it is parallel to the child's element, so the node compares both sides'
-    parallel classes instead.
+    column, one elimination per side, which also drops an entry, so a node
+    with r elements left to place holds r-entry columns.  A column that is
+    zero on both sides makes the prefix dependent on both sides, and every
+    superset too, so it is dropped from the subtree; every subset of size at
+    most r is therefore decided, and the test is complete.  The last two
+    levels make no child.  A node with two elements left to place compares
+    both sides' parallel classes: a child's later column would be zero
+    exactly when it is parallel to the child's element.  A node with three
+    left compares, for each element j, both sides' ``_line_keys`` of the
+    columns after j: a child's grandchild compares which of them are
+    parallel modulo j, and those are the ones whose cross products with j
+    are parallel.
     """
     return r == 0 or _same_below(r, [list(v) for v in a_cols], a_p, [list(w) for w in b_cols], b_p)
 
@@ -345,6 +351,8 @@ def _same_below(r: int, a: list, a_p: int, b: list, b_p: int) -> bool:
         # eliminating a live column zeroes exactly the later ones parallel
         # to it, so the children would compare the parallel classes
         return _first_parallel(a, a_p) == _first_parallel(b, b_p)
+    if r == 3:
+        return all(_line_keys(a[j], a[j + 1:], a_p) == _line_keys(b[j], b[j + 1:], b_p) for j in range(len(a)))
     for j in range(len(a)):
         if not _same_below(r - 1, _eliminate(a[j], a[j + 1:], a_p), a_p, _eliminate(b[j], b[j + 1:], b_p), b_p):
             return False
@@ -363,6 +371,34 @@ def _first_parallel(cols: Sequence, p: int) -> list[int]:
             inv = pow(lead, p - 2, p)
             v = [c * inv % p for c in v]
         out.append(first.setdefault(tuple(v), i))
+    return out
+
+
+def _line_keys(j: Sequence[int], cols: Sequence, p: int) -> list[int]:
+    """For each of the 3-entry columns cols, -1 if it is parallel to the
+    nonzero j, else the index of the first column whose cross product with
+    j is parallel to its own.
+
+    u x j = 0 exactly when u is parallel to j, and u -> u x j is linear with
+    kernel span(j), so u and v are parallel modulo j (u - cv in span(j) for
+    a nonzero c) exactly when u x j and v x j are parallel: the cross
+    products name the planes through j, the lines of PG(2, p) through its
+    point.  Each cross product is scaled so that its first nonzero entry is
+    1.
+    """
+    j0, j1, j2 = j
+    first: dict[tuple[int, int, int], int] = {}
+    out = []
+    for i, (u0, u1, u2) in enumerate(cols):
+        x, y, z = (u1 * j2 - u2 * j1) % p, (u2 * j0 - u0 * j2) % p, (u0 * j1 - u1 * j0) % p
+        lead = x or y or z
+        if not lead:
+            out.append(-1)
+            continue
+        if lead != 1:
+            inv = pow(lead, p - 2, p)
+            x, y, z = x * inv % p, y * inv % p, z * inv % p
+        out.append(first.setdefault((x, y, z), i))
     return out
 
 
@@ -503,10 +539,12 @@ class _PairTable:
     classes maps each least label to its class, and keys to (sizes of the
     lines of >= 3 points through it, descending; class size).  lines lists
     each line once, as an int bitmask, where bit[x] marks label x and bits
-    run in sorted label order.  For distinct labels a, b, closure[a, b] is
-    cl({a, b}), the line through a and b; both key orders are stored.  The
-    pair checks and candidates read closure, which is built when a search
-    first reads it; a search its key counts reject never does.
+    run in sorted label order: bit i marks labels[i], the point at index i.
+    closure holds one list per point, of the lines through it indexed by bit
+    position: for distinct i, j, closure[i][j] is cl({i, j}), the line
+    through points i and j, as a mask (closure[i][i] is 0).  The pair checks
+    and candidates read closure, which is built when a search first reads
+    it; a search its key counts reject never does.
 
     The table is built from a label -> projective point map (None for a
     loop) and p, with no rank calls: the lines and keys come from the
@@ -564,39 +602,44 @@ class _PairTable:
         self.keys = {x: (tuple(sorted(s, reverse=True)), len(self.classes[x])) for x, s in zip(self.labels, sizes)}
 
     @functools.cached_property
-    def closure(self) -> dict[tuple[int, int], int]:
-        closure = {}
+    def closure(self) -> list[list[int]]:
+        closure = [[0] * len(self.labels) for _ in self.labels]
         for line in self.lines:
-            for pair in itertools.permutations(self.members(line), 2):
-                closure[pair] = line
+            for i, j in itertools.permutations(_bit_indices(line), 2):
+                closure[i][j] = line
         return closure
 
-    def members(self, mask: int) -> list[int]:
-        """Labels whose bits are set in mask, in sorted order."""
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.labels[low.bit_length() - 1])
-            mask ^= low
-        return out
+    def anchor(self, placed: Sequence[int], i: int) -> tuple[int, int] | None:
+        """Positions in placed, a list of point indices, of the first pair
+        whose line holds point i, if any."""
+        closure = self.closure
+        return next(((s, t) for s, t in itertools.combinations(range(len(placed)), 2)
+                     if closure[placed[s]][placed[t]] >> i & 1), None)
 
-    def anchor(self, placed: Sequence[int], x: int) -> tuple[int, int] | None:
-        """First pair of placed labels whose closure holds x, if any."""
-        bx = self.bit[x]
-        return next((ab for ab in itertools.combinations(placed, 2) if self.closure[ab] & bx), None)
+
+def _bit_indices(mask: int) -> list[int]:
+    """The indices of the bits set in mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _search_order(table: _PairTable) -> list[int]:
-    """Element order where each element sits on a line with two placed ones
-    whenever possible; otherwise the most line-covered element comes next."""
+    """Element order, as point indices, where each element sits on a line
+    with two placed ones whenever possible; otherwise the most line-covered
+    element comes next."""
+    lines = [table.keys[x][0] for x in table.labels]  # point index -> its line sizes
     order: list[int] = []
-    remaining = list(table.labels)
+    remaining = list(range(len(lines)))
     while remaining:
-        x = next((x for x in remaining if table.anchor(order, x)), None)
-        if x is None:
-            x = max(remaining, key=lambda x: (len(table.keys[x][0]), sum(table.keys[x][0])))
-        order.append(x)
-        remaining.remove(x)
+        i = next((i for i in remaining if table.anchor(order, i)), None)
+        if i is None:
+            i = max(remaining, key=lambda i: (len(lines[i]), sum(lines[i])))
+        order.append(i)
+        remaining.remove(i)
     return order
 
 
@@ -659,6 +702,13 @@ def _orbit_minima(n: LinearMatroid) -> dict[int, int]:
     certified.  A map that merges nothing when its turn comes merges nothing
     after later unions either, so skipping it leaves the partition as it is.
 
+    The enumeration stops once the unions number len(si(n)) minus the
+    number of distinct keys of ``_PairTable.of(n)``.  A kept map is an
+    automorphism of si(n) that keeps class sizes, so it keeps every point's
+    key (its line sizes and class size): the orbits refine the key classes,
+    and once they are the key classes no later map can merge anything.  The
+    maps kept and the partition are those of the full enumeration.
+
     Permutations are chosen source row by source row, each column's image
     support checked against the columns' supports once its own support is
     placed; the scalars of a permutation then image row by image row (row 0
@@ -686,19 +736,27 @@ def _orbit_minima(n: LinearMatroid) -> dict[int, int]:
             x = root[x]
         return x
 
-    for rows in _row_permutations([], r, ends, host_supports):
-        ready: list[list[int]] = [[] for _ in range(r)]  # image row -> columns fixed there
-        for j, support in enumerate(support_rows):
-            ready[max(map(rows.__getitem__, support))].append(j)
-        every = _row_scalings(0, rows, [0] * r, [None] * len(cols), ready, entries, label_of, p)
-        for _, images in every if rows == tuple(range(r)) else itertools.islice(every, 1):
-            g = dict(zip(s.labels, images))
-            if (all(size[x] == size[y] for x, y in g.items()) and any(find(x) != find(y) for x, y in g.items())
-                    and verify_bijection(s, s, g)):
-                for x, y in g.items():
-                    a, b = find(x), find(y)
-                    if a != b:
-                        root[max(a, b)] = min(a, b)
+    def maps() -> Iterator[tuple]:
+        for rows in _row_permutations([], r, ends, host_supports):
+            ready: list[list[int]] = [[] for _ in range(r)]  # image row -> columns fixed there
+            for j, support in enumerate(support_rows):
+                ready[max(map(rows.__getitem__, support))].append(j)
+            every = _row_scalings(0, rows, [0] * r, [None] * len(cols), ready, entries, label_of, p)
+            for _, images in every if rows == tuple(range(r)) else itertools.islice(every, 1):
+                yield images
+
+    unions_left = len(s.labels) - len(set(_PairTable.of(n).keys.values()))
+    for images in maps() if unions_left else ():
+        g = dict(zip(s.labels, images))
+        if (all(size[x] == size[y] for x, y in g.items()) and any(find(x) != find(y) for x, y in g.items())
+                and verify_bijection(s, s, g)):
+            for x, y in g.items():
+                a, b = find(x), find(y)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+                    unions_left -= 1
+            if not unions_left:
+                break
     n._orbits = {x: find(x) for x in root}
     return n._orbits
 
@@ -748,8 +806,9 @@ def _row_scalings(t: int, rows: tuple[int, ...], scalars: list[int], images: lis
 class _Pattern:
     """m's half of a search for one order kind, which no host changes: the
     element order (sorted for an isomorphism, ``_search_order``'s otherwise),
-    anchors, pair checks and, on first use, prefix ranks.  ``of`` builds it
-    once per matroid and order kind and caches it on m."""
+    anchors, pair checks and, on first use, prefix ranks.  Anchors and pair
+    checks name placed elements by their depths in the order.  ``of`` builds
+    it once per matroid and order kind and caches it on m."""
 
     @classmethod
     def of(cls, m: LinearMatroid, bijective: bool) -> "_Pattern":
@@ -759,9 +818,11 @@ class _Pattern:
 
     def __init__(self, m: LinearMatroid, bijective: bool):
         table = _PairTable.of(m)
-        self.order = table.labels if bijective else _search_order(table)
-        self.anchors = {x: table.anchor(self.order[:i], x) for i, x in enumerate(self.order)}
-        self.checks = [self._pair_checks(table, depth) for depth in range(len(self.order))]
+        points = list(range(len(table.labels))) if bijective else _search_order(table)  # depth -> point index
+        self.order = [table.labels[i] for i in points]
+        # depth -> (depths a, b) of the first placed pair whose line holds it
+        self.anchors = [table.anchor(points[:depth], i) for depth, i in enumerate(points)]
+        self.checks = [self._pair_checks(table, points, depth) for depth in range(len(points))]
         # the ordered columns, not m: holding m would make a cycle with m
         self.columns, self.p = [m.column_of(x) for x in self.order], m.p
 
@@ -771,18 +832,19 @@ class _Pattern:
         basis: list = []
         return list(itertools.accumulate(int(_insert_into_basis(v, basis, self.p)) for v in self.columns))
 
-    def _pair_checks(self, tm: _PairTable, depth: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(p, placed labels of the line through p and x) for the first placed
-        p on each line through x = order[depth].  Distinct lines through x
-        share no placed point, and in the simple si(n) any two placed images
-        on the line through f(p) and y span that same line, so the test for a
-        second p on the line repeats the first."""
-        x, placed = self.order[depth], self.order[:depth]
-        placed_mask = sum(tm.bit[p] for p in placed)
-        first_on: dict[int, int] = {}  # line -> its first placed p
-        for p in placed:
-            first_on.setdefault(tm.closure[p, x], p)
-        return [(p, tuple(tm.members(line & placed_mask))) for line, p in first_on.items()]
+    @staticmethod
+    def _pair_checks(tm: _PairTable, points: list[int], depth: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(p, depths of the placed points of the line through p and x) for
+        the depth p of the first placed point on each line through x, the
+        point at depth; points lists each depth's point index.  Distinct
+        lines through x share no placed point, and in the simple si(n) any
+        two placed images on the line through f(p) and y span that same
+        line, so the test for a second p on the line repeats the first."""
+        through = tm.closure[points[depth]]
+        first_on: dict[int, int] = {}  # line -> its first placed depth
+        for p in range(depth):
+            first_on.setdefault(through[points[p]], p)
+        return [(p, tuple(q for q in range(depth) if line >> points[q] & 1)) for line, p in first_on.items()]
 
 
 class _RankPreservingSearch:
@@ -796,6 +858,11 @@ class _RankPreservingSearch:
     order onto the least members of its image's class.  The leaf check runs
     on m and n.  Loops, classes and keys are read from both sides'
     ``_PairTable``, the rest of m's side from its cached ``_Pattern``.
+
+    The node loop runs on indices: the assignment lists each depth's image
+    as a point index of n's table, the anchors and pair checks name placed
+    elements by depth, and the candidates are the bits of a mask, taken in
+    ascending order, which is sorted label order.
 
     The prefix-rank test (the placed images span as much as the placed
     elements) runs only in hosts of rank >= 4: in the simple si(n), once the
@@ -840,29 +907,21 @@ class _RankPreservingSearch:
         tm, tn = self.tm, self.tn = _PairTable.of(m), _PairTable.of(n)
         if len(tm.loops) > len(tn.loops) or exact and len(tm.loops) != len(tn.loops):
             return None
-        self.admissible = _count_rules(tm, tn, exact)
-        if self.admissible is None:
+        admissible = _count_rules(tm, tn, exact)
+        if admissible is None:
             return None
         pattern = _Pattern.of(m, self.bijective)
         self.loop_map = dict(zip(tm.loops, tn.loops))
         self.order, self.anchors, self.checks = pattern.order, pattern.anchors, pattern.checks
+        self.admissible = [admissible[x] for x in self.order]
         self.prefix_rank = pattern.prefix_rank if rank_n >= 4 else None
         self.nodes = 0
         self.build_after = math.factorial(n.matrix.nrows) * len(tn.labels)
-        self.least: dict[int, int] = {}  # the host's orbit minima, once read
-        return self._dfs(0, {}, 0, [])
+        return self._dfs(0, [0] * len(self.order), 0, [])
 
-    def _candidates(self, x: int, assignment: dict[int, int], used_mask: int) -> list[int]:
-        tn = self.tn
-        pool = self.admissible[x] & ~used_mask
-        anchor = self.anchors[x]
-        if anchor is not None:
-            a, b = anchor
-            pool &= tn.closure[assignment[a], assignment[b]]
-        return tn.members(pool)
-
-    def _consistent(self, depth: int, y: int, assignment: dict[int, int], used_mask: int) -> bool:
-        """Does placing x = order[depth] at y keep every triple rank through x?
+    def _consistent(self, depth: int, y: int, assignment: list[int], used_mask: int) -> bool:
+        """Does placing x = order[depth] at point y keep every triple rank
+        through x?
 
         For each row (p, qs) of the depth's pair checks, f must carry the
         placed points qs of the line through p and x exactly onto the placed
@@ -872,56 +931,62 @@ class _RankPreservingSearch:
         decides the same as testing every placed p.  Every pair of a simple
         matroid has rank 2.
         """
-        tn = self.tn
-        bit = tn.bit
+        closure = self.tn.closure
         for p, qs in self.checks[depth]:
             image = 0
             for q in qs:
-                image |= bit[assignment[q]]
-            if image != tn.closure[assignment[p], y] & used_mask:
+                image |= 1 << assignment[q]
+            if image != closure[assignment[p]][y] & used_mask:
                 return False
         return True
 
-    def _dfs(self, depth: int, assignment: dict[int, int], used_mask: int, basis: list):
-        """basis is an echelon basis of the placed images; it is shared down
-        the whole search, each insertion popped again on backtracking.  At
-        depth 0, a candidate that is not the least label of its orbit is
-        skipped once ``run``'s build rule has held."""
+    def _dfs(self, depth: int, assignment: list[int], used_mask: int, basis: list):
+        """assignment[d] is the image of order[d] for d < depth, a point
+        index of n's table.  basis is an echelon basis of the placed images;
+        it is shared down the whole search, each insertion popped again on
+        backtracking.  At depth 0, a candidate that is not the least label of
+        its orbit is dropped from the pool once ``run``'s build rule has
+        held."""
         self.nodes += 1
+        tn = self.tn
         if depth == len(self.order):
             # pruning along the way is heuristic; the leaf check is the proof
             found = {}
-            for x, y in assignment.items():
-                found.update(zip(self.tm.classes[x], self.tn.classes[y]))
+            for x, y in zip(self.order, assignment):
+                found.update(zip(self.tm.classes[x], tn.classes[tn.labels[y]]))
             found.update(self.loop_map)
             return found if verify_embedding(self.m, self.n, found) else None
-        x = self.order[depth]
+        pool = self.admissible[depth] & ~used_mask
+        anchor = self.anchors[depth]
+        if anchor is not None:
+            a, b = anchor
+            pool &= tn.closure[assignment[a]][assignment[b]]
         # an anchored x lies in cl(a, b) of placed a, b, and its candidates in
         # cl(f(a), f(b)): neither side's rank grows, so the prefix-rank test
         # would always pass; in a host of rank <= 3 it always passes too
-        test_rank = self.prefix_rank is not None and self.anchors[x] is None
-        for y in self._candidates(x, assignment, used_mask):
-            if depth == 0 and self.least.get(y, y) != y:
-                continue
+        test_rank = self.prefix_rank is not None and anchor is None
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            y = low.bit_length() - 1
             if not self._consistent(depth, y, assignment, used_mask):
                 continue
             grew = False
             if test_rank:
-                grew = _insert_into_basis(self.n.column_of(y), basis, self.n.p)
+                grew = _insert_into_basis(self.n.column_of(tn.labels[y]), basis, self.n.p)
                 if len(basis) != self.prefix_rank[depth]:
                     if grew:
                         basis.pop()
                     continue
-            assignment[x] = y
-            hit = self._dfs(depth + 1, assignment, used_mask | self.tn.bit[y], basis)
+            assignment[depth] = y
+            hit = self._dfs(depth + 1, assignment, used_mask | low, basis)
             if hit is not None:
                 return hit
-            del assignment[x]
             if grew:
                 basis.pop()
             if depth == 0 and self.nodes > self.build_after:
                 self.build_after = math.inf
-                self.least = _orbit_minima(self.n)
+                pool &= ~sum(tn.bit[x] for x in _orbit_minima(self.n))
         return None
 
 
@@ -930,17 +995,9 @@ def find_isomorphism(m: LinearMatroid, n: LinearMatroid) -> dict[int, int] | Non
     return _RankPreservingSearch(m, n, bijective=True).run()
 
 
-def is_isomorphic(m: LinearMatroid, n: LinearMatroid) -> bool:
-    return find_isomorphism(m, n) is not None
-
-
 def find_embedding(m: LinearMatroid, n: LinearMatroid) -> dict[int, int] | None:
     """Injection of m into n preserving all subset ranks (restriction test)."""
     return _RankPreservingSearch(m, n, bijective=False).run()
-
-
-def is_restriction_of(m: LinearMatroid, n: LinearMatroid) -> bool:
-    return find_embedding(m, n) is not None
 
 
 # -- minor search -----------------------------------------------------------------------

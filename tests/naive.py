@@ -36,6 +36,13 @@ def naive_det(p: int, rows: Sequence[Sequence[int]]) -> int:
     return total % p
 
 
+def balanced_rows(m: GFMatrix) -> tuple[tuple[int, ...], ...]:
+    """m's entries in the balanced residue system (2 mod 3 as -1), so that
+    one integer matrix reduced into two fields gives one answer."""
+    half = m.p // 2
+    return tuple(tuple(x if x <= half else x - m.p for x in row) for row in m.rows)
+
+
 def naive_rank(m: GFMatrix) -> int:
     """Largest k such that some k-by-k submatrix has nonzero determinant."""
     rows = m.rows

@@ -23,7 +23,9 @@ from matroidlab.catalog import (
     universal_matroid,
 )
 from matroidlab.gf import GFMatrix
-from matroidlab.matroid import LinearMatroid, find_isomorphism, is_isomorphic, verify_bijection
+from matroidlab.matroid import LinearMatroid, find_isomorphism, verify_bijection
+
+from .naive import balanced_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -73,7 +75,7 @@ def test_dowling_shape_and_frame_form():
 
 
 def test_dowling3_equals_sigma3():
-    assert is_isomorphic(family("DOWLING3"), family("SIGMA3"))
+    assert find_isomorphism(family("DOWLING3"), family("SIGMA3")) is not None
 
 
 def test_universal_matrix_layout():
@@ -87,7 +89,7 @@ def test_universal_matrix_layout():
         universal_matrix(catalog.T3, 4)
     # empty payload degenerates to the clique
     empty = universal_matroid(GFMatrix(3, [], ncols=0), 3)
-    assert is_isomorphic(empty, family("MK4"))
+    assert find_isomorphism(empty, family("MK4")) is not None
 
 
 def test_family_rank_guards():
@@ -246,7 +248,7 @@ def test_ag23e_construction_forms_agree():
 
 def test_ag23e_dual():
     assert named("AG23E_DUAL").matroid().rank() == 5
-    assert is_isomorphic(named("AG23E_DUAL").matroid().dual(), named("AG23E").matroid())
+    assert find_isomorphism(named("AG23E_DUAL").matroid().dual(), named("AG23E").matroid()) is not None
 
 
 def test_f7minus_structure():
@@ -254,7 +256,7 @@ def test_f7minus_structure():
     assert f7m.rank() == 3 and f7m.size == 7 and f7m.is_simple()
     # non-Fano: six 3-point lines (the full Fano plane has seven)
     assert line_count(f7m, 3) == 6
-    assert is_isomorphic(named("F7MINUS_XY0").matroid(), f7m)
+    assert find_isomorphism(named("F7MINUS_XY0").matroid(), f7m) is not None
     assert named("F7MINUS_DUAL").matroid().rank() == 4
 
 
@@ -288,4 +290,4 @@ def test_hint_labels_in_range():
 def test_cross_field_entries_reduce_consistently():
     m3 = named("T1", field=3).matrix
     m5 = named("T1", field=5).matrix
-    assert m3.signed_rows() == m5.signed_rows()
+    assert balanced_rows(m3) == balanced_rows(m5)

@@ -3,6 +3,7 @@ minor search.  Structure checks run against the brute-force oracles."""
 
 import collections
 import dataclasses
+import functools
 import gc
 import itertools
 import random
@@ -19,8 +20,6 @@ from matroidlab.matroid import (
     find_embedding,
     find_isomorphism,
     has_minor,
-    is_isomorphic,
-    is_restriction_of,
     verify_bijection,
     verify_embedding,
     verify_witness,
@@ -90,8 +89,8 @@ def test_subset_rank():
     assert m.rank({0, 1}) == 2
     # triangle: e0-e1 style columns 3,4,5 pairwise dependent as a triple
     assert m.rank({3, 4, 5}) == 2
-    assert m.is_independent({0, 1, 2})
-    assert not m.is_independent({3, 4, 5})
+    assert m.rank({0, 1, 2}) == 3
+    assert m.rank({3, 4, 5}) != 3
 
 
 def test_delete_restrict():
@@ -161,15 +160,15 @@ def test_iso_reflexive_and_field_change():
     iso = find_isomorphism(m, m)
     assert iso == {x: x for x in m.labels}
     m5 = m_of([[1, 0, 0, 1, 1, 0], [0, 1, 0, -1, 0, 1], [0, 0, 1, 0, -1, -1]], p=5)
-    assert is_isomorphic(m, m5)
-    assert not is_isomorphic(m, u24())
+    assert find_isomorphism(m, m5) is not None
+    assert find_isomorphism(m, u24()) is None
 
 
 def test_iso_detects_distinct_matroids():
     # M(K4) vs U{3,6}: same size and rank, different structure
     u36 = m_of([[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 1], [0, 0, 1, 1, 1, 2]])
     assert u36.rank({3, 4, 5}) == 3
-    assert not is_isomorphic(mk4(), u36)
+    assert find_isomorphism(mk4(), u36) is None
 
 
 def test_iso_matches_naive_on_random_pairs():
@@ -179,7 +178,7 @@ def test_iso_matches_naive_on_random_pairs():
         a = random_matrix(rng, 3, 3, rng.randint(4, 6))
         b = random_matrix(rng, 3, 3, a.ncols)
         ma, mb = LinearMatroid(a), LinearMatroid(b)
-        got = is_isomorphic(ma, mb)
+        got = find_isomorphism(ma, mb) is not None
         assert got == naive_is_isomorphic(ma, mb)
         hits += got
     # permuted/scaled copies must always come back isomorphic
@@ -247,12 +246,12 @@ def _check_pair_table(m):
     assert table.classes == {c[0]: c for c in sorted(classes)}
     least = sorted(c[0] for c in classes)
     assert table.labels == least
-    for a in least:
+    for i, a in enumerate(least):
         lines = set()
-        for b in least:
+        for j, b in enumerate(least):
             if b != a:
                 closure = [c for c in least if ranks[frozenset((a, b, c))] == 2]
-                assert table.members(table.closure[a, b]) == closure
+                assert [least[k] for k in matroid_module._bit_indices(table.closure[i][j])] == closure
                 lines.add(tuple(closure))
         sizes = sorted((len(line) for line in lines if len(line) >= 3), reverse=True)
         assert table.keys[a] == (tuple(sizes), len(table.classes[a]))
@@ -344,7 +343,7 @@ def test_pair_table_lines_are_the_distinct_closures():
             m = LinearMatroid(random_matrix(rng, p, rng.randint(3, 4), rng.randint(4, 14))).simplify()
             table = _PairTable.of(m)
             assert "closure" not in vars(table)
-            lines = set(table.closure.values())
+            lines = {line for row in table.closure for line in row if line}
             assert len(table.lines) == len(lines) and set(table.lines) == lines
             for x in m.labels:
                 sizes = sorted((c.bit_count() for c in lines if c & table.bit[x] and c.bit_count() >= 3), reverse=True)
@@ -401,7 +400,7 @@ def test_embedding_identity_and_subsets():
     emb = find_embedding(tri, m)
     assert emb is not None and verify_embedding(tri, m, emb)
     # U24 has a 4-point line; M(K4) does not
-    assert not is_restriction_of(u24(), mk4())
+    assert find_embedding(u24(), mk4()) is None
 
 
 def test_embedding_respects_rank_not_just_size():
@@ -458,7 +457,7 @@ def _lexicographic_has_minor(m, n, hint=None):
     if spare_rank < 0 or base.size < n.size:
         return None
     for extra in itertools.combinations(sorted(base.labels), spare_rank):
-        if not base.is_independent(extra):
+        if base.rank(extra) != len(extra):
             continue
         stage = base.contract(extra).simplify()
         if stage.size < n.size:
@@ -545,7 +544,7 @@ def test_flat_walk_yields_the_first_set_of_each_flat():
                 want, flats = [], set()
                 for t in itertools.combinations(sorted(m.labels), k):
                     flat = frozenset(x for x in m.labels if m.rank(t + (x,)) == k)
-                    if m.is_independent(t) and flat not in flats:
+                    if m.rank(t) == len(t) and flat not in flats:
                         flats.add(flat)
                         want.append(t)
                 got = list(matroid_module._flat_stages(m, k))
@@ -935,6 +934,57 @@ def test_rank_two_verdicts_match_rank_tables():
     assert len(verdicts) == 70 * 210 and 100 < sum(verdicts) < len(verdicts) - 100
 
 
+def test_walk_matches_rank_tables_on_identity_extensions_across_fields(monkeypatch):
+    # every [I3 | u | v | w] and every [I4 | u | v] over GF(3), each against
+    # two lifts into GF(5): the signed lift (2 -> -1) and the plain one
+    # (2 -> 2).  A lift agrees exactly when every subset of at most r
+    # columns has the same rank on both sides, since every rank is the size of
+    # a largest independent subset; a subset is I + J, identity columns I and
+    # extra columns J, and each set of extra vectors is ranked once, with
+    # every I that fits, on both sides
+    lifts = {"signed": (0, 1, 4), "plain": (0, 1, 2)}
+
+    @functools.cache
+    def agrees(extra, r):
+        """name -> do all I + extra of at most r columns have equal ranks
+        over GF(3) and in that lift?"""
+        identity = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+        out = dict.fromkeys(lifts, True)
+        for k in range(r - len(extra) + 1):
+            for part in itertools.combinations(identity, k):
+                cols = list(part) + list(extra)
+                rank = matroid_module._column_rank(cols, 3)
+                for name, lift in lifts.items():
+                    if matroid_module._column_rank([[lift[x] for x in v] for v in cols], 5) != rank:
+                        out[name] = False
+        return out
+
+    negatives: collections.Counter = collections.Counter()
+    for r, k in ((3, 3), (4, 2)):
+        identity = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+        for extra in itertools.product(itertools.product(range(3), repeat=r), repeat=k):
+            cols = identity + list(extra)
+            tables = [agrees(frozenset(sub), r) for j in range(k + 1) for sub in itertools.combinations(extra, j)]
+            for name, lift in lifts.items():
+                want = all(table[name] for table in tables)
+                images = [tuple(lift[x] for x in v) for v in cols]
+                assert matroid_module._same_independent_sets(cols, 3, images, 5, r) == want
+                negatives[r, name] += not want
+    assert negatives == {(3, "signed"): 576, (3, "plain"): 3948, (4, "signed"): 0, (4, "plain"): 770}
+    # rank 3 compares line keys at the root; rank 4 eliminates at the root
+    # and reaches the line keys one level below
+    effort = {}
+    for r in (3, 4):
+        counts: dict[str, int] = {}
+        _count_calls(monkeypatch, counts, matroid_module, "_eliminate")
+        _count_calls(monkeypatch, counts, matroid_module, "_line_keys")
+        cols = [tuple(int(i == j) for i in range(r)) for j in range(r)] + [(1,) * r, (1, 2) + (0,) * (r - 2)]
+        assert matroid_module._same_independent_sets(cols, 3, cols, 5, r)
+        effort[r] = counts
+        monkeypatch.undo()
+    assert effort == {3: {"_eliminate": 0, "_line_keys": 10}, 4: {"_eliminate": 12, "_line_keys": 30}}
+
+
 def test_linear_map_edge_cases(monkeypatch):
     # an empty n, an all-loop n and zero-row matrices are certified by the
     # linear map; it never runs across fields
@@ -1139,10 +1189,12 @@ def test_negative_dowling4_search_effort(monkeypatch, source, counts):
 
 def test_verifier_elimination_effort(monkeypatch):
     # the walk eliminates once per side for each independent prefix of size
-    # 1 to r - 2, and settles the prefixes of size r - 1 by parallel classes
-    # (7,032 _eliminate calls for the OMEGA5 bijection when those
-    # eliminated too; the one-basis-per-side walk made 21,564 and 126
-    # _insert_into_basis calls here)
+    # 1 to r - 3, 18 + 153 here, settles the prefixes of size r - 2 by line
+    # keys and those of size r - 1 by parallel classes (1,920 _eliminate
+    # calls for the OMEGA5 bijection when the prefixes of size r - 2
+    # eliminated too, 7,032 when those of size r - 1 did as well; the
+    # one-basis-per-side walk made 21,564 and 126 _insert_into_basis calls
+    # here)
     m3, m5 = named("OMEGA5", 3).matroid(), named("OMEGA5", 5).matroid()
     iso = find_isomorphism(m3, m5)
     f7, dowling3 = named("F7MINUS").matroid(), named("DOWLING3").matroid()
@@ -1151,17 +1203,19 @@ def test_verifier_elimination_effort(monkeypatch):
     _count_calls(monkeypatch, counts, matroid_module, "_eliminate")
     # across fields the walk decides
     assert verify_bijection(m3, m5, iso)
-    assert counts["_eliminate"] == 1920
+    assert counts["_eliminate"] == 342
     counts["_eliminate"] = 0
     # within one field the linear map certifies, with no walk
     assert verify_embedding(f7, dowling3, emb)
     assert counts["_eliminate"] == 0
-    # the walk on the same pair: 7 one-element prefixes, two sides (56 when
-    # the 21 two-element prefixes eliminated too)
+    # the walk on the same pair, of rank 3, compares line keys at its root
+    # and eliminates nothing (14 for the 7 one-element prefixes on two sides
+    # when the root eliminated, 56 when the 21 two-element prefixes
+    # eliminated too)
     f7_cols = [f7.column_of(x) for x in f7.labels]
     images = [dowling3.column_of(emb[x]) for x in f7.labels]
     assert matroid_module._same_independent_sets(f7_cols, 3, images, 3, 3)
-    assert counts["_eliminate"] == 14
+    assert counts["_eliminate"] == 0
     monkeypatch.undo()
     # the search keeps its own basis: the negative OMEGA5 -> DOWLING5 search
     # reaches no leaf, so it makes no elimination
@@ -1327,11 +1381,14 @@ def test_monomial_generators_are_certified_automorphisms(monkeypatch):
     # the monomial groups have 24, 24 and 192 elements, from 8, 8 and 30
     # generators (a build also enumerates the identity); a build certifies
     # only the maps that merge orbits, each passes, and the certified maps
-    # alone give the whole partition
+    # alone give the whole partition.  A build stops once the orbits are the
+    # key classes: DOWLING3 and DOWLING4 enumerate 6 and 14 maps (9 and 31
+    # when every generator was enumerated); PG(2, 3)'s orbits never reach its
+    # one key class, so it enumerates all 9
     hosts = (
         (m_cols(*PG23), 9, 4, [[0, 1, 4], [2, 3, 5, 6, 7, 10], [8, 9, 11, 12]]),
-        (named("DOWLING3").matroid(), 9, 4, [[0, 1, 2], [3, 4, 5, 6, 7, 8]]),
-        (named("DOWLING4").matroid(), 31, 6, [list(range(4)), list(range(4, 16))]),
+        (named("DOWLING3").matroid(), 6, 4, [[0, 1, 2], [3, 4, 5, 6, 7, 8]]),
+        (named("DOWLING4").matroid(), 14, 6, [list(range(4)), list(range(4, 16))]),
     )
     for n, maps, merges, orbits in hosts:
         least, enumerated, calls = _certified_build(monkeypatch, n)
@@ -1348,10 +1405,12 @@ def test_monomial_generators_are_certified_automorphisms(monkeypatch):
 
 
 def test_dowling5_orbits_are_joints_and_the_rest(monkeypatch):
-    # 8 of the 134 generators merge orbits, and only they are certified
+    # 8 of the 134 generators merge orbits, and only they are certified; the
+    # build stops at the eighth, when the orbits are the key classes, after
+    # 40 maps (135 when every generator was enumerated)
     n = named("DOWLING5").matroid()
     least, enumerated, calls = _certified_build(monkeypatch, n)
-    assert enumerated == 135 and len(calls) == 8 and all(verdict for _, verdict in calls)
+    assert enumerated == 40 and len(calls) == 8 and all(verdict for _, verdict in calls)
     # the joints e_i are the first five columns
     assert _partition(n.labels, least) == [list(range(5)), list(range(5, 25))]
 
@@ -1414,7 +1473,8 @@ def test_verifiers_never_read_search_structures():
         return out
 
     verifiers = (verify_bijection, verify_embedding, verify_witness, matroid_module._same_independent_sets,
-                 matroid_module._same_below, matroid_module._first_parallel, matroid_module._linear_map_certifies,
+                 matroid_module._same_below, matroid_module._first_parallel, matroid_module._line_keys,
+                 matroid_module._linear_map_certifies,
                  row_reduce, matroid_module._eliminate, matroid_module._insert_into_basis, matroid_module._column_rank)
     for fn in verifiers:
         assert names(fn.__code__).isdisjoint(search_names), fn.__name__
