@@ -83,7 +83,9 @@ def _contract_columns(columns: Mapping[int, tuple[int, ...]], x: int, p: int) ->
     Each other column loses the multiple of x's column that zeroes its
     entry at x's lead (x's first nonzero entry), then that entry.  Row by
     row this pivots on x's column at its first nonzero row, so the entries
-    are the same.  A loop x is dropped and nothing else changes.
+    are the same.  A loop x is dropped and nothing else changes.  It builds
+    ``contract``'s matrices and the stages that ``has_minor``'s walk
+    admits; the walk's nodes carry points, moved by ``_project``.
     """
     pivot = columns[x]
     lead = next((i for i, c in enumerate(pivot) if c), None)
@@ -118,6 +120,21 @@ def _line_rest(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[tuple[in
     """The points of the line through the points u and v other than u and
     v: u + t*v for t = 1 .. p - 1, normalized.  Memoized per (u, v, p)."""
     return tuple(_normalize(tuple((c + t * d) % p for c, d in zip(u, v)), p) for t in range(1, p))
+
+
+@functools.lru_cache(maxsize=1 << 14)  # a minor_sweep pass meets about 1,200 point pairs
+def _project(x: tuple[int, ...], y: tuple[int, ...], p: int) -> tuple[int, ...] | None:
+    """The point of y in M/x, for the points x and y of M: y less the
+    multiple of x that zeroes y's entry at x's lead, without that entry,
+    normalized; None when y is parallel to x.  Contracting by x commutes
+    with scaling x or y, so this is the normalized column of y in
+    ``_contract_columns`` for any nonzero multiples of x and y.  Memoized
+    per (x, y, p)."""
+    lead = next(i for i, c in enumerate(x) if c)  # x[lead] is 1
+    f = y[lead]
+    if not f:
+        return _normalize(y[:lead] + y[lead + 1:], p)
+    return _normalize(y[:lead] + tuple((a - f * b) % p for a, b in zip(y[lead + 1:], x[lead + 1:])), p)
 
 
 class LinearMatroid:
@@ -539,12 +556,14 @@ class _PairTable:
     classes maps each least label to its class, and keys to (sizes of the
     lines of >= 3 points through it, descending; class size).  lines lists
     each line once, as an int bitmask, where bit[x] marks label x and bits
-    run in sorted label order: bit i marks labels[i], the point at index i.
-    closure holds one list per point, of the lines through it indexed by bit
-    position: for distinct i, j, closure[i][j] is cl({i, j}), the line
-    through points i and j, as a mask (closure[i][i] is 0).  The pair checks
-    and candidates read closure, which is built when a search first reads
-    it; a search its key counts reject never does.
+    run in sorted label order: bit i marks labels[i], the point at index i,
+    and points[i] is that projective point, whose subsets have the ranks of
+    the columns of their labels.  closure holds one list per point, of the
+    lines through it indexed by bit position: for distinct i, j,
+    closure[i][j] is cl({i, j}), the line through points i and j, as a mask
+    (closure[i][i] is 0).  The pair checks and candidates read closure,
+    which is built when a search first reads it; a search its key counts
+    reject never does.
 
     The table is built from a label -> projective point map (None for a
     loop) and p, with no rank calls: the lines and keys come from the
@@ -578,7 +597,7 @@ class _PairTable:
         self.labels = [c[0] for c in members]
         self.classes = {c[0]: tuple(c) for c in members}
         self.bit = {x: 1 << i for i, x in enumerate(self.labels)}
-        pts = list(index)
+        self.points = pts = list(index)
         met = [0] * len(pts)  # i -> the points on a line found through point i
         sizes: list[list[int]] = [[] for _ in pts]  # i -> sizes of its lines of >= 3 points
         self.lines: list[int] = []
@@ -806,9 +825,10 @@ def _row_scalings(t: int, rows: tuple[int, ...], scalars: list[int], images: lis
 class _Pattern:
     """m's half of a search for one order kind, which no host changes: the
     element order (sorted for an isomorphism, ``_search_order``'s otherwise),
-    anchors, pair checks and, on first use, prefix ranks.  Anchors and pair
-    checks name placed elements by their depths in the order.  ``of`` builds
-    it once per matroid and order kind and caches it on m."""
+    anchors, pair checks and, on first use, prefix ranks, from the table's
+    points.  Anchors and pair checks name placed elements by their depths in
+    the order.  ``of`` builds it once per matroid and order kind and caches
+    it on m."""
 
     @classmethod
     def of(cls, m: LinearMatroid, bijective: bool) -> "_Pattern":
@@ -823,14 +843,14 @@ class _Pattern:
         # depth -> (depths a, b) of the first placed pair whose line holds it
         self.anchors = [table.anchor(points[:depth], i) for depth, i in enumerate(points)]
         self.checks = [self._pair_checks(table, points, depth) for depth in range(len(points))]
-        # the ordered columns, not m: holding m would make a cycle with m
-        self.columns, self.p = [m.column_of(x) for x in self.order], m.p
+        # the ordered points, not m: holding m would make a cycle with m
+        self.points, self.p = [table.points[i] for i in points], m.p
 
     @functools.cached_property
     def prefix_rank(self) -> list[int]:
         """The rank of each prefix of the order, from one running basis."""
         basis: list = []
-        return list(itertools.accumulate(int(_insert_into_basis(v, basis, self.p)) for v in self.columns))
+        return list(itertools.accumulate(int(_insert_into_basis(v, basis, self.p)) for v in self.points))
 
     @staticmethod
     def _pair_checks(tm: _PairTable, points: list[int], depth: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -973,7 +993,7 @@ class _RankPreservingSearch:
                 continue
             grew = False
             if test_rank:
-                grew = _insert_into_basis(self.n.column_of(tn.labels[y]), basis, self.n.p)
+                grew = _insert_into_basis(tn.points[y], basis, self.n.p)
                 if len(basis) != self.prefix_rank[depth]:
                     if grew:
                         basis.pop()
@@ -1020,35 +1040,37 @@ def _flat_stages(m: LinearMatroid, k: int,
     included.  Given a simple target, only the stages that a search of the
     target in them would search are yielded.
 
-    The k-sets are walked as a prefix tree of label -> column dicts, each
-    child contracting one more label of its parent by ``_contract_columns``,
-    the arithmetic of ``contract``, so each stage's matrix is the same.  x
-    extends an independent prefix P independently exactly when x is not a
-    loop of M/P, and cl(P + x) is P plus the loops of M/P and x's parallel
-    class there, read off M/P's labels grouped by point.  A leaf is reached
-    only when its flat is new.
+    The k-sets are walked as a prefix tree of label -> projective point
+    maps (None for a loop), the root's m's points, each child projecting
+    its parent's points from one more label by ``_project``, so each node's
+    points are those of M/prefix.  x extends an independent prefix P
+    independently exactly when x is not a loop of M/P, and cl(P + x) is P
+    plus the loops of M/P and x's parallel class there, read off M/P's
+    labels grouped by point.  A leaf is reached only when its flat is new.
 
     A leaf is screened on its points before it is built.  Against a target
     it needs at least the target's number of points, and then the counting
     rules (``_count_rules``) must admit the target's table against a table
     built from the points of si(M/T).  Both have rank r(N) and no loops, so
     a rejected leaf is exactly a search that ``_RankPreservingSearch.run``
-    ends before its first node, and skipping it changes no answer.  A
-    yielded stage is one LinearMatroid on the least label of each point, in
-    m's label order, given its points, its rank, r(M) - k, since T is
-    independent, and the table that screened it.
+    ends before its first node, and skipping it changes no answer.  Only a
+    yielded stage contracts columns: m's columns of T and of the least label
+    of each point, contracted by T in order by ``_contract_columns``, the
+    arithmetic of ``contract``, so its matrix is that of
+    ``contract(T).simplify()``.  It is one LinearMatroid on those least
+    labels, in m's label order, given its points, its rank, r(M) - k, since
+    T is independent, and the table that screened it.
     """
-    columns = dict(zip(m.labels, m.matrix.columns))
-    return _walk_flats(m.p, sorted(m.labels), k, target, m.rank() - k, set(), columns, m.matrix.nrows, (), 0)
+    return _walk_flats(m, sorted(m.labels), k, target, m.rank() - k, set(), m._point_map(), (), 0)
 
 
-def _walk_flats(p: int, labels: list[int], k: int, target: LinearMatroid | None, rank: int, seen: set,
-                columns: dict, height: int, prefix: tuple[int, ...],
+def _walk_flats(m: LinearMatroid, labels: list[int], k: int, target: LinearMatroid | None, rank: int, seen: set,
+                points: Mapping[int, tuple[int, ...] | None], prefix: tuple[int, ...],
                 start: int) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
-    """``_flat_stages`` below the node M/prefix, whose columns are columns
-    with height rows, extending prefix by labels[start:]; seen holds the
-    flats of the leaves already reached, and rank is each leaf's rank."""
-    points = {y: _normalize(w, p) for y, w in columns.items()}
+    """``_flat_stages`` below the node M/prefix, whose label -> point map
+    is points, extending prefix by labels[start:]; seen holds the flats of
+    the leaves already reached, and rank is each leaf's rank."""
+    p = m.p
     if len(prefix) == k:
         least: dict[tuple[int, ...], int] = {}
         for y, pt in points.items():
@@ -1063,13 +1085,16 @@ def _walk_flats(p: int, labels: list[int], k: int, target: LinearMatroid | None,
             if _count_rules(_PairTable.of(target), table, len(least) == target.size) is None:
                 return
         keep = list(stage_points)
-        stage = LinearMatroid(GFMatrix.from_columns(p, [columns[y] for y in keep], nrows=height), keep)
+        columns = {y: m.column_of(y) for y in prefix + tuple(keep)}
+        for x in prefix:
+            columns = _contract_columns(columns, x, p)
+        stage = LinearMatroid(GFMatrix.from_columns(p, list(columns.values()), nrows=m.matrix.nrows - k), keep)
         stage._points, stage._rank, stage._pair_table = stage_points, rank, table
         yield prefix, stage
         return
     last = len(prefix) + 1 == k
     if last:
-        # a leaf is contracted only when its flat is new: cl(prefix + x) is
+        # a leaf is reached only when its flat is new: cl(prefix + x) is
         # cl(prefix), the prefix and the loops of M/prefix, plus x's class
         by_point: dict = {}
         for y, pt in points.items():
@@ -1077,15 +1102,16 @@ def _walk_flats(p: int, labels: list[int], k: int, target: LinearMatroid | None,
         closure = frozenset(prefix).union(by_point.pop(None, ()))
     for i in range(start, len(labels) - k + len(prefix) + 1):
         x = labels[i]
-        if points[x] is None:
+        px = points[x]
+        if px is None:
             continue
         if last:
-            flat = closure.union(by_point[points[x]])
+            flat = closure.union(by_point[px])
             if flat in seen:
                 continue
             seen.add(flat)
-        child = _contract_columns(columns, x, p)
-        yield from _walk_flats(p, labels, k, target, rank, seen, child, height - 1, prefix + (x,), i + 1)
+        child = {y: None if pt is None else _project(px, pt, p) for y, pt in points.items() if y != x}
+        yield from _walk_flats(m, labels, k, target, rank, seen, child, prefix + (x,), i + 1)
 
 
 def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = None) -> MinorWitness | None:

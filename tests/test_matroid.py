@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from matroidlab.catalog import _fixed_entries, named, universal_matrix
+from matroidlab.catalog import _fixed_entries, named, universal_matrix, universal_matroid
 from matroidlab.gf import GFMatrix, row_reduce
 from matroidlab.matroid import (
     LinearMatroid,
@@ -558,6 +558,24 @@ def test_flat_walk_yields_the_first_set_of_each_flat():
     assert [sum(1 for _ in matroid_module._flat_stages(pg, k)) for k in range(5)] == [1, 40, 130, 40, 1]
 
 
+def test_project_is_the_normalized_contracted_column():
+    # for every ordered pair of points x, y of PG(1, 3), PG(2, 3), PG(3, 3),
+    # PG(1, 5) and PG(2, 5), and every pair of scalars s, t, the walk's
+    # projection of y from x is the point of y's column in the contraction
+    # of {x: s*x, y: t*y} by x, and None when y is x
+    cases = 0
+    for r, p in ((2, 3), (3, 3), (4, 3), (2, 5), (3, 5)):
+        points = [v for v in itertools.product(range(p), repeat=r) if any(v) and next(c for c in v if c) == 1]
+        for x, y in itertools.product(points, repeat=2):
+            for s, t in itertools.product(range(1, p), repeat=2):
+                columns = {0: tuple(s * c % p for c in x), 1: tuple(t * c % p for c in y)}
+                contracted = matroid_module._contract_columns(columns, 0, p)[1]
+                assert matroid_module._project(x, y, p) == matroid_module._normalize(contracted, p), (x, y, s, t)
+                cases += 1
+            assert (matroid_module._project(x, y, p) is None) == (x == y)
+    assert cases == 23092
+
+
 def _simple_targets(p):
     """U24, M(K3), F7MINUS and AG23E over GF(p)."""
     return [named("U24", p).matroid(), m_of([[1, 0, 1], [0, 1, 1]], p), named("F7MINUS", p).matroid(),
@@ -656,18 +674,37 @@ def test_minor_search_tries_each_flat_once(monkeypatch, host, stages):
     # besides the target's, and the counting rules reject every one from
     # its points (3,804 and 6,662 _dfs calls without the equal-size and
     # image-count rules), so no stage is searched and the target's element
-    # order is never built
+    # order is never built; the walk moves points, so no column is
+    # contracted (118 and 116 contractions when its nodes held columns)
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, counts, _PairTable, "__init__")
     _count_calls(monkeypatch, counts, matroid_module, "find_embedding")
     _count_calls(monkeypatch, counts, matroid_module, "_search_order")
     _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
+    _count_calls(monkeypatch, counts, matroid_module, "_contract_columns")
     callers = _count_insertion_callers(monkeypatch)
     assert has_minor(named(host).matroid(), LinearMatroid(named("AG23E").matrix)) is None
     assert counts["__init__"] == stages + 1
     assert (counts["find_embedding"], counts["_search_order"]) == (0, 0)
     assert counts["_dfs"] == 0
     assert callers["_dfs"] == 0
+    assert counts["_contract_columns"] == 0
+
+
+@pytest.mark.parametrize("payload, contracted", [("FORBIDDEN_C", 3), ("FORBIDDEN_B", 2)])
+def test_minor_search_contracts_only_the_admitted_stage(monkeypatch, payload, contracted):
+    # unhinted, the walk finds AG23E in its one admitted stage, and only that
+    # stage contracts columns, one call per label of its T (114 and 106
+    # contractions when the walk's nodes held columns)
+    entry = named(payload)
+    m, n = universal_matroid(entry.matrix, entry.matrix.nrows), named("AG23E").matroid()
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, counts, matroid_module, "_contract_columns")
+    witness = has_minor(m, n)
+    assert counts["_contract_columns"] == contracted
+    monkeypatch.undo()
+    assert witness is not None and len(witness.contracted) == contracted
+    assert verify_witness(m, n, witness)
 
 
 def _scrambled(m, rng):
@@ -1463,7 +1500,7 @@ def test_verifiers_never_read_search_structures():
                     "_point_map", "_pair_table", "_generators", "_points", "_flat_stages", "_contract_one",
                     "contract", "_Pattern", "_patterns", "_contract_columns", "_walk_flats", "_line_rest",
                     "_row_permutations", "_row_scalings", "rank", "_rank", "prefix_rank", "_normalize",
-                    "_orbits", "_count_rules"}
+                    "_orbits", "_count_rules", "_project"}
 
     def names(code):
         out = set(code.co_names)

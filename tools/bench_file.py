@@ -13,8 +13,13 @@ direction that BENCHMARK.json gives the metric.  Both sides must have the
 same number of untraced runs of each workload; otherwise the tool exits 2.
 
 Ten alternating pairs of one workload, from two checkouts: the parent runs
-first in odd pairs and the change first in even pairs.
+first in odd pairs and the change first in even pairs.  Make both checkouts
+the same way (``git clone`` or ``git archive``) and give them the same
+bytecode state before any pair is run, since ``setup_s`` follows
+``__pycache__``: with compiled, missing or stale bytecode (a ``cp -r`` copy)
+the same checkout's ``setup_s`` differs by more than its bound.
 
+    for side in parent change; do (cd $side && python3 -m compileall -q src perfbench); done
     for i in $(seq 10); do
       if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
       for side in $order; do
