@@ -142,18 +142,6 @@ class GFMatrix:
 
     # -- row and column operations ----------------------------------------------
 
-    def scale_col(self, j: int, s: int) -> "GFMatrix":
-        s = int(s) % self.p
-        if s == 0:
-            raise ValueError("column scalar must be nonzero")
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column index {j} out of range")
-        return GFMatrix(
-            self.p,
-            [[(x * s) % self.p if k == j else x for k, x in enumerate(row)] for row in self.rows],
-            ncols=self.ncols,
-        )
-
     def take_cols(self, indices: Sequence[int]) -> "GFMatrix":
         if any(not 0 <= j < self.ncols for j in indices):
             raise IndexError("column index out of range")
@@ -213,6 +201,11 @@ def vstack(*mats: GFMatrix) -> GFMatrix:
 #   1 0 1
 #
 # Blank lines are skipped, so a matrix with no columns has no data lines.
+# The rows and cols counts are at most MAX_DIMENSION each, checked before
+# anything is allocated: with the other count 0 a header alone would
+# otherwise ask for any amount of memory.
+
+MAX_DIMENSION = 10_000
 
 
 def to_text(m: GFMatrix) -> str:
@@ -237,8 +230,8 @@ def from_text(text: str) -> GFMatrix:
     p = header(lines[0], "field")
     nrows = header(lines[1], "rows")
     ncols = header(lines[2], "cols")
-    if nrows < 0 or ncols < 0:
-        raise ValueError("rows and cols must be non-negative")
+    if not (0 <= nrows <= MAX_DIMENSION and 0 <= ncols <= MAX_DIMENSION):
+        raise ValueError(f"rows and cols must be between 0 and {MAX_DIMENSION}")
     data = lines[3:]
     want = nrows if ncols else 0
     if len(data) != want:

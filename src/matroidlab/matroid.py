@@ -71,39 +71,6 @@ def _insert_into_basis(v: Sequence[int], basis: list, p: int) -> bool:
     return False
 
 
-def _column_rank(cols: Iterable[Sequence[int]], p: int) -> int:
-    """The rank of the columns cols over GF(p)."""
-    basis: list = []
-    return sum(_insert_into_basis(v, basis, p) for v in cols)
-
-
-def _contract_columns(columns: Mapping[int, tuple[int, ...]], x: int, p: int) -> dict[int, tuple[int, ...]]:
-    """label -> column of M/x, from label -> column of M, in the same order.
-
-    Each other column loses the multiple of x's column that zeroes its
-    entry at x's lead (x's first nonzero entry), then that entry.  Row by
-    row this pivots on x's column at its first nonzero row, so the entries
-    are the same.  A loop x is dropped and nothing else changes.  It builds
-    ``contract``'s matrices and the stages that ``has_minor``'s walk
-    admits; the walk's nodes carry points, moved by ``_project``.
-    """
-    pivot = columns[x]
-    lead = next((i for i, c in enumerate(pivot) if c), None)
-    if lead is None:
-        return {y: w for y, w in columns.items() if y != x}
-    inv = pow(pivot[lead], p - 2, p)
-    rest = pivot[lead + 1:]
-    out = {}
-    for y, w in columns.items():
-        if y != x:
-            f = w[lead] * inv % p
-            if f:
-                out[y] = w[:lead] + tuple((a - f * b) % p for a, b in zip(w[lead + 1:], rest))
-            else:
-                out[y] = w[:lead] + w[lead + 1:]
-    return out
-
-
 @functools.lru_cache(maxsize=1 << 16)  # every vector of GF(5)^6 fits
 def _normalize(v: tuple[int, ...], p: int) -> tuple[int, ...] | None:
     """v scaled so its first nonzero entry is 1: its projective point, or
@@ -126,15 +93,48 @@ def _line_rest(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[tuple[in
 def _project(x: tuple[int, ...], y: tuple[int, ...], p: int) -> tuple[int, ...] | None:
     """The point of y in M/x, for the points x and y of M: y less the
     multiple of x that zeroes y's entry at x's lead, without that entry,
-    normalized; None when y is parallel to x.  Contracting by x commutes
-    with scaling x or y, so this is the normalized column of y in
-    ``_contract_columns`` for any nonzero multiples of x and y.  Memoized
-    per (x, y, p)."""
+    normalized; None when y is parallel to x.  Row by row this pivots on x
+    at its lead, and contraction is projection from x (Oxley, Matroid
+    Theory, 3.1), so y and z are parallel in M/x exactly when x, y and z
+    span a line.  It is the package's one contraction step.  Memoized per
+    (x, y, p)."""
     lead = next(i for i, c in enumerate(x) if c)  # x[lead] is 1
     f = y[lead]
     if not f:
         return _normalize(y[:lead] + y[lead + 1:], p)
     return _normalize(y[:lead] + tuple((a - f * b) % p for a, b in zip(y[lead + 1:], x[lead + 1:])), p)
+
+
+def _contract_points(points: Mapping[int, tuple[int, ...] | None], x: int,
+                     p: int) -> dict[int, tuple[int, ...] | None]:
+    """label -> point of M/x (None for a loop), from label -> point of M, in
+    the same order: each other point projected from x's by ``_project``.  A
+    loop x is dropped and nothing else changes."""
+    px = points[x]
+    if px is None:
+        return {y: pt for y, pt in points.items() if y != x}
+    return {y: None if pt is None else _project(px, pt, p) for y, pt in points.items() if y != x}
+
+
+def _least_points(points: Mapping[int, tuple[int, ...] | None]) -> dict[int, tuple[int, ...]]:
+    """The least label of each point with its point, in points' order: the
+    points of the simplification."""
+    least: dict[tuple[int, ...], int] = {}
+    for y, pt in points.items():
+        if pt is not None and least.get(pt, y) >= y:
+            least[pt] = y
+    return {y: pt for y, pt in points.items() if pt is not None and least[pt] == y}
+
+
+def _from_points(points: Mapping[int, tuple[int, ...] | None], height: int, p: int) -> "LinearMatroid":
+    """The matroid on points' labels, in order, whose columns are their
+    points, a zero column of the given height for each loop.  It is handed
+    the points, so it never normalizes them again."""
+    zero = (0,) * height
+    m = LinearMatroid(GFMatrix.from_columns(p, [zero if pt is None else pt for pt in points.values()], nrows=height),
+                      list(points))
+    m._points = points
+    return m
 
 
 class LinearMatroid:
@@ -183,12 +183,13 @@ class LinearMatroid:
     # -- rank oracle ------------------------------------------------------------
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
-        """The rank of subset's columns, or of all of them.  Only the full
-        rank, the one rank asked for again, is kept."""
+        """The rank of subset's columns, read as the rows of a matrix, or of
+        the matrix.  Only the full rank, the one rank asked for again, is
+        kept."""
         if subset is not None:
-            return _column_rank((self.column_of(x) for x in set(subset)), self.p)
+            return len(row_reduce([self.column_of(x) for x in set(subset)], self.matrix.nrows, self.p)[1])
         if self._rank is None:
-            self._rank = _column_rank(self.matrix.columns, self.p)
+            self._rank = len(row_reduce(self.matrix.rows, self.matrix.ncols, self.p)[1])
         return self._rank
 
     # -- minors -----------------------------------------------------------------
@@ -213,18 +214,20 @@ class LinearMatroid:
 
     def contract(self, labels: Iterable[int]) -> "LinearMatroid":
         """Contract one label at a time, in sorted order, by
-        ``_contract_columns``; each label that is not a loop when its turn
-        comes takes one row with it.  self when labels is empty."""
+        ``_contract_points``; each label that is not a loop when its turn
+        comes takes one row with it.  The matrix's columns are the points of
+        the contraction, a zero column for each loop (``_from_points``).
+        self when labels is empty."""
         labels = sorted(set(labels))
         if not labels:
             return self
-        columns = dict(zip(self.labels, self.matrix.columns))
+        points = self._point_map()
         height = self.matrix.nrows
         for x in labels:
             self._col_index(x)
-            height -= any(columns[x])
-            columns = _contract_columns(columns, x, self.p)
-        return LinearMatroid(GFMatrix.from_columns(self.p, list(columns.values()), nrows=height), list(columns))
+            height -= points[x] is not None
+            points = _contract_points(points, x, self.p)
+        return _from_points(points, height, self.p)
 
     def minor(self, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "LinearMatroid":
         contract = set(contract)
@@ -255,12 +258,13 @@ class LinearMatroid:
         return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: min(g)))
 
     def simplify(self) -> "LinearMatroid":
-        """The restriction to the least label of each parallel class, built
-        once; self when already simple, so that what is cached on it is kept."""
+        """The restriction to the least label of each parallel class, with
+        its points as columns (``_from_points``), built once; self when
+        already simple, so that what is cached on it is kept."""
         if self.is_simple():
             return self
         if self._simple is None:
-            self._simple = self.restrict(min(cls) for cls in self.parallel_classes())
+            self._simple = _from_points(_least_points(self._point_map()), self.matrix.nrows, self.p)
         return self._simple
 
     def is_simple(self) -> bool:
@@ -1041,25 +1045,24 @@ def _flat_stages(m: LinearMatroid, k: int,
     target in them would search are yielded.
 
     The k-sets are walked as a prefix tree of label -> projective point
-    maps (None for a loop), the root's m's points, each child projecting
-    its parent's points from one more label by ``_project``, so each node's
-    points are those of M/prefix.  x extends an independent prefix P
-    independently exactly when x is not a loop of M/P, and cl(P + x) is P
-    plus the loops of M/P and x's parallel class there, read off M/P's
-    labels grouped by point.  A leaf is reached only when its flat is new.
+    maps (None for a loop), the root's m's points, each child contracting
+    its parent's by one more label with ``_contract_points``, the step of
+    ``contract``, so each node's points are those of M/prefix.  x extends
+    an independent prefix P independently exactly when x is not a loop of
+    M/P, and cl(P + x) is P plus the loops of M/P and x's parallel class
+    there, read off M/P's labels grouped by point.  A leaf is reached only
+    when its flat is new.
 
     A leaf is screened on its points before it is built.  Against a target
     it needs at least the target's number of points, and then the counting
     rules (``_count_rules``) must admit the target's table against a table
     built from the points of si(M/T).  Both have rank r(N) and no loops, so
     a rejected leaf is exactly a search that ``_RankPreservingSearch.run``
-    ends before its first node, and skipping it changes no answer.  Only a
-    yielded stage contracts columns: m's columns of T and of the least label
-    of each point, contracted by T in order by ``_contract_columns``, the
-    arithmetic of ``contract``, so its matrix is that of
-    ``contract(T).simplify()``.  It is one LinearMatroid on those least
-    labels, in m's label order, given its points, its rank, r(M) - k, since
-    T is independent, and the table that screened it.
+    ends before its first node, and skipping it changes no answer.  A
+    yielded stage is the matroid of its points (``_from_points``): the least
+    label of each point of M/T, in m's label order, each with its point as
+    its column, as in ``contract(T).simplify()``.  It is given its rank,
+    r(M) - k, since T is independent, and the table that screened it.
     """
     return _walk_flats(m, sorted(m.labels), k, target, m.rank() - k, set(), m._point_map(), (), 0)
 
@@ -1069,27 +1072,20 @@ def _walk_flats(m: LinearMatroid, labels: list[int], k: int, target: LinearMatro
                 start: int) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
     """``_flat_stages`` below the node M/prefix, whose label -> point map
     is points, extending prefix by labels[start:]; seen holds the flats of
-    the leaves already reached, and rank is each leaf's rank."""
+    the leaves already reached, and rank is each leaf's rank.  m gives the
+    field and, less k, the stages' height."""
     p = m.p
     if len(prefix) == k:
-        least: dict[tuple[int, ...], int] = {}
-        for y, pt in points.items():
-            if pt is not None and least.get(pt, y) >= y:
-                least[pt] = y
-        if target is not None and len(least) < target.size:
+        stage_points = _least_points(points)
+        if target is not None and len(stage_points) < target.size:
             return
-        stage_points = {y: pt for y, pt in points.items() if least.get(pt) == y}
         table = None
         if target is not None:
             table = _PairTable(stage_points, p)
-            if _count_rules(_PairTable.of(target), table, len(least) == target.size) is None:
+            if _count_rules(_PairTable.of(target), table, len(stage_points) == target.size) is None:
                 return
-        keep = list(stage_points)
-        columns = {y: m.column_of(y) for y in prefix + tuple(keep)}
-        for x in prefix:
-            columns = _contract_columns(columns, x, p)
-        stage = LinearMatroid(GFMatrix.from_columns(p, list(columns.values()), nrows=m.matrix.nrows - k), keep)
-        stage._points, stage._rank, stage._pair_table = stage_points, rank, table
+        stage = _from_points(stage_points, m.matrix.nrows - k, p)
+        stage._rank, stage._pair_table = rank, table
         yield prefix, stage
         return
     last = len(prefix) + 1 == k
@@ -1110,7 +1106,7 @@ def _walk_flats(m: LinearMatroid, labels: list[int], k: int, target: LinearMatro
             if flat in seen:
                 continue
             seen.add(flat)
-        child = {y: None if pt is None else _project(px, pt, p) for y, pt in points.items() if y != x}
+        child = _contract_points(points, x, p)
         yield from _walk_flats(m, labels, k, target, rank, seen, child, prefix + (x,), i + 1)
 
 

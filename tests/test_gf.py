@@ -7,6 +7,7 @@ import pytest
 
 from matroidlab import gf
 from matroidlab.gf import GFMatrix
+from matroidlab.templates import _scale_columns
 
 from .naive import balanced_rows, naive_rank, random_matrix
 
@@ -89,9 +90,9 @@ def test_rref_is_idempotent_and_rank_drops():
 
 def test_column_ops():
     m = GFMatrix(3, [[1, 2], [0, 1]])
-    assert m.scale_col(1, 2).columns == ((1, 0), (1, 2))
+    assert _scale_columns(m, [1, 2]).columns == ((1, 0), (1, 2))
     with pytest.raises(ValueError):
-        m.scale_col(0, 0)
+        _scale_columns(m, [0, 1])
     assert m.column(1) == (2, 1)
     assert m.take_cols([1, 0]).columns == ((2, 1), (1, 0))
 
@@ -148,6 +149,13 @@ def test_text_roundtrip_without_columns():
         gf.from_text("field 3\nrows 2\ncols 0\n1 2\n")
     with pytest.raises(ValueError):
         gf.from_text("field 3\nrows -1\ncols 0\n")
+    # each count may be at most MAX_DIMENSION
+    bound = gf.MAX_DIMENSION
+    assert gf.from_text(f"field 3\nrows {bound}\ncols 0\n").nrows == bound
+    assert gf.from_text(f"field 3\nrows 0\ncols {bound}\n").ncols == bound
+    for rows, cols in ((bound + 1, 0), (0, bound + 1)):
+        with pytest.raises(ValueError, match=str(bound)):
+            gf.from_text(f"field 3\nrows {rows}\ncols {cols}\n")
 
 
 def test_text_parser_tolerates_comments_and_signed_entries():
@@ -173,7 +181,8 @@ def test_rank_invariant_under_row_and_column_moves():
         r = m.rank()
         i, j = rng.sample(range(4), 2)
         assert _add_row(m, i, j, rng.randrange(1, p)).rank() == r
-        assert m.scale_col(rng.randrange(6), rng.randrange(1, p)).rank() == r
+        j, s = rng.randrange(6), rng.randrange(1, p)
+        assert _scale_columns(m, [s if k == j else 1 for k in range(6)]).rank() == r
         order = list(range(6))
         rng.shuffle(order)
         assert m.take_cols(order).rank() == r

@@ -26,6 +26,7 @@ from matroidlab.matroid import (
 )
 from matroidlab import matroid as matroid_module
 from matroidlab.matroid import _PairTable, _RankPreservingSearch
+from matroidlab.templates import _scale_columns
 
 from .naive import (
     _minor_rank_table,
@@ -33,6 +34,7 @@ from .naive import (
     naive_has_minor,
     naive_is_isomorphic,
     naive_is_restriction,
+    naive_rank,
     random_matrix,
     subset_rank_table,
 )
@@ -122,6 +124,31 @@ def test_contract_rank_formula():
             assert m.contract(t).rank() == m.rank() - m.rank(t)
 
 
+def test_contract_matches_naive_rank_exhaustively():
+    # for every T and every S disjoint from it, on seeded rank-3 matroids
+    # with loops and parallel classes over GF(3) and GF(5): r_{M/T}(S) is
+    # r(S + T) - r(T) by naive_rank, M/T has r(T) rows fewer than M, and but for
+    # T empty, where M/T is M, its columns are its points (first nonzero
+    # entry 1) and zero columns
+    hosts = 0
+    for p in (3, 5):
+        rng = random.Random(90 + p)
+        for _ in range(6):
+            m = _with_loops_and_classes(p, rng, 3, 7)
+            hosts += bool(m.loops()) and any(len(c) > 1 for c in m.parallel_classes())
+            naive = {frozenset(sub): naive_rank(m.matrix.take_cols([m.labels.index(x) for x in sub]))
+                     for k in range(m.size + 1) for sub in itertools.combinations(m.labels, k)}
+            for t in naive:
+                c = m.contract(t)
+                assert c.labels == tuple(x for x in m.labels if x not in t)
+                assert c.matrix.nrows == m.matrix.nrows - naive[t]
+                assert c is m if not t else all(next((x for x in col if x), 1) == 1 for col in c.matrix.columns)
+                for k in range(c.size + 1):
+                    for s in itertools.combinations(c.labels, k):
+                        assert c.rank(s) == naive[t | frozenset(s)] - naive[t], (m.matrix, t, s)
+    assert hosts >= 6
+
+
 def test_loops_parallel_simplify():
     rows = [[1, 0, 2, 0, 1], [0, 0, 0, 0, 1], [2, 0, 1, 0, 0]]
     m = m_of(rows)  # col1 and col3 are loops; col2 = 2*col0
@@ -186,9 +213,7 @@ def test_iso_matches_naive_on_random_pairs():
         a = random_matrix(rng, 3, 4, 6)
         order = list(range(6))
         rng.shuffle(order)
-        b = a.take_cols(order)
-        for j in range(6):
-            b = b.scale_col(j, rng.randrange(1, 3))
+        b = _scale_columns(a.take_cols(order), [rng.randrange(1, 3) for _ in range(6)])
         iso = find_isomorphism(LinearMatroid(a), LinearMatroid(b))
         assert iso is not None
         assert verify_bijection(LinearMatroid(a), LinearMatroid(b), iso)
@@ -197,9 +222,7 @@ def test_iso_matches_naive_on_random_pairs():
     for m in NONSIMPLE_FAMILY:
         order = list(range(m.size))
         rng.shuffle(order)
-        copy = m.matrix.take_cols(order)
-        for j in range(m.size):
-            copy = copy.scale_col(j, rng.randrange(1, 3))
+        copy = _scale_columns(m.matrix.take_cols(order), [rng.randrange(1, 3) for _ in range(m.size)])
         family.append(LinearMatroid(copy))
     # the witness is the lexicographically least isomorphism
     for ma, mb in itertools.product(family, repeat=2):
@@ -558,22 +581,33 @@ def test_flat_walk_yields_the_first_set_of_each_flat():
     assert [sum(1 for _ in matroid_module._flat_stages(pg, k)) for k in range(5)] == [1, 40, 130, 40, 1]
 
 
-def test_project_is_the_normalized_contracted_column():
-    # for every ordered pair of points x, y of PG(1, 3), PG(2, 3), PG(3, 3),
-    # PG(1, 5) and PG(2, 5), and every pair of scalars s, t, the walk's
-    # projection of y from x is the point of y's column in the contraction
-    # of {x: s*x, y: t*y} by x, and None when y is x
+def test_project_agrees_with_naive_rank():
+    # for all points x, y, z of PG(1, 3), PG(2, 3), PG(3, 3), PG(1, 5) and
+    # PG(2, 5), and all scalars s, t: the projection of s*y from x is a point
+    # (first nonzero entry 1), None exactly when y is x, and for y, z other
+    # than x it equals the projection of t*z exactly when x, y and z span a
+    # line, rank 2 by naive_rank
     cases = 0
     for r, p in ((2, 3), (3, 3), (4, 3), (2, 5), (3, 5)):
         points = [v for v in itertools.product(range(p), repeat=r) if any(v) and next(c for c in v if c) == 1]
-        for x, y in itertools.product(points, repeat=2):
-            for s, t in itertools.product(range(1, p), repeat=2):
-                columns = {0: tuple(s * c % p for c in x), 1: tuple(t * c % p for c in y)}
-                contracted = matroid_module._contract_columns(columns, 0, p)[1]
-                assert matroid_module._project(x, y, p) == matroid_module._normalize(contracted, p), (x, y, s, t)
+        scaled = {y: [tuple(s * c % p for c in y) for s in range(1, p)] for y in points}
+        lines = {}
+        for x in points:
+            seen = {}
+            for y in points:
+                images = {matroid_module._project(x, sy, p) for sy in scaled[y]}
+                assert len(images) == 1
+                (image,) = images
+                assert (image is None) == (y == x)
+                assert image is None or (len(image) == r - 1 and next(c for c in image if c) == 1)
+                seen[y] = image
+            for y, z in itertools.product([y for y in points if y != x], repeat=2):
+                key = frozenset((x, y, z))
+                if key not in lines:
+                    lines[key] = naive_rank(GFMatrix.from_columns(p, list(key), nrows=r)) == 2
+                assert (seen[y] == seen[z]) == lines[key], (x, y, z)
                 cases += 1
-            assert (matroid_module._project(x, y, p) is None) == (x == y)
-    assert cases == 23092
+    assert cases == sum(n * (n - 1) ** 2 for n in (4, 13, 40, 6, 31))
 
 
 def _simple_targets(p):
@@ -615,7 +649,7 @@ def test_flat_walk_screen_yields_only_admitted_stages(monkeypatch):
                     monkeypatch.undo()
                     assert [(t, s.labels, s.matrix) for t, s in got] == [(t, s.labels, s.matrix) for t, s in want]
                     assert built == [s for _, s in got]
-                    assert all(s._rank == matroid_module._column_rank(s.matrix.columns, s.p) for s in built)
+                    assert all(s._rank == len(row_reduce(s.matrix.rows, s.matrix.ncols, s.p)[1]) for s in built)
                     for (_, s), (_, fresh) in zip(got, want):
                         table, fresh_table = s._pair_table, _PairTable.of(fresh)
                         assert (table.labels, table.classes, table.lines, table.keys) == (
@@ -674,34 +708,36 @@ def test_minor_search_tries_each_flat_once(monkeypatch, host, stages):
     # besides the target's, and the counting rules reject every one from
     # its points (3,804 and 6,662 _dfs calls without the equal-size and
     # image-count rules), so no stage is searched and the target's element
-    # order is never built; the walk moves points, so no column is
-    # contracted (118 and 116 contractions when its nodes held columns)
+    # order is never built; the walk moves points, and no stage is built
+    # from them (118 and 116 column contractions when its nodes held
+    # columns)
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, counts, _PairTable, "__init__")
     _count_calls(monkeypatch, counts, matroid_module, "find_embedding")
     _count_calls(monkeypatch, counts, matroid_module, "_search_order")
     _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
-    _count_calls(monkeypatch, counts, matroid_module, "_contract_columns")
+    _count_calls(monkeypatch, counts, matroid_module, "_from_points")
     callers = _count_insertion_callers(monkeypatch)
     assert has_minor(named(host).matroid(), LinearMatroid(named("AG23E").matrix)) is None
     assert counts["__init__"] == stages + 1
     assert (counts["find_embedding"], counts["_search_order"]) == (0, 0)
     assert counts["_dfs"] == 0
     assert callers["_dfs"] == 0
-    assert counts["_contract_columns"] == 0
+    assert counts["_from_points"] == 0
 
 
 @pytest.mark.parametrize("payload, contracted", [("FORBIDDEN_C", 3), ("FORBIDDEN_B", 2)])
 def test_minor_search_contracts_only_the_admitted_stage(monkeypatch, payload, contracted):
     # unhinted, the walk finds AG23E in its one admitted stage, and only that
-    # stage contracts columns, one call per label of its T (114 and 106
-    # contractions when the walk's nodes held columns)
+    # stage is built from its points (3 and 2 column contractions, one per
+    # label of its T, when the stage was contracted from m's columns; 114 and
+    # 106 when the walk's nodes held columns)
     entry = named(payload)
     m, n = universal_matroid(entry.matrix, entry.matrix.nrows), named("AG23E").matroid()
     counts: dict[str, int] = {}
-    _count_calls(monkeypatch, counts, matroid_module, "_contract_columns")
+    _count_calls(monkeypatch, counts, matroid_module, "_from_points")
     witness = has_minor(m, n)
-    assert counts["_contract_columns"] == contracted
+    assert counts["_from_points"] == 1
     monkeypatch.undo()
     assert witness is not None and len(witness.contracted) == contracted
     assert verify_witness(m, n, witness)
@@ -990,9 +1026,9 @@ def test_walk_matches_rank_tables_on_identity_extensions_across_fields(monkeypat
         for k in range(r - len(extra) + 1):
             for part in itertools.combinations(identity, k):
                 cols = list(part) + list(extra)
-                rank = matroid_module._column_rank(cols, 3)
+                rank = len(row_reduce(cols, r, 3)[1])
                 for name, lift in lifts.items():
-                    if matroid_module._column_rank([[lift[x] for x in v] for v in cols], 5) != rank:
+                    if len(row_reduce([[lift[x] for x in v] for v in cols], r, 5)[1]) != rank:
                         out[name] = False
         return out
 
@@ -1191,35 +1227,37 @@ def _count_insertion_callers(monkeypatch) -> collections.Counter:
 
 
 def _search_effort(monkeypatch, m, n):
-    """find_embedding(m, n) and its counts of _dfs, _consistent,
-    _insert_into_basis and _eliminate calls."""
+    """find_embedding(m, n), its counts of _dfs, _consistent and
+    _eliminate calls, and its _insert_into_basis calls by caller."""
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
     _count_calls(monkeypatch, counts, _RankPreservingSearch, "_consistent")
-    _count_calls(monkeypatch, counts, matroid_module, "_insert_into_basis")
     _count_calls(monkeypatch, counts, matroid_module, "_eliminate")
+    callers = _count_insertion_callers(monkeypatch)
     found = find_embedding(m, n)
     monkeypatch.undo()
-    return found, counts
+    return found, counts, callers
 
 
 def test_negative_omega5_dowling5_search_effort(monkeypatch):
     # the 20 depth-0 candidates form one orbit of DOWLING5's monomial
     # automorphisms, so one refutation of 4,474 nodes stands for all 20
     # (89,481 _dfs and 97,640 _consistent calls without the orbit pruning)
-    found, counts = _search_effort(monkeypatch, named("OMEGA5").matroid(), named("DOWLING5").matroid())
+    found, counts, callers = _search_effort(monkeypatch, named("OMEGA5").matroid(), named("DOWLING5").matroid())
     assert found is None
     assert (counts["_dfs"], counts["_consistent"]) == (4475, 4882)
     # one shared basis, no insertion at anchored depths; OMEGA5's 18 prefix
-    # ranks take one insertion each (153 when each prefix was ranked afresh)
-    assert counts["_insert_into_basis"] == 2097
+    # ranks take one insertion each (153 when each prefix was ranked
+    # afresh), and the full ranks take none (43 more, 2,097 in all, when
+    # they went through the insertion basis too)
+    assert (callers["_dfs"], sum(callers.values())) == (2036, 2054)
 
 
 @pytest.mark.parametrize("source, counts", [("PI4", (635, 714)), ("SIGMA4", (585, 616))])
 def test_negative_dowling4_search_effort(monkeypatch, source, counts):
     # 7,609/8,568 and 3,505/3,696 _dfs/_consistent calls without the orbit
     # pruning
-    found, effort = _search_effort(monkeypatch, named(source).matroid(), named("DOWLING4").matroid())
+    found, effort, _ = _search_effort(monkeypatch, named(source).matroid(), named("DOWLING4").matroid())
     assert found is None
     assert (effort["_dfs"], effort["_consistent"]) == counts
 
@@ -1256,9 +1294,9 @@ def test_verifier_elimination_effort(monkeypatch):
     monkeypatch.undo()
     # the search keeps its own basis: the negative OMEGA5 -> DOWLING5 search
     # reaches no leaf, so it makes no elimination
-    found, effort = _search_effort(monkeypatch, named("OMEGA5").matroid(), named("DOWLING5").matroid())
+    found, effort, callers = _search_effort(monkeypatch, named("OMEGA5").matroid(), named("DOWLING5").matroid())
     assert found is None
-    assert (effort["_insert_into_basis"], effort["_eliminate"]) == (2097, 0)
+    assert (callers["_dfs"], sum(callers.values()), effort["_eliminate"]) == (2036, 2054, 0)
 
 
 def test_symmetry_pruning_changes_no_answer(monkeypatch):
@@ -1498,9 +1536,9 @@ def test_verifiers_never_read_search_structures():
     # their own code or in any function nested in it
     search_names = {"_PairTable", "_RankPreservingSearch", "_monomial_generators", "_orbit_minima", "_certified",
                     "_point_map", "_pair_table", "_generators", "_points", "_flat_stages", "_contract_one",
-                    "contract", "_Pattern", "_patterns", "_contract_columns", "_walk_flats", "_line_rest",
+                    "contract", "_Pattern", "_patterns", "_contract_points", "_walk_flats", "_line_rest",
                     "_row_permutations", "_row_scalings", "rank", "_rank", "prefix_rank", "_normalize",
-                    "_orbits", "_count_rules", "_project"}
+                    "_orbits", "_count_rules", "_project", "_from_points", "_least_points"}
 
     def names(code):
         out = set(code.co_names)
@@ -1512,7 +1550,7 @@ def test_verifiers_never_read_search_structures():
     verifiers = (verify_bijection, verify_embedding, verify_witness, matroid_module._same_independent_sets,
                  matroid_module._same_below, matroid_module._first_parallel, matroid_module._line_keys,
                  matroid_module._linear_map_certifies,
-                 row_reduce, matroid_module._eliminate, matroid_module._insert_into_basis, matroid_module._column_rank)
+                 row_reduce, matroid_module._eliminate, matroid_module._insert_into_basis)
     for fn in verifiers:
         assert names(fn.__code__).isdisjoint(search_names), fn.__name__
 

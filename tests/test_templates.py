@@ -373,7 +373,7 @@ def test_respects_diagnostics():
     t = tp.named_template("PHI_Y0")
     a = named("AG23E_Y0").matrix
     # break one frame column: a lone -1 is not a frame column
-    bad = a.scale_col(5, -1)
+    bad = tp._scale_columns(a, [-1 if j == 5 else 1 for j in range(a.ncols)])
     rep = tp.respects(bad, tp.Placement(y0_cols=(8,)), t)
     assert not rep.ok and "frame" in rep.reason
     with pytest.raises(ValueError):
