@@ -156,7 +156,13 @@ def verify_cmd(suite: str, report: str | None) -> None:
         rep = run_suite(suite)
         click.echo(rep.human_text())
         if fh is not None:
-            fh.writelines(line + "\n" for line in rep.machine_lines())
+            try:
+                fh.writelines(line + "\n" for line in rep.machine_lines())
+                # closed here, so that a write the buffer held back (a full
+                # device) fails inside the handler
+                fh.close()
+            except OSError as exc:
+                _fail(2, f"error: cannot write {report}: {exc.strerror or exc}")
     if not rep.ok:
         bad = rep.first_failure()
         _fail(1, f"verification failed: {bad.check_id}: {bad.witness}")

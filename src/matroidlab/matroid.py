@@ -857,18 +857,18 @@ class _Pattern:
         return list(itertools.accumulate(int(_insert_into_basis(v, basis, self.p)) for v in self.points))
 
     @staticmethod
-    def _pair_checks(tm: _PairTable, points: list[int], depth: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(p, depths of the placed points of the line through p and x) for
-        the depth p of the first placed point on each line through x, the
-        point at depth; points lists each depth's point index.  Distinct
-        lines through x share no placed point, and in the simple si(n) any
-        two placed images on the line through f(p) and y span that same
-        line, so the test for a second p on the line repeats the first."""
+    def _pair_checks(tm: _PairTable, points: list[int], depth: int) -> list[tuple[int, int]]:
+        """(p, q) for the depth p of the first placed point on each line
+        through x, the point at depth, and the depth q of the second placed
+        point on that line, or -1 when p is its only one; points lists each
+        depth's point index."""
         through = tm.closure[points[depth]]
-        first_on: dict[int, int] = {}  # line -> its first placed depth
-        for p in range(depth):
-            first_on.setdefault(through[points[p]], p)
-        return [(p, tuple(q for q in range(depth) if line >> points[q] & 1)) for line, p in first_on.items()]
+        on_line: dict[int, list[int]] = {}  # line -> its placed depths, up to two
+        for q in range(depth):
+            placed = on_line.setdefault(through[points[q]], [])
+            if len(placed) < 2:
+                placed.append(q)
+        return [(placed[0], placed[1] if len(placed) > 1 else -1) for placed in on_line.values()]
 
 
 class _RankPreservingSearch:
@@ -947,20 +947,26 @@ class _RankPreservingSearch:
         """Does placing x = order[depth] at point y keep every triple rank
         through x?
 
-        For each row (p, qs) of the depth's pair checks, f must carry the
-        placed points qs of the line through p and x exactly onto the placed
-        images on the line through f(p) and y.  Since r(S + e) = r(S) + [e
-        not in cl(S)], that equals r(p, q, x) = r(f(p), f(q), y) for every
-        other placed q; the rows keep one p per line through x, which
-        decides the same as testing every placed p.  Every pair of a simple
-        matroid has rank 2.
+        By induction over placements, every placed triple already keeps its
+        rank: a, b, c are collinear exactly when f(a), f(b), f(c) are.  So
+        for a row (p, q) of the depth's pair checks with q placed, the placed
+        points of the line through p and x are those of the line through p
+        and q, and their images are the placed images on the line through
+        f(p) and f(q); the images on the line through f(p) and y are exactly
+        these when y lies on that line, and when y is off it the line through
+        f(p) and y misses f(q).  With q = -1, p is the only placed point on
+        its line through x, and the line through f(p) and y must hold no other
+        placed image.  Since r(S + e) = r(S) + [e not in cl(S)], that decides
+        r(p, q', x) = r(f(p), f(q'), y) for every other placed q'; the rows
+        keep one p per line through x, which decides the same as testing
+        every placed p.  Every pair of a simple matroid has rank 2.
         """
         closure = self.tn.closure
-        for p, qs in self.checks[depth]:
-            image = 0
-            for q in qs:
-                image |= 1 << assignment[q]
-            if image != closure[assignment[p]][y] & used_mask:
+        for p, q in self.checks[depth]:
+            if q >= 0:
+                if not closure[assignment[p]][assignment[q]] >> y & 1:
+                    return False
+            elif closure[assignment[p]][y] & used_mask != 1 << assignment[p]:
                 return False
         return True
 

@@ -137,11 +137,11 @@ def _no_embedding_check(a: LinearMatroid, b: LinearMatroid) -> tuple[bool, str]:
     return False, f"unexpected embedding map={_fmt_map(mapping)}"
 
 
-def _payload_minor_check(payload_id: str, target_id: str) -> tuple[bool, str]:
-    """M([I|D|P]) for the catalog payload P has the catalog target as a
-    minor, searched under P's contract hint."""
+def _payload_minor_check(payload_id: str, target: LinearMatroid) -> tuple[bool, str]:
+    """M([I|D|P]) for the catalog payload P has target as a minor, searched
+    under P's contract hint."""
     entry = named(payload_id)
-    m, target = universal_matroid(entry.matrix, entry.matrix.nrows), named(target_id).matroid()
+    m = universal_matroid(entry.matrix, entry.matrix.nrows)
     w = has_minor(m, target, hint=entry.contract_hint)
     if w is None:
         return False, "no minor found"
@@ -188,22 +188,28 @@ def _col3_scaling() -> tuple[bool, str]:
     return True, "scalars=" + ",".join(str(s) for s in scalars)
 
 
-def _col4_contract() -> tuple[bool, str]:
-    ok, witness = _payload_minor_check("FORBIDDEN_A", "F7MINUS")
+def _col4_contract(f7minus: LinearMatroid) -> tuple[bool, str]:
+    ok, witness = _payload_minor_check("FORBIDDEN_A", f7minus)
     # restriction claim: nothing beyond the payload column may be contracted
     if ok and not witness.startswith(f"contract={_fmt_set(named('FORBIDDEN_A').contract_hint)} "):
         return False, "minor needed contractions beyond the payload column"
     return ok, witness
 
 
-def _m(id_: str, field: int = 3) -> LinearMatroid:
-    return named(id_, field).matroid()
-
-
 def _checks() -> list[Check]:
     """Every check of every suite; a check belongs to the suite its id
     starts with.  Built on each call, so importing this module builds no
-    catalog entries."""
+    catalog entries.  The checks of one call share each catalog matroid,
+    built at its first use, and with it the caches it carries (pair table,
+    patterns, orbit table); a matroid is never changed, so sharing it
+    changes no answer."""
+    built: dict[tuple[str, int], LinearMatroid] = {}
+
+    def _m(id_: str, field: int = 3) -> LinearMatroid:
+        if (id_, field) not in built:
+            built[id_, field] = named(id_, field).matroid()
+        return built[id_, field]
+
     # the clique block [I|D] and the [I4|D4|T1] block on PI5's first four rows
     clique, mid = universal_block_labels(5, 4, 3)
     return [
@@ -212,7 +218,7 @@ def _checks() -> list[Check]:
                 f"tables-{key}",
                 f"si(M([I|D|FORBIDDEN_{key}])/{_fmt_set(named(f'FORBIDDEN_{key}').contract_hint)})"
                 " has an AG23E minor",
-                lambda key=key: _payload_minor_check(f"FORBIDDEN_{key}", "AG23E"),
+                lambda key=key: _payload_minor_check(f"FORBIDDEN_{key}", _m("AG23E")),
             )
             for key in FORBIDDEN
         ),
@@ -231,15 +237,15 @@ def _checks() -> list[Check]:
         Check("nearreg-col3-scaling", "[I3|D3|F7M_COL3] equals F7MINUS_XY0 up to column scaling",
               _col3_scaling),
         Check("nearreg-col4-contract", "M([I4|D4|FORBIDDEN_A])/{10} has an F7MINUS restriction",
-              _col4_contract),
+              lambda: _col4_contract(_m("F7MINUS"))),
         Check("nearreg-display-iso", "M(F7MINUS_XY0) is isomorphic to F7MINUS",
               lambda: _iso_check(_m("F7MINUS_XY0"), _m("F7MINUS"))),
         Check("nearreg-dowling-restriction", "F7MINUS is a restriction of DOWLING3",
               lambda: _embed_check(_m("F7MINUS"), _m("DOWLING3"))),
         Check("nearreg-pairs-minor", "M([I4|D4|F7M_PAIRS]) has an F7MINUS minor",
-              lambda: _payload_minor_check("F7M_PAIRS", "F7MINUS")),
+              lambda: _payload_minor_check("F7M_PAIRS", _m("F7MINUS"))),
         Check("nearreg-triple-minor", "M([I3|D3|F7M_TRIPLE]) has an F7MINUS minor",
-              lambda: _payload_minor_check("F7M_TRIPLE", "F7MINUS")),
+              lambda: _payload_minor_check("F7M_TRIPLE", _m("F7MINUS"))),
         Check("templates-classify-a", "classify(FORBIDDEN_A) is ContainsAG23e",
               lambda: _classify_check("FORBIDDEN_A", CONTAINS_AG23E)),
         Check("templates-classify-ones", "classify(ONES3) is SignedGraphic",

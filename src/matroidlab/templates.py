@@ -219,6 +219,104 @@ def check_submatrix_hit(haystack: GFMatrix, needle: GFMatrix, hit: SubmatrixHit)
     return True
 
 
+@dataclass(frozen=True)
+class _Counts:
+    """What ``_screen`` reads of a matrix, as needle or as haystack.
+
+    As a needle: counts[j][v] counts the entries v of column j, and weights
+    lists each row's weight.  As a haystack, in masks of columns or rows:
+    holding[v][k] marks the columns with at least k entries v, for
+    k = 0 .. nrows; at_least[w] and at_most[w] mark the rows of weight
+    >= w and <= w, for w = 0 .. ncols."""
+
+    counts: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
+    holding: tuple[tuple[int, ...], ...]
+    at_least: tuple[int, ...]
+    at_most: tuple[int, ...]
+
+
+# the classifier's 18 needles and 3 T targets stay while its payloads pass through
+@functools.lru_cache(maxsize=128)
+def _value_counts(m: GFMatrix) -> _Counts:
+    """m's counts, once per matrix: the classifier screens one payload
+    against every needle, and every payload against the same needles and
+    T targets."""
+    counts = tuple(tuple(map(col.count, range(m.p))) for col in m.columns)
+    weights = tuple(map(weight, m.rows))
+    return _Counts(
+        counts,
+        weights,
+        tuple(tuple(sum(1 << h for h, c in enumerate(counts) if c[v] >= k) for k in range(m.nrows + 1))
+              for v in range(m.p)),
+        tuple(sum(1 << r for r, have in enumerate(weights) if have >= w) for w in range(m.ncols + 1)),
+        tuple(sum(1 << r for r, have in enumerate(weights) if have <= w) for w in range(m.ncols + 1)),
+    )
+
+
+def _saturates(fits: Sequence[int]) -> bool:
+    """Can every left vertex i take its own right vertex among the bits of
+    fits[i]?  Kuhn's augmenting paths on bitmasks, each vertex first trying
+    a right vertex nobody holds."""
+    owner: dict[int, int] = {}  # right vertex bit -> the left vertex holding it
+    taken = 0
+    for i, fit in enumerate(fits):
+        free = fit & ~taken
+        if free:
+            owner[free & -free] = i
+        elif not _augment(i, fits, owner, [0]):
+            return False
+        taken = sum(owner)
+    return True
+
+
+def _augment(i: int, fits: Sequence[int], owner: dict[int, int], seen: list[int]) -> bool:
+    """Find left vertex i a right vertex along an augmenting path that
+    avoids the bits of seen[0], and take it."""
+    while free := fits[i] & ~seen[0]:
+        bit = free & -free
+        seen[0] |= bit
+        if bit not in owner or _augment(owner[bit], fits, owner, seen):
+            owner[bit] = i
+            return True
+    return False
+
+
+def _screen(haystack: GFMatrix, needle: GFMatrix) -> list[int] | None:
+    """Ullmann's degree refinement carried over to matrices: for each
+    needle column, the mask of the haystack columns that can play it, or
+    None when needle cannot occur in haystack, found from counts alone.
+
+    An occurrence maps needle column j, scaled by some unit s, onto its
+    own haystack column h, with needle zeros on haystack zeros: so h holds
+    at least as many zeros as j, and at least as many entries s * v as j
+    holds entries v, for every nonzero v.  It maps needle row i onto its
+    own haystack row r, where each needle column meets r in s * needle[i][j],
+    zero exactly when needle[i][j] is: so r holds at least i's weight and
+    at least i's number of zeros.  Each condition asks for a matching that
+    covers the needle's columns, or rows, and an occurrence is one.  The
+    masks hold every column that an occurrence can put in each place.
+    """
+    hay, ndl = _value_counts(haystack), _value_counts(needle)
+    # the rows first, as their test is the cheaper; a haystack row of weight
+    # w has ncols - w zeros, so r's weight lies in [want, want + spare]
+    spare = haystack.ncols - needle.ncols
+    if not _saturates([hay.at_least[want] & hay.at_most[want + spare] for want in ndl.weights]):
+        return None
+    p = haystack.p
+    col_fits = []
+    for want in ndl.counts:
+        fit = 0
+        for s in range(1, p):
+            # the columns holding want[v] entries s * v for every v
+            scaled = -1
+            for v, k in enumerate(want):
+                scaled &= hay.holding[s * v % p][k]
+            fit |= scaled
+        col_fits.append(fit)
+    return col_fits if _saturates(col_fits) else None
+
+
 def find_submatrix(haystack: GFMatrix, needle: GFMatrix) -> SubmatrixHit | None:
     """First occurrence of needle inside haystack, up to row injection,
     column injection and column scaling.
@@ -231,17 +329,21 @@ def find_submatrix(haystack: GFMatrix, needle: GFMatrix) -> SubmatrixHit | None:
     every needle column are placed last.  One rule places every row:
     haystack row r may play needle row i when r is free and every placed
     column agrees on it, hay[h][r] = s * needle[i][j] for each needle
-    column j placed at haystack column h with scalar s.
+    column j placed at haystack column h with scalar s.  Before any
+    placement, ``_screen`` rejects from value counts and row weights,
+    which it does only when no placement exists, and gives each needle
+    column the haystack columns whose counts let them play it.
     """
     if haystack.p != needle.p:
         raise ValueError("field mismatch between haystack and needle")
     p = haystack.p
     if needle.nrows > haystack.nrows or needle.ncols > haystack.ncols:
         return None
+    col_fits = _screen(haystack, needle)
+    if col_fits is None:
+        return None
     hay_cols = haystack.columns
-    hay_w = [weight(col) for col in hay_cols]
     ndl_cols = needle.columns
-    ndl_w = [weight(col) for col in ndl_cols]
 
     # rows_at[h][v]: the haystack rows where column h holds v
     rows_at = [[{r for r, x in enumerate(col) if x == v} for v in range(p)] for col in hay_cols]
@@ -273,7 +375,7 @@ def find_submatrix(haystack: GFMatrix, needle: GFMatrix) -> SubmatrixHit | None:
             return place_rows([i for i in range(needle.nrows) if row_of[i] is None], 0, j)
         col = ndl_cols[j]
         for h in range(haystack.ncols):
-            if h in col_map or hay_w[h] < ndl_w[j]:
+            if h in col_map or not col_fits[j] >> h & 1:
                 continue
             for s in range(1, p):
                 if any(r is not None and hay_cols[h][r] != s * x % p for r, x in zip(row_of, col)):

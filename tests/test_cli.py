@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import errno
+import io
+import os
+import sys
 import threading
 from pathlib import Path
 
@@ -12,7 +16,7 @@ from click.testing import CliRunner
 
 from matroidlab import cli, gf
 from matroidlab import suites
-from matroidlab.catalog import named
+from matroidlab.catalog import NamedEntry, named
 from matroidlab.cli import main
 from matroidlab.matroid import LinearMatroid, MinorWitness, verify_witness
 from matroidlab.suites import SUITE_ORDER, run_suite, suite_names, worker_count
@@ -363,6 +367,26 @@ def test_verify_report_in_missing_directory_exit_2(runner, tmp_path, monkeypatch
     assert ran == []
 
 
+class _FullDevice(io.StringIO):
+    """A report file on a device with no room left."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_verify_report_write_failure_exit_2(runner, monkeypatch):
+    # the report opens but its lines cannot be written: /dev/full where the
+    # system has one, else a file whose every write fails the same way
+    monkeypatch.setattr(suites, "_checks", lambda: [suites.Check("dyadic-aa-fine", "passes", lambda: (True, "ok"))])
+    report = "/dev/full"
+    if not os.path.exists(report):
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullDevice(), raising=False)
+    result = runner.invoke(main, ["verify", "--suite", "dyadic", "--report", report])
+    assert result.exit_code == 2
+    assert result.output.endswith(f"error: cannot write {report}: {os.strerror(errno.ENOSPC)}\n")
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_verify_failure_names_first_failing_check(runner, monkeypatch):
     def doctored():
         return [
@@ -441,6 +465,31 @@ def test_verify_all_report_matches_pinned_file():
         assert line == want
     counts = collections.Counter(r.check_id.split("-")[0] for r in rep.results)
     assert counts == {"tables": 15, "dyadic": 3, "signedgraphic": 3, "nearreg": 6, "templates": 11}
+
+
+def test_suite_run_builds_each_catalog_matroid_once(monkeypatch):
+    # a run shares each catalog matroid among its checks; the next run
+    # builds its own, and NamedEntry.matroid() itself stays fresh.  Only the
+    # suite's own builds count: the classification verifier builds AG23E
+    # for itself, as it reads nothing of the search side
+    built = []
+    real = NamedEntry.matroid
+
+    def recording(entry):
+        m = real(entry)
+        if sys._getframe(1).f_code.co_filename == suites.__file__:
+            built.append(((entry.id, entry.matrix.p), m))
+        return m
+
+    monkeypatch.setattr(NamedEntry, "matroid", recording)
+    run_suite("all")
+    first = collections.Counter(key for key, _ in built)
+    assert set(first.values()) == {1} and len(first) == 16
+    assert first[("AG23E", 3)] == first[("OMEGA5", 5)] == first[("DOWLING4", 3)] == 1
+    run_suite("all")
+    assert collections.Counter(key for key, _ in built) == {key: 2 for key in first}
+    assert len({id(m) for _, m in built}) == 32
+    assert named("PI4").matroid() is not named("PI4").matroid()
 
 
 def test_check_ids_are_unique_and_name_their_suite():
