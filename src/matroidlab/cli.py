@@ -22,7 +22,7 @@ import click
 
 from . import gf
 from .catalog import NamedEntry, catalog_ids, named
-from .matroid import find_embedding, find_isomorphism, has_minor, verify_witness
+from .matroid import find_embedding, find_isomorphism, has_minor, verify_bijection, verify_embedding, verify_witness
 from .suites import _fmt_map, _fmt_set, run_suite, suite_names
 from .templates import CONTAINS_AG23E, classify_Y_template, verify_classification
 
@@ -200,6 +200,8 @@ def iso_cmd(a: str, b: str) -> None:
     if mapping is None:
         click.echo("none")
         sys.exit(1)
+    if not verify_bijection(ma, mb, mapping):
+        _fail(1, "mapping failed re-verification")
     click.echo(_fmt_map(mapping))
 
 
@@ -213,6 +215,8 @@ def embed_cmd(a: str, b: str) -> None:
     if mapping is None:
         click.echo("none")
         sys.exit(1)
+    if not verify_embedding(ma, mb, mapping):
+        _fail(1, "mapping failed re-verification")
     click.echo(_fmt_map(mapping))
 
 

@@ -16,21 +16,24 @@ always comes from the walk.  Results are matroid-level statements even
 though all the arithmetic is exact linear algebra.
 
 The search also prunes by the host's symmetry, the orbit pruning of McKay
-and Piperno (Practical graph isomorphism, II, J. Symb. Comput. 2014), at its
-root only: for the first element it tries only the candidates that are the
-least label of their orbit under the host's monomial automorphisms that map
-each parallel class of the host onto one of the same size.  Only the maps
-that merge two orbits are kept, and each of them only once
+and Piperno (Practical graph isomorphism, II, J. Symb. Comput. 2014), at
+every depth: a node whose failed subtrees have grown large skips each
+remaining candidate that is not the least label of its orbit under the
+host's monomial automorphisms that map each parallel class of the host onto
+one of the same size and fix every image placed above the node.  Only the
+maps that merge two orbits are kept, and each of them only once
 ``verify_bijection`` has certified it an automorphism of the host's
 simplification; the maps are enumerated only until the orbits are the
-classes of the points' keys, which no automorphism can merge further.  If f
-is an embedding that sends the first element to y, then for each such
-automorphism g, g . f is an embedding that sends it to g(y).  So if a
-candidate has an embedding, so has the least label of its orbit, which is
-tried first and whose subtree is searched in full.  Skipping every other
-label of the orbit therefore loses no answer: a negative stays a proof, and
-the first embedding in the search's order, the lexicographically least
-isomorphism when sizes are equal, is still the one found, byte for byte.
+classes of an invariant that no such automorphism can merge further.  If f
+is an embedding that extends the node's prefix and sends its element to y,
+then for each such automorphism g, g . f is one that extends the same
+prefix and sends it to g(y).  So if a candidate has an embedding, so has
+the least label of its orbit, which passes every filter that the candidate
+passes, is tried first, and whose subtree is searched in full.  Skipping
+every other label of the orbit therefore loses no answer: a negative stays
+a proof, and the first embedding in the search's order, the
+lexicographically least isomorphism when sizes are equal, is still the one
+found, byte for byte.
 
 Determinism contract: every search in this module iterates labels and
 candidates in a fixed order, so repeated runs agree byte for byte; the
@@ -155,7 +158,8 @@ class LinearMatroid:
         self._points: dict[int, tuple[int, ...] | None] | None = None
         self._simple: LinearMatroid | None = None
         self._pair_table: _PairTable | None = None
-        self._orbits: dict[int, int] | None = None
+        self._orbits: dict[tuple[int, ...], dict[int, int]] = {}  # fixed labels -> _orbit_minima
+        self._certified: set[tuple[int, ...]] = set()  # the maps _orbit_minima has certified
         self._patterns: dict[bool, _Pattern] = {}
 
     # -- basics ---------------------------------------------------------------
@@ -707,30 +711,39 @@ def _count_rules(tm: _PairTable, tn: _PairTable, exact: bool) -> dict[int, int] 
 # -- host symmetry -----------------------------------------------------------------------
 
 
-def _orbit_minima(n: LinearMatroid) -> dict[int, int]:
+def _orbit_minima(n: LinearMatroid, fixed: Iterable[int] = ()) -> dict[int, int]:
     """label -> least label of its orbit, for every label of si(n) that is
     not the least of its orbit, under the group generated by the monomial
     automorphisms of si(n)'s matrix that map each parallel class of n onto
-    one of the same size; one that does not need not carry an embedding into
-    n to another.  Built once and cached on n.
+    one of the same size and fix each label of si(n) in fixed; a map that
+    moves class sizes need not carry an embedding into n to another.  Built
+    once per set fixed and cached on n.
 
     A monomial automorphism is a row permutation with row scalars that maps
-    the set of column points onto itself.  The maps enumerated are every one
-    with the identity permutation, plus the first working scalars for each
-    other permutation; any two maps with one permutation differ by one of
-    the first kind, so these generate the whole group.  A map joins the
-    orbits (union-find, least label as root) only if it keeps class sizes,
-    merges at least two orbits, and is accepted by ``verify_bijection`` as
-    an automorphism of si(n), in that order, so only merging maps are
-    certified.  A map that merges nothing when its turn comes merges nothing
-    after later unions either, so skipping it leaves the partition as it is.
+    the set of column points onto itself; it fixes a point only if its
+    permutation maps the point's support onto itself, so only those
+    permutations are enumerated.  The maps enumerated are every one with the
+    identity permutation that fixes fixed, plus the first working scalars
+    that fix it for each other permutation; any two maps with one
+    permutation differ by one of the first kind, which fixes fixed as well,
+    so these generate the whole stabilizer.  A map joins the orbits (each
+    label's least orbit-mate so far) only if it keeps class sizes, merges
+    at least two orbits, and is an automorphism of si(n) that
+    ``verify_bijection`` has accepted, in that order, so only merging maps
+    are certified, and each of them once per host: the maps certified are
+    kept on n for every later table.  A map that merges nothing when its
+    turn comes merges nothing after later unions either, so skipping it
+    leaves the partition as it is.
 
-    The enumeration stops once the unions number len(si(n)) minus the
-    number of distinct keys of ``_PairTable.of(n)``.  A kept map is an
-    automorphism of si(n) that keeps class sizes, so it keeps every point's
-    key (its line sizes and class size): the orbits refine the key classes,
-    and once they are the key classes no later map can merge anything.  The
-    maps kept and the partition are those of the full enumeration.
+    The enumeration stops once the orbits are the classes of the labels not
+    fixed by their key in ``_PairTable.of(n)`` and the sizes of their lines
+    through the fixed labels, plus one class for each fixed label.  A kept
+    map is an automorphism of si(n) that keeps class sizes, so it keeps
+    every point's key (its line sizes and class size), and it fixes each
+    label f in fixed, so it maps the line through x and f onto the line
+    through its image and f: the orbits refine those classes, and once they
+    are those classes no later map can merge anything.  The maps kept and
+    the partition are those of the full enumeration.
 
     Permutations are chosen source row by source row, each column's image
     support checked against the columns' supports once its own support is
@@ -739,8 +752,9 @@ def _orbit_minima(n: LinearMatroid) -> dict[int, int]:
     point looked up once its image support is fixed.  About r! * n * r steps
     at most: 720 * 30 * 6 at rank 6.
     """
-    if n._orbits is not None:
-        return n._orbits
+    fixed = tuple(sorted(set(fixed)))
+    if fixed in n._orbits:
+        return n._orbits[fixed]
     s = n.simplify()
     size = {c[0]: len(c) for c in n.parallel_classes()}
     cols, r, p = s.matrix.columns, s.matrix.nrows, s.p
@@ -752,43 +766,51 @@ def _orbit_minima(n: LinearMatroid) -> dict[int, int]:
     ends: list[set[tuple[int, ...]]] = [set() for _ in range(r)]  # source row -> supports ending there
     for support in support_rows:
         ends[support[-1]].add(tuple(support))
-    root: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while root.get(x, x) != x:
-            x = root[x]
-        return x
+    # source row -> the supports of fixed points ending there, which must map onto themselves
+    kept: list[set[tuple[int, ...]]] = [set() for _ in range(r)]
+    pinned = {j: x for j, x in enumerate(s.labels) if x in fixed}  # column -> the label it must keep
+    for j in pinned:
+        kept[support_rows[j][-1]].add(tuple(support_rows[j]))
+    least = {x: x for x in s.labels}  # label -> least label of its orbit so far
 
     def maps() -> Iterator[tuple]:
-        for rows in _row_permutations([], r, ends, host_supports):
+        for rows in _row_permutations([], r, ends, host_supports, kept):
             ready: list[list[int]] = [[] for _ in range(r)]  # image row -> columns fixed there
             for j, support in enumerate(support_rows):
                 ready[max(map(rows.__getitem__, support))].append(j)
-            every = _row_scalings(0, rows, [0] * r, [None] * len(cols), ready, entries, label_of, p)
+            every = _row_scalings(0, rows, [0] * r, [None] * len(cols), ready, entries, label_of, p, pinned)
             for _, images in every if rows == tuple(range(r)) else itertools.islice(every, 1):
                 yield images
 
-    unions_left = len(s.labels) - len(set(_PairTable.of(n).keys.values()))
+    table = _PairTable.of(n)
+    at = {x: bit.bit_length() - 1 for x, bit in table.bit.items()}  # label -> its point index
+    through = [table.closure[at[f]] for f in fixed]  # each fixed point's lines, by point index
+    classes = {(table.keys[x], tuple(lines[at[x]].bit_count() for lines in through))
+               for x in s.labels if x not in fixed}
+    unions_left = len(s.labels) - len(classes) - len(fixed)
     for images in maps() if unions_left else ():
         g = dict(zip(s.labels, images))
-        if (all(size[x] == size[y] for x, y in g.items()) and any(find(x) != find(y) for x, y in g.items())
-                and verify_bijection(s, s, g)):
+        if (all(size[x] == size[y] for x, y in g.items()) and any(least[x] != least[y] for x, y in g.items())
+                and (images in n._certified or verify_bijection(s, s, g))):
+            n._certified.add(images)
             for x, y in g.items():
-                a, b = find(x), find(y)
+                a, b = sorted((least[x], least[y]))
                 if a != b:
-                    root[max(a, b)] = min(a, b)
+                    least = {z: a if c == b else c for z, c in least.items()}
                     unions_left -= 1
             if not unions_left:
                 break
-    n._orbits = {x: find(x) for x in root}
-    return n._orbits
+    n._orbits[fixed] = {x: c for x, c in least.items() if c != x}
+    return n._orbits[fixed]
 
 
-def _row_permutations(rows: list[int], r: int, ends: Sequence[set], host_supports: set) -> Iterator[tuple[int, ...]]:
+def _row_permutations(rows: list[int], r: int, ends: Sequence[set], host_supports: set,
+                      kept: Sequence[set]) -> Iterator[tuple[int, ...]]:
     """The row permutations that extend rows (source row -> image row) and
-    send each column's support, once placed, onto some column's support:
-    ends[i] holds the supports whose last row is i, and host_supports every
-    support as a bitmask of rows."""
+    send each column's support, once placed, onto some column's support,
+    and each support in kept onto itself: ends[i] and kept[i] hold the
+    supports whose last row is i, and host_supports every support as a
+    bitmask of rows."""
     i = len(rows)
     if i == r:
         yield tuple(rows)
@@ -797,18 +819,21 @@ def _row_permutations(rows: list[int], r: int, ends: Sequence[set], host_support
         if t in rows:
             continue
         rows.append(t)
-        if all(sum(1 << rows[k] for k in s) in host_supports for s in ends[i]):
-            yield from _row_permutations(rows, r, ends, host_supports)
+        if (all(sum(1 << rows[k] for k in s) in host_supports for s in ends[i])
+                and all(sum(1 << rows[k] for k in s) == sum(1 << k for k in s) for s in kept[i])):
+            yield from _row_permutations(rows, r, ends, host_supports, kept)
         rows.pop()
 
 
 def _row_scalings(t: int, rows: tuple[int, ...], scalars: list[int], images: list, ready: Sequence[list[int]],
-                  entries: Sequence, label_of: Mapping, p: int) -> Iterator[tuple[tuple, tuple]]:
+                  entries: Sequence, label_of: Mapping, p: int,
+                  pinned: Mapping[int, int]) -> Iterator[tuple[tuple, tuple]]:
     """(scalars, image label of each column) for every working choice of
     the scalars of image rows t, t + 1, ... under the permutation rows:
     ready[t] holds the columns whose image support is fixed once row t is
-    scaled, entries each column's nonzero (row, entry) pairs and label_of
-    every nonzero multiple of each column's label."""
+    scaled, entries each column's nonzero (row, entry) pairs, label_of
+    every nonzero multiple of each column's label, and pinned the label
+    that each fixed column must map to."""
     r = len(rows)
     if t == r:
         yield tuple(scalars), tuple(images)
@@ -820,10 +845,10 @@ def _row_scalings(t: int, rows: tuple[int, ...], scalars: list[int], images: lis
             for i, a in entries[j]:
                 w[rows[i]] = scalars[rows[i]] * a % p
             images[j] = label_of.get(tuple(w))
-            if images[j] is None:
+            if images[j] is None or pinned.get(j, images[j]) != images[j]:
                 break
         else:
-            yield from _row_scalings(t + 1, rows, scalars, images, ready, entries, label_of, p)
+            yield from _row_scalings(t + 1, rows, scalars, images, ready, entries, label_of, p, pinned)
 
 
 class _Pattern:
@@ -905,20 +930,27 @@ class _RankPreservingSearch:
     sorted order; it picks nothing else, so the symmetry pruning and the
     leaf check are those of every search.
 
-    The host's orbit table, ``_orbit_minima(n)``, is read once the failed
-    subtrees of the first element's candidates have taken more nodes than
-    r! * n (r rows and n points of si(n)), a bound on its build's steps, so
-    the build never costs much more than the search has already spent.  It
-    is built at its first read and cached on n, not on si(n), since which
-    maps it keeps depends on n's class sizes.  From then on the first
-    element skips every candidate that is not the least label of its orbit
-    (see the module docstring).
+    Each node reads the host's orbit tables once its failed subtrees have
+    taken more than r * n nodes (r rows and n points of si(n)): the root
+    table, ``_orbit_minima(n)``, and below the root, when two of the node's
+    candidates share a root orbit, the table of the automorphisms that fix
+    the placed images, ``_orbit_minima(n, images)``, whose orbits refine the
+    root's.  From then on the node skips every candidate that is not the
+    least label of its orbit (see the module docstring).  tables counts the
+    reads per depth, as nodes counts the nodes.  A build of up to r! * n * r
+    steps may cost more than the r * n nodes before its read; the cache
+    bounds the builds instead: each table is built once per host and set of
+    fixed images, at its first read, and each map is certified once per
+    host.  Tables are cached on n, not on si(n), since which maps they keep
+    depends on n's class sizes.
     """
 
     def __init__(self, m: LinearMatroid, n: LinearMatroid, bijective: bool):
         self.m = m
         self.n = n
         self.bijective = bijective
+        self.nodes = 0
+        self.tables: list[int] = []  # depth -> orbit tables read there
 
     def run(self) -> dict[int, int] | None:
         m, n = self.m, self.n
@@ -939,8 +971,8 @@ class _RankPreservingSearch:
         self.order, self.anchors, self.checks = pattern.order, pattern.anchors, pattern.checks
         self.admissible = [admissible[x] for x in self.order]
         self.prefix_rank = pattern.prefix_rank if rank_n >= 4 else None
-        self.nodes = 0
-        self.build_after = math.factorial(n.matrix.nrows) * len(tn.labels)
+        self.tables = [0] * len(self.order)
+        self.read_after = n.matrix.nrows * len(tn.labels)
         return self._dfs(0, [0] * len(self.order), 0, [])
 
     def _consistent(self, depth: int, y: int, assignment: list[int], used_mask: int) -> bool:
@@ -974,9 +1006,14 @@ class _RankPreservingSearch:
         """assignment[d] is the image of order[d] for d < depth, a point
         index of n's table.  basis is an echelon basis of the placed images;
         it is shared down the whole search, each insertion popped again on
-        backtracking.  At depth 0, a candidate that is not the least label of
-        its orbit is dropped from the pool once ``run``'s build rule has
-        held."""
+        backtracking.  Once the node's failed subtrees have taken more than
+        read_after nodes, every candidate left that is not the least label
+        of its orbit under the automorphisms fixing the placed images is
+        dropped from the pool (``_not_least``).  Such a candidate y has an
+        embedding only if the least label y' of its orbit has one; y' passes
+        every filter y passes (keys, unused, anchor, pair checks, rank),
+        since an automorphism fixing the placed images keeps them all, and
+        candidates ascend, so y' has been or will be searched in full."""
         self.nodes += 1
         tn = self.tn
         if depth == len(self.order):
@@ -995,6 +1032,8 @@ class _RankPreservingSearch:
         # cl(f(a), f(b)): neither side's rank grows, so the prefix-rank test
         # would always pass; in a host of rank <= 3 it always passes too
         test_rank = self.prefix_rank is not None and anchor is None
+        candidates = pool
+        read_at = self.nodes + self.read_after  # the node reads the orbit tables once it is past this
         while pool:
             low = pool & -pool
             pool ^= low
@@ -1014,10 +1053,29 @@ class _RankPreservingSearch:
                 return hit
             if grew:
                 basis.pop()
-            if depth == 0 and self.nodes > self.build_after:
-                self.build_after = math.inf
-                pool &= ~sum(tn.bit[x] for x in _orbit_minima(self.n))
+            if pool and self.nodes > read_at:
+                read_at = math.inf
+                pool &= ~self._not_least(depth, assignment, candidates)
         return None
+
+    def _not_least(self, depth: int, assignment: list[int], candidates: int) -> int:
+        """The mask of the host's points that are not the least label of
+        their orbit under the automorphisms fixing the images placed above
+        depth, or 0 when no orbit of the host holds two of the node's
+        candidates, tried or not; each table read is counted in
+        tables[depth]."""
+        tn = self.tn
+        least = _orbit_minima(self.n)
+        self.tables[depth] += 1
+        if depth:
+            # the stabilizer's orbits refine the host's, so it can merge two
+            # candidates only if the host's orbits do
+            roots = [least.get(x, x) for x in (tn.labels[i] for i in _bit_indices(candidates))]
+            if len(set(roots)) == len(roots):
+                return 0
+            least = _orbit_minima(self.n, (tn.labels[i] for i in assignment[:depth]))
+            self.tables[depth] += 1
+        return sum(tn.bit[x] for x in least)
 
 
 def find_isomorphism(m: LinearMatroid, n: LinearMatroid) -> dict[int, int] | None:

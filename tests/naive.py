@@ -119,6 +119,26 @@ def naive_is_restriction(m, n) -> bool:
     return False
 
 
+def naive_monomial_automorphisms(matrix: GFMatrix, labels: Sequence[int]) -> list[dict[int, int]]:
+    """Every row permutation with every choice of nonzero row scalars that
+    sends each column to a nonzero multiple of some column, as a label map;
+    the columns must be pairwise non-parallel and nonzero."""
+    p, r = matrix.p, matrix.nrows
+    owner = {tuple(k * x % p for x in col): lab for col, lab in zip(matrix.columns, labels) for k in range(1, p)}
+    out = []
+    for perm in itertools.permutations(range(r)):
+        for scalars in itertools.product(range(1, p), repeat=r):
+            images = {}
+            for col, lab in zip(matrix.columns, labels):
+                moved = [0] * r
+                for i, x in enumerate(col):
+                    moved[perm[i]] = scalars[perm[i]] * x % p
+                images[lab] = owner.get(tuple(moved))
+            if None not in images.values():
+                out.append(images)
+    return out
+
+
 def _minor_rank_table(m, contract: frozenset, keep: Sequence, full: dict | None = None) -> dict[frozenset, int]:
     """Rank table of the minor m / contract restricted to keep.
 

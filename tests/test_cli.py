@@ -335,6 +335,24 @@ def test_embed_none_and_found(runner):
     assert ">" in found.output
 
 
+@pytest.mark.parametrize("command, search, a, b", [
+    ("iso", "find_isomorphism", "PI4@GF3", "PI4@GF5"),
+    ("embed", "find_embedding", "F7MINUS", "DOWLING3"),
+])
+def test_iso_and_embed_recheck_mapping(runner, monkeypatch, command, search, a, b):
+    # the search's own map passes; the same map with two images swapped is
+    # caught before anything is printed
+    mapping = getattr(cli, search)(cli._resolve(a).matroid(), cli._resolve(b).matroid())
+    result = runner.invoke(main, [command, a, b])
+    assert result.exit_code == 0 and result.output == cli._fmt_map(mapping) + "\n"
+    (x, y), (u, v) = list(mapping.items())[:2]
+    swapped = {**mapping, x: v, u: y}
+    monkeypatch.setattr(cli, search, lambda *args: swapped)
+    result = runner.invoke(main, [command, a, b])
+    assert result.exit_code == 1
+    assert result.output == "mapping failed re-verification\n"
+
+
 # -- verify ----------------------------------------------------------------------
 
 

@@ -34,6 +34,7 @@ from .naive import (
     naive_has_minor,
     naive_is_isomorphic,
     naive_is_restriction,
+    naive_monomial_automorphisms,
     naive_rank,
     random_matrix,
     subset_rank_table,
@@ -1241,25 +1242,38 @@ def _search_effort(monkeypatch, m, n):
 
 def test_negative_omega5_dowling5_search_effort(monkeypatch):
     # the 20 depth-0 candidates form one orbit of DOWLING5's monomial
-    # automorphisms, so one refutation of 4,474 nodes stands for all 20
-    # (89,481 _dfs and 97,640 _consistent calls without the orbit pruning)
+    # automorphisms, so one refutation stands for all 20, and below it each
+    # node past 125 nodes of failed children skips the candidates that an
+    # automorphism fixing its placed images moves onto a tried one (4,475
+    # _dfs and 4,882 _consistent calls when only the root pruned, 89,481 and
+    # 97,640 without the orbit pruning)
     found, counts, callers = _search_effort(monkeypatch, named("OMEGA5").matroid(), named("DOWLING5").matroid())
     assert found is None
-    assert (counts["_dfs"], counts["_consistent"]) == (4475, 4882)
+    assert (counts["_dfs"], counts["_consistent"]) == (440, 493)
     # one shared basis, no insertion at anchored depths; OMEGA5's 18 prefix
     # ranks take one insertion each (153 when each prefix was ranked
-    # afresh), and the full ranks take none (43 more, 2,097 in all, when
-    # they went through the insertion basis too)
-    assert (callers["_dfs"], sum(callers.values())) == (2036, 2054)
+    # afresh), and the full ranks take none (43 more when they went through
+    # the insertion basis too; 2,036 and 2,054 when only the root pruned)
+    assert (callers["_dfs"], sum(callers.values())) == (193, 211)
+    # the orbit tables each depth reads: the root table at depth 0; below
+    # it the root table, and a stabilizer's when two of the node's
+    # candidates share a root orbit
+    search = _RankPreservingSearch(named("OMEGA5").matroid(), named("DOWLING5").matroid(), bijective=False)
+    assert search.run() is None and search.nodes == 440
+    assert search.tables == [1, 2, 2, 4] + [0] * 14
 
 
-@pytest.mark.parametrize("source, counts", [("PI4", (635, 714)), ("SIGMA4", (585, 616))])
+@pytest.mark.parametrize("source, counts", [("PI4", (200, 223)), ("SIGMA4", (76, 79))])
 def test_negative_dowling4_search_effort(monkeypatch, source, counts):
-    # 7,609/8,568 and 3,505/3,696 _dfs/_consistent calls without the orbit
-    # pruning
+    # 635/714 and 585/616 _dfs/_consistent calls when only the root pruned,
+    # 7,609/8,568 and 3,505/3,696 without the orbit pruning
     found, effort, _ = _search_effort(monkeypatch, named(source).matroid(), named("DOWLING4").matroid())
     assert found is None
     assert (effort["_dfs"], effort["_consistent"]) == counts
+    search = _RankPreservingSearch(named(source).matroid(), named("DOWLING4").matroid(), bijective=False)
+    assert search.run() is None and search.nodes == counts[0]
+    tables = {"PI4": [1, 2, 2, 2], "SIGMA4": [1, 2]}[source]
+    assert search.tables == tables + [0] * (13 - len(tables))
 
 
 def test_verifier_elimination_effort(monkeypatch):
@@ -1293,10 +1307,11 @@ def test_verifier_elimination_effort(monkeypatch):
     assert counts["_eliminate"] == 0
     monkeypatch.undo()
     # the search keeps its own basis: the negative OMEGA5 -> DOWLING5 search
-    # reaches no leaf, so it makes no elimination
+    # reaches no leaf, so it makes no elimination (2,036 and 2,054
+    # insertions when only the root pruned by the host's orbits)
     found, effort, callers = _search_effort(monkeypatch, named("OMEGA5").matroid(), named("DOWLING5").matroid())
     assert found is None
-    assert (callers["_dfs"], sum(callers.values()), effort["_eliminate"]) == (2036, 2054, 0)
+    assert (callers["_dfs"], sum(callers.values()), effort["_eliminate"]) == (193, 211, 0)
 
 
 def test_symmetry_pruning_changes_no_answer(monkeypatch):
@@ -1318,11 +1333,12 @@ def test_symmetry_pruning_changes_no_answer(monkeypatch):
     built: list = []  # hosts whose orbits were built, not read from the cache
     pruned_by_outcome = {"no": 0, "yes": 0}
 
-    def counting_minima(n):
+    def counting_minima(n, fixed=()):
+        fixed = tuple(sorted(fixed))
         pruning.append(n)
-        if n._orbits is None:
+        if fixed not in n._orbits:
             built.append(n)
-        return real_minima(n)
+        return real_minima(n, fixed)
 
     def counting_embedding(m, n):
         before = len(pruning)
@@ -1347,14 +1363,16 @@ def test_symmetry_pruning_changes_no_answer(monkeypatch):
     for m, n in doubled:
         found = matroid_module.find_embedding(m, n)
         assert found is not None and verify_embedding(m, n, found)
-    # each host's orbits are built once
-    assert len(doubled) == 1890 and len(pruning) - searches >= 100 and len(built) - builds <= 9
-    monkeypatch.setattr(matroid_module, "_orbit_minima", lambda n: {})
+    # 602 table reads build 29 tables on the 9 hosts, each once per set of
+    # fixed images (123 reads and 9 builds when only the root read one)
+    assert len(doubled) == 1890 and len(pruning) - searches == 602 and len(built) - builds == 29
+    monkeypatch.setattr(matroid_module, "_orbit_minima", lambda n, fixed=(): {})
     assert [real_embedding(m, n) for m, n in pairs] == pruned
     assert [has_minor(t, ag) for t in tables] == pruned_minors
     # the pruning ran: in hundreds of negatives, and in positives found after
-    # a failed depth-0 subtree (has_minor stages)
-    assert pruned_by_outcome["no"] >= 400 and pruned_by_outcome["yes"] >= 4
+    # a node's failed subtrees (has_minor stages; 468 and 127 when only the
+    # root read the host's orbits)
+    assert pruned_by_outcome == {"no": 468, "yes": 201}
 
 
 def _symmetric_pg33_subset(rng, k):
@@ -1385,7 +1403,7 @@ def test_isomorphism_symmetry_pruning_changes_no_witness(monkeypatch):
     # larger ones unions of orbits of a monomial map.  Every search that
     # reads the host's orbits gives the witness of a search with none,
     # and on <= 8 points the naive oracle's.  Rooting each orbit at its
-    # largest label changes 8 of these witnesses.
+    # largest label changes 12 of these witnesses.
     rng = random.Random(5)
     pairs = []
     for k in range(7, 14):
@@ -1397,9 +1415,9 @@ def test_isomorphism_symmetry_pruning_changes_no_witness(monkeypatch):
     builds: list = []
     real = matroid_module._orbit_minima
 
-    def counting(n):
+    def counting(n, fixed=()):
         builds.append(n)
-        return real(n)
+        return real(n, fixed)
 
     monkeypatch.setattr(matroid_module, "_orbit_minima", counting)
     pruned = []
@@ -1408,14 +1426,55 @@ def test_isomorphism_symmetry_pruning_changes_no_witness(monkeypatch):
         found = find_isomorphism(m, n)
         if len(builds) > before:
             pruned.append((m, n, found))
-    monkeypatch.setattr(matroid_module, "_orbit_minima", lambda n: {})
+    monkeypatch.setattr(matroid_module, "_orbit_minima", lambda n, fixed=(): {})
     for m, n, found in pruned:
         assert find_isomorphism(m, n) == found
         if m.size <= 8:
             assert found == naive_find_isomorphism(m, n)
     outcomes = collections.Counter((m.size <= 8, found is not None) for m, _, found in pruned)
     assert len(pairs) == 214
-    assert outcomes == {(True, True): 1, (True, False): 2, (False, True): 8, (False, False): 2}
+    # {(True, True): 1, (True, False): 2, (False, True): 8, (False, False): 2}
+    # when only the root read the host's orbits
+    assert outcomes == {(True, True): 17, (True, False): 7, (False, True): 27, (False, False): 2}
+
+
+def test_pruning_below_the_root_changes_no_answer(monkeypatch):
+    # embeddings of scrambled 8-point restrictions of DOWLING3 into it; of
+    # scrambled restrictions of DOWLING4 and seeded subsets of PG(3, 3), of
+    # 9-12 points into DOWLING4 and of 6 and 7 points into seeded 9-point
+    # restrictions of it; and isomorphisms of scrambled copies of DOWLING4
+    # less a point onto DOWLING4 less a point.  Every search that reads an
+    # orbit table gives the answer of a search that reads none, and on <= 8
+    # points the naive oracle's; a search that reads none is that search.
+    rng = random.Random(30)
+    dowling3, dowling4 = named("DOWLING3").matroid(), named("DOWLING4").matroid()
+
+    def patterns(k):
+        return [_scrambled(dowling4.restrict(rng.sample(dowling4.labels, k)), rng),
+                LinearMatroid(GFMatrix.from_columns(3, rng.sample(PG33, k), nrows=4))]
+
+    cases = [(_scrambled(dowling3.delete([x]), rng), dowling3, False) for x in rng.sample(dowling3.labels, 4)]
+    cases += [(m, dowling4, False) for k in range(9, 13) for _ in range(3) for m in patterns(k)]
+    for _ in range(6):
+        host = dowling4.restrict(rng.sample(dowling4.labels, 9))
+        cases += [(m, host, False) for k in (6, 7) for m in patterns(k)]
+    cases += [(_scrambled(dowling4.delete([x]), rng), dowling4.delete([rng.choice(dowling4.labels)]), True)
+              for x in dowling4.labels]
+    read = []
+    for m, n, bijective in cases:
+        search = _RankPreservingSearch(m, n, bijective)
+        found = search.run()
+        if sum(search.tables):
+            read.append((m, n, bijective, found))
+    monkeypatch.setattr(matroid_module, "_orbit_minima", lambda n, fixed=(): {})
+    for m, n, bijective, found in read:
+        assert _RankPreservingSearch(m, n, bijective).run() == found
+        if m.size <= 8:
+            assert not bijective and naive_is_restriction(m, n) == (found is not None)
+    outcomes = collections.Counter((n.size, bijective, found is not None) for _, n, bijective, found in read)
+    assert len(cases) == 68
+    assert outcomes == {(9, False, True): 10, (9, False, False): 7, (16, False, True): 11, (16, False, False): 7,
+                        (15, True, True): 1}
 
 
 def _partition(labels, least):
@@ -1529,6 +1588,25 @@ def test_orbit_minima_match_pinned_partitions():
     want = (Path(__file__).parent / "data" / "orbit_minima.txt").read_text().splitlines()
     assert len(want) == 115
     assert got == want
+
+
+@pytest.mark.parametrize("name, p", [("DOWLING3", 3), ("DOWLING4", 3), ("DOWLING4", 5), ("MK5", 3), ("PG23", 3)])
+def test_stabilizer_orbits_match_brute_force(name, p):
+    # the orbits under every monomial automorphism that fixes each label of
+    # fixed, found by trying every row permutation with every row scalars,
+    # for no label, each single label and 12 seeded pairs of labels
+    n = m_cols(*PG23) if name == "PG23" else named(name, p).matroid()
+    maps = naive_monomial_automorphisms(n.matrix, n.labels)
+    rng = random.Random(f"{name}{p}")
+    fixed_sets = [()] + [(x,) for x in n.labels] + [tuple(rng.sample(n.labels, 2)) for _ in range(12)]
+    for fixed in fixed_sets:
+        root = {x: x for x in n.labels}  # label -> least label of its orbit
+        for g in maps:
+            if all(g[x] == x for x in fixed):
+                for x, y in g.items():
+                    a, b = sorted((root[x], root[y]))
+                    root = {z: a if c == b else c for z, c in root.items()}
+        assert _partition(n.labels, matroid_module._orbit_minima(n, fixed)) == _partition(n.labels, root), fixed
 
 
 def test_verifiers_never_read_search_structures():
