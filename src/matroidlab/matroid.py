@@ -233,13 +233,6 @@ class LinearMatroid:
             points = _contract_points(points, x, self.p)
         return _from_points(points, height, self.p)
 
-    def minor(self, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "LinearMatroid":
-        contract = set(contract)
-        delete = set(delete)
-        if contract & delete:
-            raise ValueError("contract and delete sets must be disjoint")
-        return self.contract(contract).delete(delete)
-
     # -- loops, parallel classes, simplification ----------------------------------
 
     def _point_map(self) -> dict[int, tuple[int, ...] | None]:

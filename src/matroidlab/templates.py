@@ -2,8 +2,8 @@
 
 The first half implements presented frame templates: the sign group, the
 column classes C, Y0, Y1, Z, the row class X, the fixed block A1 and the
-two vector collections, together with the respects and conforms
-predicates for explicit matrices carrying explicit placements.
+two vector collections, the six minimal templates, and the respects
+predicate for explicit matrices carrying explicit placements.
 
 The second half classifies complete lifted Y-templates.  Such a template
 is determined by one GF(3) matrix P; classify_Y_template sorts P into
@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .catalog import FORBIDDEN, build_D, named, universal_matrix, universal_matroid
-from .gf import GFMatrix, from_text, hstack, to_text, vstack, weight
+from .catalog import FORBIDDEN, named, universal_matrix, universal_matroid
+from .gf import GFMatrix, vstack, weight
 from .matroid import LinearMatroid, MinorWitness, has_minor, verify_witness
 
 # classifier verdicts
@@ -785,11 +784,7 @@ def named_template(id_: str) -> FrameTemplate:
         raise KeyError(f"unknown template id {id_!r}") from None
 
 
-def template_ids() -> tuple[str, ...]:
-    return tuple(_TEMPLATES)
-
-
-# -- respects and conforms ----------------------------------------------------------
+# -- placements and respects -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -879,160 +874,3 @@ def respects(A: GFMatrix, pl: Placement, t: FrameTemplate) -> RespectsReport:
         if not t.in_delta([A.entry(i, j) for j in special]):
             return RespectsReport(False, f"row {i} leaves the delta collection")
     return RespectsReport(True, "ok")
-
-
-def conforms_step(A: GFMatrix, pl: Placement, z_assignment: Mapping[int, int]) -> GFMatrix:
-    """Add the assigned Y1 column into each Z column.
-
-    z_assignment maps Z column indices to Y1 column indices and must
-    cover every Z column.  This is the one rewriting move a respecting
-    matrix undergoes before the conforming contraction.
-    """
-    if set(z_assignment.keys()) != set(pl.z_cols):
-        raise ValueError("z_assignment must cover exactly the Z columns")
-    if not set(z_assignment.values()) <= set(pl.y1_cols):
-        raise ValueError("z_assignment must land in the Y1 columns")
-    cols = [list(col) for col in A.columns]
-    for zc, yc in z_assignment.items():
-        cols[zc] = [(a + b) % A.p for a, b in zip(cols[zc], cols[yc])]
-    return GFMatrix.from_columns(A.p, cols, nrows=A.nrows)
-
-
-def conforming_matroid(A: GFMatrix, pl: Placement, labels: Sequence[int] | None = None) -> LinearMatroid:
-    """Matroid of A with the C columns contracted and Y1 deleted."""
-    m = LinearMatroid(A, labels)
-    return m.minor([m.labels[j] for j in pl.c_cols], [m.labels[j] for j in pl.y1_cols])
-
-
-# -- reduced and lifted shape --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReductionInfo:
-    """Partition of the X positions into X0 and X1."""
-
-    x0: tuple[int, ...]
-    x1: tuple[int, ...]
-
-
-def check_reduction(t: FrameTemplate, info: ReductionInfo) -> tuple[bool, str]:
-    """Test the three reduced-shape requirements for the given partition.
-
-    One: the delta collection splits off the full space on the C
-    coordinates.  Two: the lambda collection projects onto the whole X0
-    space, vanishes on X1, and the X1 rows of A1 vanish against C.
-    Three: the X1 rows of A1 are independent and meet the delta
-    collection only in zero.
-    """
-    if sorted((*info.x0, *info.x1)) != list(range(len(t.x))):
-        raise ValueError("X0 and X1 must partition the X positions")
-    k = len(t.c)
-    width = t.delta_basis.ncols
-    for j in range(k):
-        unit = [0] * width
-        unit[j] = 1
-        if not t.in_delta(unit):
-            return False, f"unit vector of C coordinate {j} misses the delta collection"
-    lam = t.lambda_basis
-    if info.x0 and lam.take_cols(list(info.x0)).rank() != len(info.x0):
-        return False, "lambda does not project onto the whole X0 space"
-    if any(lam.entry(i, j) for i in range(lam.nrows) for j in info.x1):
-        return False, "lambda has support on X1"
-    if any(t.a1.entry(i, j) for i in info.x1 for j in range(k)):
-        return False, "A1 is nonzero on X1 rows against C columns"
-    x1rows = t.a1.take_rows(list(info.x1))
-    if x1rows.rank() != len(info.x1):
-        return False, "X1 rows of A1 are dependent"
-    if info.x1 and vstack(t.delta_basis, x1rows).rank() != t.delta_basis.nrows + len(info.x1):
-        return False, "X1 rows of A1 meet the delta collection"
-    return True, "ok"
-
-
-def is_lifted(t: FrameTemplate, info: ReductionInfo) -> tuple[bool, str]:
-    """Reduced, plus: on the Y1 block of A1 the X0 rows vanish and the
-    X1 rows start with the identity."""
-    ok, why = check_reduction(t, info)
-    if not ok:
-        return False, why
-    if len(t.y1) < len(info.x1):
-        return False, "Y1 has fewer columns than X1"
-    base = len(t.c) + len(t.y0)
-    for i in info.x0:
-        if any(t.a1.entry(i, base + jj) for jj in range(len(t.y1))):
-            return False, "A1 is nonzero on X0 rows against Y1 columns"
-    for ii, i in enumerate(info.x1):
-        for jj in range(len(info.x1)):
-            if t.a1.entry(i, base + jj) != (1 if jj == ii else 0):
-                return False, "A1 on X1 rows does not open with the identity"
-    return True, "ok"
-
-
-# -- Y-templates -------------------------------------------------------------------
-
-
-def complete_lifted(P: GFMatrix) -> FrameTemplate:
-    """The complete lifted Y-template determined by P: C empty, trivial
-    collections, A1 = [P | D | I] with the rows as X, the columns of
-    [P | D] as Y0 and those of I as Y1."""
-    if P.p != 3:
-        raise ValueError("Y-templates live over GF(3)")
-    k = P.nrows
-    a1 = hstack(P, build_D(k, 3), GFMatrix.identity(3, k))
-    n = a1.ncols  # the X labels come first, so Y0 ends at label n
-    return FrameTemplate(
-        frozenset({1}), (), tuple(range(k)), tuple(range(k, n)), tuple(range(n, n + k)),
-        a1, GFMatrix.zeros(3, 0, n), GFMatrix.zeros(3, 0, k),
-    )
-
-
-# -- template files ----------------------------------------------------------------
-
-
-_SETS_RE = re.compile(r"^sets C=(\d+) X=(\d+) Y0=(\d+) Y1=(\d+)$")
-_BLOCKS = ("A1", "delta", "lambda")
-
-
-def write_template(t: FrameTemplate) -> str:
-    """Serialize a template; labels are not stored, only set sizes.  Each
-    block is its name line, then the block in ``to_text``'s format."""
-    g = "{1}" if t.gamma == frozenset({1}) else "{1,-1}"
-    text = f"template\ngamma {g}\nsets C={len(t.c)} X={len(t.x)} Y0={len(t.y0)} Y1={len(t.y1)}\n"
-    for name, mat in zip(_BLOCKS, (t.a1, t.delta_basis, t.lambda_basis)):
-        text += f"{name}\n" + to_text(mat)
-    return text
-
-
-def read_template(text: str) -> FrameTemplate:
-    """Parse write_template output; labels are synthesized as consecutive
-    integers in C, X, Y0, Y1 order.  Each block runs from its name line to
-    the next block's, and ``from_text`` parses it."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != "template":
-        raise ValueError("not a template file")
-    if len(lines) < 3 or not lines[1].startswith("gamma "):
-        raise ValueError("missing gamma line")
-    g = lines[1][6:].strip()
-    if g == "{1}":
-        gamma = frozenset({1})
-    elif g in ("{1,-1}", "{-1,1}"):
-        gamma = frozenset({1, 2})
-    else:
-        raise ValueError(f"unknown gamma {g!r}")
-    m = _SETS_RE.match(lines[2])
-    if not m:
-        raise ValueError("missing sets line")
-    nc, nx, ny0, ny1 = (int(x) for x in m.groups())
-    rest = lines[3:]
-    mats = []
-    for want, after in zip(_BLOCKS, _BLOCKS[1:] + (None,)):
-        if not rest or rest[0] != want:
-            raise ValueError(f"expected the {want} block")
-        end = rest.index(after) if after in rest else len(rest)
-        mats.append(from_text("\n".join(rest[1:end])))
-        rest = rest[end:]
-    c = tuple(range(nc))
-    x = tuple(range(nc, nc + nx))
-    y0 = tuple(range(nc + nx, nc + nx + ny0))
-    y1 = tuple(range(nc + nx + ny0, nc + nx + ny0 + ny1))
-    return FrameTemplate(gamma, c, x, y0, y1, *mats)

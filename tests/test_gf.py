@@ -163,6 +163,13 @@ def test_text_parser_tolerates_comments_and_signed_entries():
     assert gf.from_text(text).rows == ((2, 1, 0),)
     with pytest.raises(ValueError):
         gf.from_text("field 3\nrows 2\ncols 1\n1\n")
+    # a bare, blank or non-numeric field, rows or cols line
+    lines = gf.to_text(GFMatrix(3, [[1]])).splitlines(keepends=True)
+    for i, line in enumerate(lines[:3]):
+        key = line.split()[0]
+        for bad in (key + "\n", "\n", key + " x\n"):
+            with pytest.raises(ValueError):
+                gf.from_text("".join(lines[:i] + [bad] + lines[i + 1:]))
 
 
 def test_rank_matches_naive_randomized():

@@ -1,6 +1,6 @@
 """Template engine tests: column taxonomy, moves, the submatrix scanner,
-the Y-template classifier with certificate replay, and the respects and
-conforms predicates."""
+the Y-template classifier with certificate replay, and the six minimal
+templates with the respects predicate."""
 
 import dataclasses
 import hashlib
@@ -369,8 +369,11 @@ def test_is_signed_graphic_form():
 # -- frame templates ---------------------------------------------------------------
 
 
+TEMPLATE_IDS = ("PHI2", "PHI_C", "PHI_X", "PHI_Y0", "PHI_CX", "PHI_CX2")
+
+
 def test_named_templates_wellformed():
-    for id_ in tp.template_ids():
+    for id_ in TEMPLATE_IDS:
         t = tp.named_template(id_)
         assert t.gamma == frozenset({1, 2})
     assert len(tp.named_template("PHI_CX").c) == 1
@@ -471,91 +474,37 @@ def test_conforms_pipeline():
     A = toy_matrix()
     pl = tp.Placement(x_rows=(0, 1), y0_cols=(5,), y1_cols=(6, 7), z_cols=(3, 4))
     assert tp.respects(A, pl, t).ok
-    B = tp.conforms_step(A, pl, {3: 6, 4: 7})
+    # add the Y1 column 6 into Z column 3 and 7 into 4, then delete Y1
+    cols = list(A.columns)
+    for z, y in ((3, 6), (4, 7)):
+        cols[z] = tuple((a + b) % 3 for a, b in zip(cols[z], cols[y]))
+    B = GFMatrix.from_columns(3, cols, nrows=A.nrows)
     assert B.column(3) == (1, 0, 1, 0) and B.column(4) == (0, 1, 0, 1)
-    got = tp.conforming_matroid(B, pl).contract([3, 4])
+    got = LinearMatroid(B).delete(pl.y1_cols).contract([3, 4])
     want = LinearMatroid(gf3([[1, 0, 1, 1], [0, 1, -1, 1]]))
     assert find_isomorphism(got, want) is not None
 
 
-def test_conforms_step_validation():
-    pl = tp.Placement(x_rows=(0, 1), y0_cols=(5,), y1_cols=(6, 7), z_cols=(3, 4))
-    A = toy_matrix()
-    with pytest.raises(ValueError):
-        tp.conforms_step(A, pl, {3: 6})
-    with pytest.raises(ValueError):
-        tp.conforms_step(A, pl, {3: 6, 4: 5})
-
-
-def test_reduction_and_lifted():
-    t = toy_template()
-    info = tp.ReductionInfo((), (0, 1))
-    assert tp.check_reduction(t, info) == (True, "ok")
-    assert tp.is_lifted(t, info) == (True, "ok")
-    ok, why = tp.check_reduction(tp.named_template("PHI_CX"), tp.ReductionInfo((0,), ()))
-    assert ok
-    ok, why = tp.check_reduction(tp.named_template("PHI_CX"), tp.ReductionInfo((), (0,)))
-    assert not ok and "lambda" in why
-    with pytest.raises(ValueError):
-        tp.check_reduction(t, tp.ReductionInfo((0,), (0, 1)))
-
-
-def test_y_template_layout():
-    P = gf3([[1], [1]])
-    t = tp.complete_lifted(P)
-    assert t.x == (0, 1) and t.y0 == (2, 3) and t.y1 == (4, 5)
-    assert t.a1 == gf3([[1, 1, 1, 0], [1, -1, 0, 1]])
-    assert tp.is_lifted(t, tp.ReductionInfo((), (0, 1))) == (True, "ok")
-
-
-def test_template_file_roundtrip():
-    for id_ in tp.template_ids():
-        t = tp.named_template(id_)
-        assert tp.read_template(tp.write_template(t)) == t
-    toy = toy_template()
-    back = tp.read_template(tp.write_template(toy))
-    assert back.a1 == toy.a1 and back.gamma == toy.gamma
-    assert len(back.x) == 2 and len(back.y1) == 2
-
-
-def test_template_file_errors():
-    with pytest.raises(ValueError):
-        tp.read_template("matrix\nfield 3\n")
-    good = tp.write_template(tp.named_template("PHI_CX"))
-    with pytest.raises(ValueError):
-        tp.read_template(good.replace("gamma {1,-1}", "gamma {7}"))
-    with pytest.raises(ValueError):
-        tp.read_template(good + "junk\n")
-
-
 def test_template_blocks_are_matrix_files():
-    # each block is its name line, then the block as gf.to_text writes it,
-    # blocks with no rows or no columns included
-    for id_ in tp.template_ids():
+    # each block reads back from its matrix file, blocks with no rows or no
+    # columns included
+    for id_ in TEMPLATE_IDS:
         t = tp.named_template(id_)
-        blocks = "".join(f"{name}\n" + gf.to_text(mat)
-                         for name, mat in zip(("A1", "delta", "lambda"), (t.a1, t.delta_basis, t.lambda_basis)))
-        assert tp.write_template(t).endswith(blocks)
+        for mat in (t.a1, t.delta_basis, t.lambda_basis):
+            assert gf.from_text(gf.to_text(mat)) == mat
     assert tp.named_template("PHI_X").a1.nrows == 1 and tp.named_template("PHI_X").a1.ncols == 0
 
 
 def test_named_template_files_are_pinned():
-    # the six template files, as written when each template had its own branch
-    text = "".join(f"== {id_}\n" + tp.write_template(tp.named_template(id_)) for id_ in tp.template_ids())
-    assert tp.template_ids() == ("PHI2", "PHI_C", "PHI_X", "PHI_Y0", "PHI_CX", "PHI_CX2")
-    assert hashlib.sha256(text.encode()).hexdigest().startswith("9e7ae474524ad5f9")
+    # each template's sign group, label tuples and blocks, as they were
+    # when each template had its own branch
+    assert tuple(tp._TEMPLATES) == TEMPLATE_IDS
+    fields = [(id_, tuple(sorted(t.gamma)), t.c, t.x, t.y0, t.y1, _pin((t.a1, t.delta_basis, t.lambda_basis)))
+              for id_, t in zip(TEMPLATE_IDS, map(tp.named_template, TEMPLATE_IDS))]
+    digest = hashlib.sha256(repr(fields).encode()).hexdigest()
+    assert digest == "ee590885e64109faa6fe2fe7a274e82445f664e22c14e70d68d42fd634b2689a"
     with pytest.raises(KeyError, match="unknown template id"):
         tp.named_template("PHI9")
-
-
-def test_template_malformed_block_header_is_value_error():
-    # a bare or non-numeric field, rows or cols line, or a missing one
-    lines = tp.write_template(tp.named_template("PHI_CX")).splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        if line.startswith(("field", "rows", "cols")):
-            for bad in (line.split()[0] + "\n", "\n", line.split()[0] + " x\n"):
-                with pytest.raises(ValueError):
-                    tp.read_template("".join(lines[:i] + [bad] + lines[i + 1:]))
 
 
 def test_classification_verifier_never_reads_classifier_search():
