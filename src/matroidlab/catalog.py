@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .gf import GFMatrix, hstack
+from .gf import GFMatrix
 from .matroid import LinearMatroid
 
 # -- T-matrices and their zero-row-sum extensions ---------------------------------
@@ -135,9 +135,10 @@ def universal_matrix(P, r: int, p: int = 3) -> GFMatrix:
         P = GFMatrix(p, P)
     if P.nrows > r:
         raise ValueError(f"payload has {P.nrows} rows, more than rank {r}")
-    pad = GFMatrix.zeros(p, r - P.nrows, P.ncols)
-    payload = GFMatrix(p, list(P.rows) + list(pad.rows), ncols=P.ncols)
-    return hstack(GFMatrix.identity(p, r), build_D(r, p), payload)
+    payload = list(P.rows) + [(0,) * P.ncols] * (r - P.nrows)
+    rows = [[int(i == j) for j in range(r)] + [*d, *pay]
+            for i, (d, pay) in enumerate(zip(build_D(r, p).rows, payload))]
+    return GFMatrix(p, rows, ncols=r + r * (r - 1) // 2 + P.ncols)
 
 
 def universal_matroid(P, r: int, p: int = 3) -> LinearMatroid:

@@ -74,10 +74,6 @@ class GFMatrix:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def identity(cls, p: int, n: int) -> "GFMatrix":
-        return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def zeros(cls, p: int, nrows: int, ncols: int) -> "GFMatrix":
         return cls(p, [[0] * ncols for _ in range(nrows)], ncols=ncols)
 
@@ -162,31 +158,6 @@ class GFMatrix:
 def weight(v: Iterable[int]) -> int:
     """Number of nonzero entries of a column."""
     return sum(1 for x in v if x != 0)
-
-
-def hstack(*mats: GFMatrix) -> GFMatrix:
-    """Concatenate matrices side by side; all must share field and row count."""
-    mats = tuple(m for m in mats)
-    if not mats:
-        raise ValueError("hstack needs at least one matrix")
-    p = mats[0].p
-    nrows = mats[0].nrows
-    if any(m.p != p or m.nrows != nrows for m in mats):
-        raise ValueError("hstack requires matching field and row count")
-    rows = [[x for m in mats for x in (m.rows[i] if m.rows else ())] for i in range(nrows)]
-    return GFMatrix(p, rows, ncols=sum(m.ncols for m in mats))
-
-
-def vstack(*mats: GFMatrix) -> GFMatrix:
-    mats = tuple(m for m in mats)
-    if not mats:
-        raise ValueError("vstack needs at least one matrix")
-    p = mats[0].p
-    ncols = mats[0].ncols
-    if any(m.p != p or m.ncols != ncols for m in mats):
-        raise ValueError("vstack requires matching field and column count")
-    rows = [row for m in mats for row in m.rows]
-    return GFMatrix(p, rows, ncols=ncols)
 
 
 # -- matrix file format --------------------------------------------------------

@@ -9,11 +9,12 @@ column to a nonzero multiple of its image certifies it.  Otherwise, and
 always across fields, subset independence decides: a depth-first walk over
 subsets that eliminates once per prefix and keeps both sides' later columns
 reduced modulo the prefix's span, so each one-element extension is a zero
-test, and that settles its last two levels without eliminating: parallel
-classes at the last, and at the one before, for each element, which later
-columns are parallel modulo it, read off cross products.  A rejection
-always comes from the walk.  Results are matroid-level statements even
-though all the arithmetic is exact linear algebra.
+test.  In a walk of rank at least 3, the node with three elements left to
+place settles the last two levels without eliminating: for each element,
+which later columns are parallel modulo it, read off cross products (line
+keys).  A walk of rank 2 eliminates.  A rejection always comes from the
+walk.  Results are matroid-level statements even though all the arithmetic
+is exact linear algebra.
 
 The search also prunes by the host's symmetry, the orbit pruning of McKay
 and Piperno (Practical graph isomorphism, II, J. Symb. Comput. 2014), at
@@ -209,12 +210,8 @@ class LinearMatroid:
         return self._take([j for j, lab in enumerate(self.labels) if lab in keep_set])
 
     def _take(self, keep: list[int]) -> "LinearMatroid":
-        """The restriction to the columns at positions keep; it inherits the
-        points already computed for them."""
-        child = LinearMatroid(self.matrix.take_cols(keep), [self.labels[j] for j in keep])
-        if self._points is not None:
-            child._points = {lab: self._points[lab] for lab in child.labels}
-        return child
+        """The restriction to the columns at positions keep."""
+        return LinearMatroid(self.matrix.take_cols(keep), [self.labels[j] for j in keep])
 
     def contract(self, labels: Iterable[int]) -> "LinearMatroid":
         """Contract one label at a time, in sorted order, by
@@ -233,7 +230,7 @@ class LinearMatroid:
             points = _contract_points(points, x, self.p)
         return _from_points(points, height, self.p)
 
-    # -- loops, parallel classes, simplification ----------------------------------
+    # -- points and simplification -----------------------------------------------
 
     def _point_map(self) -> dict[int, tuple[int, ...] | None]:
         """label -> its projective point (the column scaled so its first
@@ -242,17 +239,6 @@ class LinearMatroid:
             p = self.p
             self._points = {lab: _normalize(col, p) for lab, col in zip(self.labels, self.matrix.columns)}
         return self._points
-
-    def loops(self) -> tuple[int, ...]:
-        return tuple(x for x, pt in self._point_map().items() if pt is None)
-
-    def parallel_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Non-loop elements grouped by projective point, each class sorted."""
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for x, pt in self._point_map().items():
-            if pt is not None:
-                groups.setdefault(pt, []).append(x)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: min(g)))
 
     def simplify(self) -> "LinearMatroid":
         """The restriction to the least label of each parallel class, with
@@ -342,14 +328,12 @@ def _same_independent_sets(a_cols: Sequence, a_p: int, b_cols: Sequence, b_p: in
     with r elements left to place holds r-entry columns.  A column that is
     zero on both sides makes the prefix dependent on both sides, and every
     superset too, so it is dropped from the subtree; every subset of size at
-    most r is therefore decided, and the test is complete.  The last two
-    levels make no child.  A node with two elements left to place compares
-    both sides' parallel classes: a child's later column would be zero
-    exactly when it is parallel to the child's element.  A node with three
-    left compares, for each element j, both sides' ``_line_keys`` of the
-    columns after j: a child's grandchild compares which of them are
-    parallel modulo j, and those are the ones whose cross products with j
-    are parallel.
+    most r is therefore decided, and the test is complete.  When r >= 3 the
+    last two levels make no child: a node with three elements left to place
+    compares, for each element j, both sides' ``_line_keys`` of the columns
+    after j: a child's grandchild compares which of them are parallel
+    modulo j, and those are the ones whose cross products with j are
+    parallel.  A walk with r = 2 eliminates at its root.
     """
     return r == 0 or _same_below(r, [list(v) for v in a_cols], a_p, [list(w) for w in b_cols], b_p)
 
@@ -365,31 +349,12 @@ def _same_below(r: int, a: list, a_p: int, b: list, b_p: int) -> bool:
         return True
     a = [v for v, keep in zip(a, live) if keep]
     b = [w for w, keep in zip(b, live) if keep]
-    if r == 2:
-        # eliminating a live column zeroes exactly the later ones parallel
-        # to it, so the children would compare the parallel classes
-        return _first_parallel(a, a_p) == _first_parallel(b, b_p)
     if r == 3:
         return all(_line_keys(a[j], a[j + 1:], a_p) == _line_keys(b[j], b[j + 1:], b_p) for j in range(len(a)))
     for j in range(len(a)):
         if not _same_below(r - 1, _eliminate(a[j], a[j + 1:], a_p), a_p, _eliminate(b[j], b[j + 1:], b_p), b_p):
             return False
     return True
-
-
-def _first_parallel(cols: Sequence, p: int) -> list[int]:
-    """For each of the nonzero columns cols, the index of the first column
-    parallel to it (a nonzero multiple of it), found by scaling each column
-    so that its first nonzero entry is 1."""
-    first: dict[tuple[int, ...], int] = {}
-    out = []
-    for i, v in enumerate(cols):
-        lead = next(filter(None, v))
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            v = [c * inv % p for c in v]
-        out.append(first.setdefault(tuple(v), i))
-    return out
 
 
 def _line_keys(j: Sequence[int], cols: Sequence, p: int) -> list[int]:
@@ -555,16 +520,16 @@ class _PairTable:
     pair: what both sides of a search read.
 
     classes maps each least label to its class, and keys to (sizes of the
-    lines of >= 3 points through it, descending; class size).  lines lists
-    each line once, as an int bitmask, where bit[x] marks label x and bits
-    run in sorted label order: bit i marks labels[i], the point at index i,
-    and points[i] is that projective point, whose subsets have the ranks of
-    the columns of their labels.  closure holds one list per point, of the
-    lines through it indexed by bit position: for distinct i, j,
-    closure[i][j] is cl({i, j}), the line through points i and j, as a mask
-    (closure[i][i] is 0).  The pair checks and candidates read closure,
-    which is built when a search first reads it; a search its key counts
-    reject never does.
+    lines of >= 3 points through it, descending; class size).  The points
+    are indexed in sorted label order: index[x] is the index i of the least
+    label x, labels[i] is x, and points[i] is its projective point, whose
+    subsets have the ranks of the columns of their labels.  lines lists
+    each line once, as an int bitmask whose bit i marks the point at index
+    i.  closure holds one list per point, of the lines through it indexed
+    by point index: for distinct i, j, closure[i][j] is cl({i, j}), the
+    line through points i and j, as a mask (closure[i][i] is 0).  The pair
+    checks and candidates read closure, which is built when a search first
+    reads it; a search its key counts reject never does.
 
     The table is built from a label -> projective point map (None for a
     loop) and p, with no rank calls: the lines and keys come from the
@@ -594,10 +559,10 @@ class _PairTable:
                 index[pt] = len(members)
                 members.append([x])
         # the points' indices run in the order of their least labels, so
-        # bit i marks labels[i] and bits run in sorted label order
+        # index i is labels[i] and indices run in sorted label order
         self.labels = [c[0] for c in members]
         self.classes = {c[0]: tuple(c) for c in members}
-        self.bit = {x: 1 << i for i, x in enumerate(self.labels)}
+        self.index = {x: i for i, x in enumerate(self.labels)}
         self.points = pts = list(index)
         met = [0] * len(pts)  # i -> the points on a line found through point i
         sizes: list[list[int]] = [[] for _ in pts]  # i -> sizes of its lines of >= 3 points
@@ -691,7 +656,7 @@ def _count_rules(tm: _PairTable, tn: _PairTable, exact: bool) -> dict[int, int] 
     fits = operator.eq if exact else _dominates
     by_key: dict = {}
     for y in tn.labels:
-        by_key[tn.keys[y]] = by_key.get(tn.keys[y], 0) | tn.bit[y]
+        by_key[tn.keys[y]] = by_key.get(tn.keys[y], 0) | 1 << tn.index[y]
     mask_of = {}
     for want in set(tm.keys.values()):
         mask_of[want] = sum(mask for have, mask in by_key.items() if fits(want, have))
@@ -744,16 +709,21 @@ def _orbit_minima(n: LinearMatroid, fixed: Iterable[int] = ()) -> dict[int, int]
     scaled by 1, since scaling every row moves no point), each column's image
     point looked up once its image support is fixed.  About r! * n * r steps
     at most: 720 * 30 * 6 at rank 6.
+
+    si(n)'s labels, points, class sizes and point indices are read from
+    ``_PairTable.of(n)``; the matroid si(n) is built only to be handed to
+    ``verify_bijection``.  A column and its point span one point, and
+    label_of holds every nonzero multiple of each point, so the points give
+    the same maps, in the same order, as the columns.
     """
     fixed = tuple(sorted(set(fixed)))
     if fixed in n._orbits:
         return n._orbits[fixed]
-    s = n.simplify()
-    size = {c[0]: len(c) for c in n.parallel_classes()}
-    cols, r, p = s.matrix.columns, s.matrix.nrows, s.p
-    # every nonzero multiple of each column -> its label
-    label_of = {tuple(k * c % p for c in v): x for x, v in zip(s.labels, cols) for k in range(1, p)}
-    entries = [[(i, c) for i, c in enumerate(v) if c] for v in cols]
+    table = _PairTable.of(n)
+    labels, points, r, p = table.labels, table.points, n.matrix.nrows, n.p
+    # every nonzero multiple of each point -> its label
+    label_of = {tuple(k * c % p for c in v): x for x, v in zip(labels, points) for k in range(1, p)}
+    entries = [[(i, c) for i, c in enumerate(v) if c] for v in points]
     support_rows = [[i for i, _ in e] for e in entries]
     host_supports = {sum(1 << i for i in support) for support in support_rows}
     ends: list[set[tuple[int, ...]]] = [set() for _ in range(r)]  # source row -> supports ending there
@@ -761,28 +731,28 @@ def _orbit_minima(n: LinearMatroid, fixed: Iterable[int] = ()) -> dict[int, int]
         ends[support[-1]].add(tuple(support))
     # source row -> the supports of fixed points ending there, which must map onto themselves
     kept: list[set[tuple[int, ...]]] = [set() for _ in range(r)]
-    pinned = {j: x for j, x in enumerate(s.labels) if x in fixed}  # column -> the label it must keep
+    pinned = {j: x for j, x in enumerate(labels) if x in fixed}  # column -> the label it must keep
     for j in pinned:
         kept[support_rows[j][-1]].add(tuple(support_rows[j]))
-    least = {x: x for x in s.labels}  # label -> least label of its orbit so far
+    least = {x: x for x in labels}  # label -> least label of its orbit so far
 
     def maps() -> Iterator[tuple]:
         for rows in _row_permutations([], r, ends, host_supports, kept):
             ready: list[list[int]] = [[] for _ in range(r)]  # image row -> columns fixed there
             for j, support in enumerate(support_rows):
                 ready[max(map(rows.__getitem__, support))].append(j)
-            every = _row_scalings(0, rows, [0] * r, [None] * len(cols), ready, entries, label_of, p, pinned)
+            every = _row_scalings(0, rows, [0] * r, [None] * len(points), ready, entries, label_of, p, pinned)
             for _, images in every if rows == tuple(range(r)) else itertools.islice(every, 1):
                 yield images
 
-    table = _PairTable.of(n)
-    at = {x: bit.bit_length() - 1 for x, bit in table.bit.items()}  # label -> its point index
-    through = [table.closure[at[f]] for f in fixed]  # each fixed point's lines, by point index
-    classes = {(table.keys[x], tuple(lines[at[x]].bit_count() for lines in through))
-               for x in s.labels if x not in fixed}
-    unions_left = len(s.labels) - len(classes) - len(fixed)
+    through = [table.closure[table.index[f]] for f in fixed]  # each fixed point's lines, by point index
+    classes = {(table.keys[x], tuple(lines[i].bit_count() for lines in through))
+               for i, x in enumerate(labels) if x not in fixed}
+    unions_left = len(labels) - len(classes) - len(fixed)
+    size = {x: len(c) for x, c in table.classes.items()}
+    s = n.simplify()
     for images in maps() if unions_left else ():
-        g = dict(zip(s.labels, images))
+        g = dict(zip(labels, images))
         if (all(size[x] == size[y] for x, y in g.items()) and any(least[x] != least[y] for x, y in g.items())
                 and (images in n._certified or verify_bijection(s, s, g))):
             n._certified.add(images)
@@ -1068,7 +1038,7 @@ class _RankPreservingSearch:
                 return 0
             least = _orbit_minima(self.n, (tn.labels[i] for i in assignment[:depth]))
             self.tables[depth] += 1
-        return sum(tn.bit[x] for x in least)
+        return sum(1 << tn.index[x] for x in least)
 
 
 def find_isomorphism(m: LinearMatroid, n: LinearMatroid) -> dict[int, int] | None:

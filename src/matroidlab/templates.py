@@ -27,7 +27,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .catalog import FORBIDDEN, named, universal_matrix, universal_matroid
-from .gf import GFMatrix, vstack, weight
+from .gf import GFMatrix, row_reduce, weight
 from .matroid import LinearMatroid, MinorWitness, has_minor, verify_witness
 
 # classifier verdicts
@@ -702,11 +702,8 @@ def _in_row_space(basis: GFMatrix, v: Sequence[int]) -> bool:
     vec = tuple(x % 3 for x in v)
     if len(vec) != basis.ncols:
         raise ValueError("vector length does not match the collection")
-    if not any(vec):
-        return True
-    if basis.nrows == 0:
-        return False
-    return vstack(basis, GFMatrix(3, [vec], ncols=basis.ncols)).rank() == basis.nrows
+    # the basis rows are independent (FrameTemplate checks it)
+    return len(row_reduce([*basis.rows, vec], basis.ncols, 3)[1]) == basis.nrows
 
 
 @dataclass(frozen=True)

@@ -79,9 +79,9 @@ def test_labels_default_and_validation():
     assert m.labels == (0, 1, 2, 3, 4, 5)
     assert m.rank() == 3 and m.size == 6
     with pytest.raises(ValueError):
-        LinearMatroid(GFMatrix.identity(3, 2), [7])
+        LinearMatroid(GFMatrix(3, [[1, 0], [0, 1]]), [7])
     with pytest.raises(ValueError):
-        LinearMatroid(GFMatrix.identity(3, 2), [7, 7])
+        LinearMatroid(GFMatrix(3, [[1, 0], [0, 1]]), [7, 7])
     with pytest.raises(KeyError):
         m.rank({99})
 
@@ -136,7 +136,8 @@ def test_contract_matches_naive_rank_exhaustively():
         rng = random.Random(90 + p)
         for _ in range(6):
             m = _with_loops_and_classes(p, rng, 3, 7)
-            hosts += bool(m.loops()) and any(len(c) > 1 for c in m.parallel_classes())
+            table = _PairTable.of(m)
+            hosts += bool(table.loops) and any(len(c) > 1 for c in table.classes.values())
             naive = {frozenset(sub): naive_rank(m.matrix.take_cols([m.labels.index(x) for x in sub]))
                      for k in range(m.size + 1) for sub in itertools.combinations(m.labels, k)}
             for t in naive:
@@ -153,8 +154,9 @@ def test_contract_matches_naive_rank_exhaustively():
 def test_loops_parallel_simplify():
     rows = [[1, 0, 2, 0, 1], [0, 0, 0, 0, 1], [2, 0, 1, 0, 0]]
     m = m_of(rows)  # col1 and col3 are loops; col2 = 2*col0
-    assert m.loops() == (1, 3)
-    assert m.parallel_classes() == ((0, 2), (4,))
+    table = _PairTable.of(m)
+    assert table.loops == [1, 3]
+    assert table.classes == {0: (0, 2), 4: (4,)}
     s = m.simplify()
     assert s.labels == (0, 4)
     assert s.rank() == m.rank()
@@ -171,7 +173,7 @@ def test_dual_shapes_and_involution():
     iso = find_isomorphism(m, dd)
     assert iso is not None and verify_bijection(m, dd, iso)
     # free matroid dualizes to all-loops
-    free = LinearMatroid(GFMatrix.identity(3, 3))
+    free = LinearMatroid(GFMatrix.from_columns(3, [E0, E1, E2]))
     assert free.dual().rank() == 0 and free.dual().size == 3
     assert free.dual().dual().rank() == 3
 
@@ -255,21 +257,20 @@ def test_embedding_matches_naive_on_nonsimple_matroids():
 
 
 def _check_pair_table(m):
-    """loops(), parallel_classes() and is_simple() of m, and the pair
-    table's loops, classes, keys and closures over the least label of each
-    class, against the brute-force subset ranks."""
+    """is_simple() of m, and the pair table's loops, classes, keys and
+    closures over the least label of each class, against the brute-force
+    subset ranks."""
     ranks = subset_rank_table(m)
     points = [x for x in m.labels if ranks[frozenset((x,))] == 1]
     loops = [x for x in m.labels if x not in points]
-    assert m.loops() == tuple(loops)
     classes = {tuple(y for y in sorted(points) if ranks[frozenset((x, y))] == 1) for x in points}
-    assert m.parallel_classes() == tuple(sorted(classes))
     assert m.is_simple() == (len(points) == m.size and all(len(c) == 1 for c in classes))
     table = _PairTable.of(m)
     assert table.loops == sorted(loops)
     assert table.classes == {c[0]: c for c in sorted(classes)}
     least = sorted(c[0] for c in classes)
     assert table.labels == least
+    assert table.index == {a: i for i, a in enumerate(least)}
     for i, a in enumerate(least):
         lines = set()
         for j, b in enumerate(least):
@@ -324,7 +325,7 @@ def test_pair_table_matches_subset_ranks():
             table, simple = _PairTable.of(m), _PairTable.of(m.simplify())
             assert (table.labels, table.lines) == (simple.labels, simple.lines)
             assert {x: k[0] for x, k in table.keys.items()} == {x: k[0] for x, k in simple.keys.items()}
-            nonsimple += bool(m.loops()) and any(len(c) > 1 for c in m.parallel_classes())
+            nonsimple += bool(table.loops) and any(len(c) > 1 for c in table.classes.values())
     assert nonsimple >= 20
 
 
@@ -370,7 +371,7 @@ def test_pair_table_lines_are_the_distinct_closures():
             lines = {line for row in table.closure for line in row if line}
             assert len(table.lines) == len(lines) and set(table.lines) == lines
             for x in m.labels:
-                sizes = sorted((c.bit_count() for c in lines if c & table.bit[x] and c.bit_count() >= 3), reverse=True)
+                sizes = sorted((c.bit_count() for c in lines if c & 1 << table.index[x] and c.bit_count() >= 3), reverse=True)
                 assert table.keys[x][0] == tuple(sizes)
             simple += m.size >= 6
     assert simple >= 30
@@ -395,7 +396,7 @@ def test_stage_closures_are_built_only_when_searched(monkeypatch):
     assert [table for table in tables if "closure" in vars(table)] == []
 
 
-def test_restrict_and_delete_reuse_computed_points(monkeypatch):
+def test_simplify_reuses_computed_points(monkeypatch):
     rows = [[1, 0, 2, 0, 1, 1], [0, 0, 0, 0, 1, 2], [2, 0, 1, 0, 0, 1]]
     m = m_of(rows)  # loops 1, 3; class {0, 2}
     m._point_map()
@@ -407,13 +408,14 @@ def test_restrict_and_delete_reuse_computed_points(monkeypatch):
         return real(v, p)
 
     monkeypatch.setattr(matroid_module, "_normalize", counting)
-    children = [m.simplify(), m.delete({2, 3}), m.restrict({0, 1, 5})]
-    seen = [(c.loops(), c.parallel_classes(), c.is_simple()) for c in children]
+    s = m.simplify()
+    table = _PairTable.of(s)
+    seen = (table.loops, table.classes, s.is_simple())
     assert calls == []
     monkeypatch.undo()
-    for child, got in zip(children, seen):
-        fresh = LinearMatroid(child.matrix, child.labels)
-        assert got == (fresh.loops(), fresh.parallel_classes(), fresh.is_simple())
+    fresh = LinearMatroid(s.matrix, s.labels)
+    table = _PairTable.of(fresh)
+    assert seen == (table.loops, table.classes, fresh.is_simple())
 
 
 def test_embedding_identity_and_subsets():
@@ -1009,9 +1011,9 @@ def test_rank_two_verdicts_match_rank_tables():
 
 
 def test_walk_matches_rank_tables_on_identity_extensions_across_fields(monkeypatch):
-    # every [I3 | u | v | w] and every [I4 | u | v] over GF(3), each against
-    # two lifts into GF(5): the signed lift (2 -> -1) and the plain one
-    # (2 -> 2).  A lift agrees exactly when every subset of at most r
+    # every [I2 | u | v | w | x], every [I3 | u | v | w] and every
+    # [I4 | u | v] over GF(3), each against two lifts into GF(5): the signed
+    # lift (2 -> -1) and the plain one (2 -> 2).  A lift agrees exactly when every subset of at most r
     # columns has the same rank on both sides, since every rank is the size of
     # a largest independent subset; a subset is I + J, identity columns I and
     # extra columns J, and each set of extra vectors is ranked once, with
@@ -1034,7 +1036,7 @@ def test_walk_matches_rank_tables_on_identity_extensions_across_fields(monkeypat
         return out
 
     negatives: collections.Counter = collections.Counter()
-    for r, k in ((3, 3), (4, 2)):
+    for r, k in ((2, 4), (3, 3), (4, 2)):
         identity = [tuple(int(i == j) for i in range(r)) for j in range(r)]
         for extra in itertools.product(itertools.product(range(3), repeat=r), repeat=k):
             cols = identity + list(extra)
@@ -1044,7 +1046,8 @@ def test_walk_matches_rank_tables_on_identity_extensions_across_fields(monkeypat
                 images = [tuple(lift[x] for x in v) for v in cols]
                 assert matroid_module._same_independent_sets(cols, 3, images, 5, r) == want
                 negatives[r, name] += not want
-    assert negatives == {(3, "signed"): 576, (3, "plain"): 3948, (4, "signed"): 0, (4, "plain"): 770}
+    assert negatives == {(2, "signed"): 0, (2, "plain"): 770, (3, "signed"): 576, (3, "plain"): 3948,
+                         (4, "signed"): 0, (4, "plain"): 770}
     # rank 3 compares line keys at the root; rank 4 eliminates at the root
     # and reaches the line keys one level below
     effort = {}
@@ -1626,7 +1629,7 @@ def test_verifiers_never_read_search_structures():
         return out
 
     verifiers = (verify_bijection, verify_embedding, verify_witness, matroid_module._same_independent_sets,
-                 matroid_module._same_below, matroid_module._first_parallel, matroid_module._line_keys,
+                 matroid_module._same_below, matroid_module._line_keys,
                  matroid_module._linear_map_certifies,
                  row_reduce, matroid_module._eliminate, matroid_module._insert_into_basis)
     for fn in verifiers:
