@@ -371,7 +371,8 @@ def test_pair_table_lines_are_the_distinct_closures():
             lines = {line for row in table.closure for line in row if line}
             assert len(table.lines) == len(lines) and set(table.lines) == lines
             for x in m.labels:
-                sizes = sorted((c.bit_count() for c in lines if c & 1 << table.index[x] and c.bit_count() >= 3), reverse=True)
+                through = [c for c in lines if c & 1 << table.index[x]]
+                sizes = sorted((c.bit_count() for c in through if c.bit_count() >= 3), reverse=True)
                 assert table.keys[x][0] == tuple(sizes)
             simple += m.size >= 6
     assert simple >= 30
@@ -1013,11 +1014,11 @@ def test_rank_two_verdicts_match_rank_tables():
 def test_walk_matches_rank_tables_on_identity_extensions_across_fields(monkeypatch):
     # every [I2 | u | v | w | x], every [I3 | u | v | w] and every
     # [I4 | u | v] over GF(3), each against two lifts into GF(5): the signed
-    # lift (2 -> -1) and the plain one (2 -> 2).  A lift agrees exactly when every subset of at most r
-    # columns has the same rank on both sides, since every rank is the size of
-    # a largest independent subset; a subset is I + J, identity columns I and
-    # extra columns J, and each set of extra vectors is ranked once, with
-    # every I that fits, on both sides
+    # lift (2 -> -1) and the plain one (2 -> 2).  A lift agrees exactly when
+    # every subset of at most r columns has the same rank on both sides,
+    # since every rank is the size of a largest independent subset; a subset
+    # is I + J, identity columns I and extra columns J, and each set of extra
+    # vectors is ranked once, with every I that fits, on both sides
     lifts = {"signed": (0, 1, 4), "plain": (0, 1, 2)}
 
     @functools.cache
