@@ -11,6 +11,7 @@ included, and stand for empty blocks.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 SUPPORTED_FIELDS = (3, 5)
@@ -97,13 +98,9 @@ class GFMatrix:
             raise IndexError(f"column index {j} out of range")
         return tuple(row[j] for row in self.rows)
 
-    @property
+    @functools.cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        cached = self.__dict__.get("_columns")
-        if cached is None:
-            cached = tuple(tuple(row[j] for row in self.rows) for j in range(self.ncols))
-            self.__dict__["_columns"] = cached
-        return cached
+        return tuple(tuple(row[j] for row in self.rows) for j in range(self.ncols))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -126,15 +123,8 @@ class GFMatrix:
         rows, pivots = row_reduce(self.rows, self.ncols, self.p)
         return GFMatrix(self.p, rows, ncols=self.ncols), pivots
 
-    def pivot_columns(self) -> tuple[int, ...]:
-        cached = self.__dict__.get("_pivots")
-        if cached is None:
-            _, cached = self.rref()
-            self.__dict__["_pivots"] = cached
-        return cached
-
     def rank(self) -> int:
-        return len(self.pivot_columns())
+        return len(row_reduce(self.rows, self.ncols, self.p)[1])
 
     # -- row and column operations ----------------------------------------------
 

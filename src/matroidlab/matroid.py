@@ -527,9 +527,11 @@ class _PairTable:
     each line once, as an int bitmask whose bit i marks the point at index
     i.  closure holds one list per point, of the lines through it indexed
     by point index: for distinct i, j, closure[i][j] is cl({i, j}), the
-    line through points i and j, as a mask (closure[i][i] is 0).  The pair
-    checks and candidates read closure, which is built when a search first
-    reads it; a search its key counts reject never does.
+    line through points i and j, as a mask (closure[i][i] is 0).  closure is
+    built on first read: by ``_Pattern``'s one pass over the pattern's
+    points, which builds its order, pair checks and anchors from it, and on
+    the host's side by the search's candidates and pair checks and by
+    ``_orbit_minima``.  A search its key counts reject never reads it.
 
     The table is built from a label -> projective point map (None for a
     loop) and p, with no rank calls: the lines and keys come from the
@@ -594,13 +596,6 @@ class _PairTable:
                 closure[i][j] = line
         return closure
 
-    def anchor(self, placed: Sequence[int], i: int) -> tuple[int, int] | None:
-        """Positions in placed, a list of point indices, of the first pair
-        whose line holds point i, if any."""
-        closure = self.closure
-        return next(((s, t) for s, t in itertools.combinations(range(len(placed)), 2)
-                     if closure[placed[s]][placed[t]] >> i & 1), None)
-
 
 def _bit_indices(mask: int) -> list[int]:
     """The indices of the bits set in mask, ascending."""
@@ -610,22 +605,6 @@ def _bit_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _search_order(table: _PairTable) -> list[int]:
-    """Element order, as point indices, where each element sits on a line
-    with two placed ones whenever possible; otherwise the most line-covered
-    element comes next."""
-    lines = [table.keys[x][0] for x in table.labels]  # point index -> its line sizes
-    order: list[int] = []
-    remaining = list(range(len(lines)))
-    while remaining:
-        i = next((i for i in remaining if table.anchor(order, i)), None)
-        if i is None:
-            i = max(remaining, key=lambda i: (len(lines[i]), sum(lines[i])))
-        order.append(i)
-        remaining.remove(i)
-    return order
 
 
 def _dominates(want: tuple, have: tuple) -> bool:
@@ -742,8 +721,7 @@ def _orbit_minima(n: LinearMatroid, fixed: Iterable[int] = ()) -> dict[int, int]
             for j, support in enumerate(support_rows):
                 ready[max(map(rows.__getitem__, support))].append(j)
             every = _row_scalings(0, rows, [0] * r, [None] * len(points), ready, entries, label_of, p, pinned)
-            for _, images in every if rows == tuple(range(r)) else itertools.islice(every, 1):
-                yield images
+            yield from every if rows == tuple(range(r)) else itertools.islice(every, 1)
 
     through = [table.closure[table.index[f]] for f in fixed]  # each fixed point's lines, by point index
     classes = {(table.keys[x], tuple(lines[i].bit_count() for lines in through))
@@ -790,8 +768,8 @@ def _row_permutations(rows: list[int], r: int, ends: Sequence[set], host_support
 
 def _row_scalings(t: int, rows: tuple[int, ...], scalars: list[int], images: list, ready: Sequence[list[int]],
                   entries: Sequence, label_of: Mapping, p: int,
-                  pinned: Mapping[int, int]) -> Iterator[tuple[tuple, tuple]]:
-    """(scalars, image label of each column) for every working choice of
+                  pinned: Mapping[int, int]) -> Iterator[tuple]:
+    """The image label of each column, for every working choice of
     the scalars of image rows t, t + 1, ... under the permutation rows:
     ready[t] holds the columns whose image support is fixed once row t is
     scaled, entries each column's nonzero (row, entry) pairs, label_of
@@ -799,7 +777,7 @@ def _row_scalings(t: int, rows: tuple[int, ...], scalars: list[int], images: lis
     that each fixed column must map to."""
     r = len(rows)
     if t == r:
-        yield tuple(scalars), tuple(images)
+        yield tuple(images)
         return
     for c in range(1, 2 if t == 0 else p):
         scalars[t] = c
@@ -816,11 +794,19 @@ def _row_scalings(t: int, rows: tuple[int, ...], scalars: list[int], images: lis
 
 class _Pattern:
     """m's half of a search for one order kind, which no host changes: the
-    element order (sorted for an isomorphism, ``_search_order``'s otherwise),
-    anchors, pair checks and, on first use, prefix ranks, from the table's
-    points.  Anchors and pair checks name placed elements by their depths in
-    the order.  ``of`` builds it once per matroid and order kind and caches
-    it on m."""
+    element order, anchors, pair checks and, on first use, prefix ranks,
+    from the table's points.  Anchors and pair checks name placed elements
+    by their depths in the order.  ``of`` builds it once per matroid and
+    order kind and caches it on m.
+
+    One pass over the points builds the order, the pair checks and the
+    anchors: placing point i reads ``closure[i][a]`` once for each placed
+    point a, which gives i's pair checks and marks the points on a line
+    through two placed ones as covered.  An isomorphism places the points
+    in sorted order; otherwise the next point is the first covered one not
+    yet placed, or, when there is none, the most line-covered one.  A
+    point's anchor is the first row of its pair checks with two placed
+    points: the depths of the first placed pair whose line holds it."""
 
     @classmethod
     def of(cls, m: LinearMatroid, bijective: bool) -> "_Pattern":
@@ -830,11 +816,33 @@ class _Pattern:
 
     def __init__(self, m: LinearMatroid, bijective: bool):
         table = _PairTable.of(m)
-        points = list(range(len(table.labels))) if bijective else _search_order(table)  # depth -> point index
+        lines = [table.keys[x][0] for x in table.labels]  # point index -> its line sizes
+        points: list[int] = []  # depth -> point index
+        self.checks: list[list[tuple[int, int]]] = []
+        left = (1 << len(lines)) - 1  # the points not yet placed
+        covered = 0  # the points on a line through two placed ones
+        while left:
+            ahead = left if bijective else covered & left
+            if ahead:
+                i = (ahead & -ahead).bit_length() - 1
+            else:
+                i = max(_bit_indices(left), key=lambda i: (len(lines[i]), sum(lines[i])))
+            through = table.closure[i]
+            on_line: dict[int, list[int]] = {}  # line -> its placed depths, up to two
+            for q, a in enumerate(points):
+                line = through[a]
+                covered |= line
+                placed = on_line.setdefault(line, [])
+                if len(placed) < 2:
+                    placed.append(q)
+            # (p, q) for the depth p of the first placed point on each line
+            # through i and the depth q of the second, or -1 when p is its only one
+            self.checks.append([(placed[0], placed[1] if len(placed) > 1 else -1) for placed in on_line.values()])
+            points.append(i)
+            left ^= 1 << i
         self.order = [table.labels[i] for i in points]
         # depth -> (depths a, b) of the first placed pair whose line holds it
-        self.anchors = [table.anchor(points[:depth], i) for depth, i in enumerate(points)]
-        self.checks = [self._pair_checks(table, points, depth) for depth in range(len(points))]
+        self.anchors = [next(((a, b) for a, b in rows if b >= 0), None) for rows in self.checks]
         # the ordered points, not m: holding m would make a cycle with m
         self.points, self.p = [table.points[i] for i in points], m.p
 
@@ -843,20 +851,6 @@ class _Pattern:
         """The rank of each prefix of the order, from one running basis."""
         basis: list = []
         return list(itertools.accumulate(int(_insert_into_basis(v, basis, self.p)) for v in self.points))
-
-    @staticmethod
-    def _pair_checks(tm: _PairTable, points: list[int], depth: int) -> list[tuple[int, int]]:
-        """(p, q) for the depth p of the first placed point on each line
-        through x, the point at depth, and the depth q of the second placed
-        point on that line, or -1 when p is its only one; points lists each
-        depth's point index."""
-        through = tm.closure[points[depth]]
-        on_line: dict[int, list[int]] = {}  # line -> its placed depths, up to two
-        for q in range(depth):
-            placed = on_line.setdefault(through[points[q]], [])
-            if len(placed) < 2:
-                placed.append(q)
-        return [(placed[0], placed[1] if len(placed) > 1 else -1) for placed in on_line.values()]
 
 
 class _RankPreservingSearch:
@@ -869,7 +863,9 @@ class _RankPreservingSearch:
     m's loops in sorted order onto n's least loops, each class in sorted
     order onto the least members of its image's class.  The leaf check runs
     on m and n.  Loops, classes and keys are read from both sides'
-    ``_PairTable``, the rest of m's side from its cached ``_Pattern``.
+    ``_PairTable``, and m's order, anchors, pair checks and prefix ranks
+    from its cached ``_Pattern``, whose one pass over m's points builds the
+    order, checks and anchors.
 
     The node loop runs on indices: the assignment lists each depth's image
     as a point index of n's table, the anchors and pair checks name placed
@@ -1054,15 +1050,6 @@ def find_embedding(m: LinearMatroid, n: LinearMatroid) -> dict[int, int] | None:
 # -- minor search -----------------------------------------------------------------------
 
 
-def _minor_witness_from_embedding(
-    m: LinearMatroid, contracted: tuple[int, ...], embedding: dict[int, int]
-) -> MinorWitness:
-    image = set(embedding.values())
-    deleted = tuple(sorted(set(m.labels) - set(contracted) - image))
-    mapping = tuple(sorted(embedding.items()))
-    return MinorWitness(tuple(sorted(contracted)), deleted, mapping)
-
-
 def _flat_stages(m: LinearMatroid, k: int,
                  target: LinearMatroid | None = None) -> Iterator[tuple[tuple[int, ...], LinearMatroid]]:
     """(T, si(M/T)) for each independent k-set T of m, in lexicographic
@@ -1162,5 +1149,6 @@ def has_minor(m: LinearMatroid, n: LinearMatroid, hint: Iterable[int] | None = N
         embedding = find_embedding(n, stage)
         if embedding is not None:
             contracted = tuple(sorted(hint + extra))
-            return _minor_witness_from_embedding(m, contracted, embedding)
+            deleted = tuple(sorted(set(m.labels) - set(contracted) - set(embedding.values())))
+            return MinorWitness(contracted, deleted, tuple(sorted(embedding.items())))
     return None

@@ -387,7 +387,13 @@ def find_submatrix(haystack: GFMatrix, needle: GFMatrix) -> SubmatrixHit | None:
                 col_map.pop()
         return False
 
-    if not place_col(0):
+    try:
+        found = place_col(0)
+    finally:
+        # the two closures name each other; unbinding them breaks that cycle,
+        # so the search is freed by reference counting alone
+        del place_rows, place_col
+    if not found:
         return None
     signed = tuple(s if s <= p // 2 else s - p for s in col_scalar)
     return SubmatrixHit(tuple(row_of), tuple(col_map), signed)

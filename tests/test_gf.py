@@ -58,7 +58,7 @@ def test_identity_rank_and_pivots():
     for p in (3, 5):
         I4 = GFMatrix(p, [[int(i == j) for j in range(4)] for i in range(4)])
         assert I4.rank() == 4
-        assert I4.pivot_columns() == (0, 1, 2, 3)
+        assert I4.rref()[1] == (0, 1, 2, 3)
         r, piv = I4.rref()
         assert r == I4 and piv == (0, 1, 2, 3)
 
@@ -75,7 +75,7 @@ def test_known_rank_with_pivots():
         ],
     )
     assert m.rank() == 4
-    assert m.pivot_columns() == (0, 1, 2, 5)
+    assert m.rref()[1] == (0, 1, 2, 5)
     assert naive_rank(m) == 4
 
 

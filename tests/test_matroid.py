@@ -711,20 +711,20 @@ def test_minor_search_tries_each_flat_once(monkeypatch, host, stages):
     # searches; the flat walk screens 76 and 61 stages, one table each
     # besides the target's, and the counting rules reject every one from
     # its points (3,804 and 6,662 _dfs calls without the equal-size and
-    # image-count rules), so no stage is searched and the target's element
-    # order is never built; the walk moves points, and no stage is built
+    # image-count rules), so no stage is searched and the target's pattern
+    # is never built; the walk moves points, and no stage is built
     # from them (118 and 116 column contractions when its nodes held
     # columns)
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, counts, _PairTable, "__init__")
     _count_calls(monkeypatch, counts, matroid_module, "find_embedding")
-    _count_calls(monkeypatch, counts, matroid_module, "_search_order")
+    _count_calls(monkeypatch, counts, matroid_module._Pattern, "of")
     _count_calls(monkeypatch, counts, _RankPreservingSearch, "_dfs")
     _count_calls(monkeypatch, counts, matroid_module, "_from_points")
     callers = _count_insertion_callers(monkeypatch)
     assert has_minor(named(host).matroid(), LinearMatroid(named("AG23E").matrix)) is None
     assert counts["__init__"] == stages + 1
-    assert (counts["find_embedding"], counts["_search_order"]) == (0, 0)
+    assert (counts["find_embedding"], counts["of"]) == (0, 0)
     assert counts["_dfs"] == 0
     assert callers["_dfs"] == 0
     assert counts["_from_points"] == 0
@@ -1282,10 +1282,11 @@ def test_negative_dowling4_search_effort(monkeypatch, source, counts):
 
 def test_verifier_elimination_effort(monkeypatch):
     # the walk eliminates once per side for each independent prefix of size
-    # 1 to r - 3, 18 + 153 here, settles the prefixes of size r - 2 by line
-    # keys and those of size r - 1 by parallel classes (1,920 _eliminate
-    # calls for the OMEGA5 bijection when the prefixes of size r - 2
-    # eliminated too, 7,032 when those of size r - 1 did as well; the
+    # 1 to r - 3, 18 + 153 here; each node with three elements left to place
+    # (a prefix of size r - 3) settles both of the last two levels by line
+    # keys, so no prefix of size r - 2 or r - 1 is visited (1,920
+    # _eliminate calls for the OMEGA5 bijection when the prefixes of size
+    # r - 2 eliminated too, 7,032 when those of size r - 1 did as well; the
     # one-basis-per-side walk made 21,564 and 126 _insert_into_basis calls
     # here)
     m3, m5 = named("OMEGA5", 3).matroid(), named("OMEGA5", 5).matroid()
@@ -1647,14 +1648,14 @@ def test_certificate_rejects_swapped_images(monkeypatch):
     swapped: set = set()
 
     def swapping(t, *args):
-        for scalars, images in real(t, *args):
-            yield scalars, images
+        for images in real(t, *args):
+            yield images
             if t == 0:
                 for a, b in itertools.combinations(range(len(images)), 2):
                     bad = list(images)
                     bad[a], bad[b] = bad[b], bad[a]
                     swapped.add(tuple(bad))
-                    yield scalars, tuple(bad)
+                    yield tuple(bad)
 
     monkeypatch.setattr(matroid_module, "_row_scalings", swapping)
     n = named("DOWLING4").matroid()

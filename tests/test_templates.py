@@ -3,6 +3,7 @@ the Y-template classifier with certificate replay, and the six minimal
 templates with the respects predicate."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
@@ -11,7 +12,7 @@ import pytest
 
 from matroidlab import gf
 from matroidlab import templates as tp
-from matroidlab.catalog import FORBIDDEN, T1, T2, T2PLUS, T3, T3PLUS, named, universal_matrix
+from matroidlab.catalog import FORBIDDEN, ONES3, T1, T2, T2PLUS, T3, T3PLUS, named, universal_matrix
 from matroidlab.gf import GFMatrix, weight
 from matroidlab.matroid import LinearMatroid, find_isomorphism
 
@@ -257,6 +258,22 @@ def test_classifier_family_payloads():
     check_classification(gf3(T1), tp.PI)
     check_classification(gf3(T2), tp.SIGMA)
     check_classification(gf3(T3), tp.OMEGA)
+
+
+def test_classifier_leaves_no_cyclic_garbage():
+    # the classifier, its submatrix scans and the certificate replay build no
+    # reference cycles, so everything they allocate is freed by reference
+    # counting alone
+    for payload in (T1, T2, T3, ONES3, *(rows for rows, _ in FORBIDDEN.values())):
+        P = gf3(payload)
+        gc.collect()
+        gc.disable()
+        try:
+            cls = tp.classify_Y_template(P)
+            assert tp.verify_classification(P, cls) == (True, "ok")
+            assert gc.collect() == 0, payload
+        finally:
+            gc.enable()
 
 
 def test_classifier_signed_graphic_column():
